@@ -40,6 +40,16 @@ _NUMERIC_ERRORS = (
 )
 _CONFIG_ERRORS = (fileio.FileFormatError, OSError, ValueError)
 
+_CHECKS = ("pde", "system", "mass", "lax")
+
+#: (file name, ScatteringData contour attribute, sample attribute, parameter)
+_CONTOUR_FILES = (
+    ("r1_ray.csv", "gamma1", "r1_ray", "modulus"),
+    ("r2_ray.csv", "gamma4", "r2_ray", "modulus"),
+    ("r1_circle.csv", "circle", "r1_circle", "angle"),
+    ("r2_circle.csv", "circle", "r2_circle", "angle"),
+)
+
 
 def _grid_args(p):
     p.add_argument("--xmin", type=float, default=-30.0)
@@ -52,6 +62,8 @@ def _grid_args(p):
 def _parse_grid(args) -> solitons.Grid:
     if args.xmax <= args.xmin:
         raise ValueError("xmax must exceed xmin")
+    if not 0.0 < args.hx < np.inf:
+        raise ValueError(f"hx must be positive and finite, got {args.hx}")
     n = int(round((args.xmax - args.xmin) / args.hx)) + 1
     x = np.linspace(args.xmin, args.xmax, n)
     t = np.array([float(s) for s in args.tvals.split(",")])
@@ -72,6 +84,24 @@ def _echo(args, keys):
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
+def _write_solution(args, fld, command, params):
+    """solution.csv, plus initial.csv (the t = 0 row) with --emit-initial."""
+    os.makedirs(args.out, exist_ok=True)
+    fileio.write_field(os.path.join(args.out, "solution.csv"), fld, command, params)
+    if args.emit_initial:
+        fileio.write_initial_csv(
+            os.path.join(args.out, "initial.csv"),
+            fld.x, fld.u[0], fld.v[0], command, params,
+        )
+
+
+def _write_contours(out_dir, sd, command, params):
+    os.makedirs(out_dir, exist_ok=True)
+    for name, k_attr, val_attr, param in _CONTOUR_FILES:
+        fileio.write_contour(os.path.join(out_dir, name), getattr(sd, k_attr),
+                             getattr(sd, val_attr), command, params, param)
+
+
 def _cmd_soliton(args) -> int:
     grid = _parse_grid(args)
     if args.c_re is not None or args.c_im is not None:
@@ -81,13 +111,7 @@ def _cmd_soliton(args) -> int:
     fld = solitons.one_soliton(args.k0, c, grid)
     params = _echo(args, ("k0", "x0", "c_re", "c_im", "xmin", "xmax", "hx", "tvals"))
     params["c"] = str(c)
-    os.makedirs(args.out, exist_ok=True)
-    fileio.write_field(os.path.join(args.out, "solution.csv"), fld, "soliton", params)
-    if args.emit_initial:
-        fileio.write_initial_csv(
-            os.path.join(args.out, "initial.csv"),
-            grid.x, fld.u[0], fld.v[0], "soliton", params,
-        )
+    _write_solution(args, fld, "soliton", params)
     fileio.write_json(os.path.join(args.out, "meta.json"), {
         "amplitude": fld.meta["amplitude"],
         "speed": fld.meta["speed"],
@@ -107,13 +131,7 @@ def _cmd_breather(args) -> int:
     fld = solitons.breather(k0, c, grid)
     params = _echo(args, ("k0_re", "k0_im", "x0", "phase", "xmin", "xmax", "hx", "tvals"))
     params["c"] = str(c)
-    os.makedirs(args.out, exist_ok=True)
-    fileio.write_field(os.path.join(args.out, "solution.csv"), fld, "breather", params)
-    if args.emit_initial:
-        fileio.write_initial_csv(
-            os.path.join(args.out, "initial.csv"),
-            grid.x, fld.u[0], fld.v[0], "breather", params,
-        )
+    _write_solution(args, fld, "breather", params)
     return EXIT_OK
 
 
@@ -124,13 +142,7 @@ def _cmd_nsoliton(args) -> int:
     params = _echo(args, ("xmin", "xmax", "hx", "tvals"))
     params["poles"] = ";".join(str(p) for p, _ in pairs)
     params["residues"] = ";".join(str(c) for _, c in pairs)
-    os.makedirs(args.out, exist_ok=True)
-    fileio.write_field(os.path.join(args.out, "solution.csv"), fld, "nsoliton", params)
-    if args.emit_initial:
-        fileio.write_initial_csv(
-            os.path.join(args.out, "initial.csv"),
-            grid.x, fld.u[0], fld.v[0], "nsoliton", params,
-        )
+    _write_solution(args, fld, "nsoliton", params)
     return EXIT_OK
 
 
@@ -147,16 +159,7 @@ def _cmd_scatter(args) -> int:
     for w in data.warnings:
         print(f"warning: {w}", file=sys.stderr)
     sd = scattering.reflection_coefficients(data)
-    os.makedirs(args.out, exist_ok=True)
-    params = {"data": os.path.basename(args.data)}
-    fileio.write_contour(os.path.join(args.out, "r1_ray.csv"), sd.gamma1, sd.r1_ray,
-                         "scatter", params, "modulus")
-    fileio.write_contour(os.path.join(args.out, "r2_ray.csv"), sd.gamma4, sd.r2_ray,
-                         "scatter", params, "modulus")
-    fileio.write_contour(os.path.join(args.out, "r1_circle.csv"), sd.circle,
-                         sd.r1_circle, "scatter", params, "angle")
-    fileio.write_contour(os.path.join(args.out, "r2_circle.csv"), sd.circle,
-                         sd.r2_circle, "scatter", params, "angle")
+    _write_contours(args.out, sd, "scatter", {"data": os.path.basename(args.data)})
     payload = {
         "decay_report": sd.decay_report,
         "unit_point_genericity": scattering.unit_point_genericity(data),
@@ -190,8 +193,11 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    fld = fileio.read_field(args.field)
     checks = args.checks.split(",")
+    unknown = [c for c in checks if c not in _CHECKS]
+    if unknown:
+        raise ValueError(f"unknown checks {unknown}; choose from {','.join(_CHECKS)}")
+    fld = fileio.read_field(args.field)
     report = {"field": os.path.basename(args.field), "checks": {}}
     failed = False
     if "pde" in checks:
@@ -267,30 +273,18 @@ def _cmd_jumps(args) -> int:
 
 def _cmd_evolve(args) -> int:
     src = args.scatter_dir
-    g1, r1 = fileio.read_contour(os.path.join(src, "r1_ray.csv"))
-    g4, r2 = fileio.read_contour(os.path.join(src, "r2_ray.csv"))
-    ck, r1c = fileio.read_contour(os.path.join(src, "r1_circle.csv"))
-    _, r2c = fileio.read_contour(os.path.join(src, "r2_circle.csv"))
+    samples = {}
+    for name, k_attr, val_attr, _ in _CONTOUR_FILES:
+        ks, samples[val_attr] = fileio.read_contour(os.path.join(src, name))
+        samples.setdefault(k_attr, ks)  # the circle comes from r1_circle.csv
     meta = fileio.read_json(os.path.join(src, "scatter.json"))
     residues = {}
     for kv, cv in zip(meta.get("poles", []), meta.get("residues", [])):
         residues[complex(kv[0], kv[1])] = complex(cv["c"][0], cv["c"][1])
-    sd = scattering.ScatteringData(
-        gamma1=g1, r1_ray=r1, gamma4=g4, r2_ray=r2,
-        circle=ck, r1_circle=r1c, r2_circle=r2c,
-        poles=tuple(residues), residues=residues,
-    )
+    sd = scattering.ScatteringData(**samples, poles=tuple(residues), residues=residues)
     out = scattering.evolve_scattering(sd, args.t)
-    os.makedirs(args.out, exist_ok=True)
     params = {"t": args.t, "source": os.path.basename(os.path.normpath(src))}
-    fileio.write_contour(os.path.join(args.out, "r1_ray.csv"), out.gamma1, out.r1_ray,
-                         "evolve", params, "modulus")
-    fileio.write_contour(os.path.join(args.out, "r2_ray.csv"), out.gamma4, out.r2_ray,
-                         "evolve", params, "modulus")
-    fileio.write_contour(os.path.join(args.out, "r1_circle.csv"), out.circle,
-                         out.r1_circle, "evolve", params, "angle")
-    fileio.write_contour(os.path.join(args.out, "r2_circle.csv"), out.circle,
-                         out.r2_circle, "evolve", params, "angle")
+    _write_contours(args.out, out, "evolve", params)
     fileio.write_json(os.path.join(args.out, "scatter.json"), {
         "poles": [[z.real, z.imag] for z in out.poles],
         "residues": [{"c": [c.real, c.imag]} for c in out.residues.values()],

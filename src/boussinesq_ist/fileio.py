@@ -31,18 +31,25 @@ def _header_lines(command: str, params: dict, columns):
     yield "# columns = " + ",".join(columns)
 
 
-def write_field(path: str, fld: SolutionField, command: str, params: dict):
-    cols = ["x", "t", "u"] + (["v"] if fld.v is not None else [])
+def _write_csv(path: str, command: str, params: dict, columns: dict):
+    """Header plus one row per index of the equal-length 1-d arrays in
+    ``columns``, in its order."""
+    cols = list(columns)
+    row = ",".join([FMT] * len(cols)) + "\n"
     with open(path, "w") as fh:
         for line in _header_lines(command, params, cols):
             fh.write(line + "\n")
         fh.write(",".join(cols) + "\n")
-        for it, tv in enumerate(fld.t):
-            for ix, xv in enumerate(fld.x):
-                row = [FMT % xv, FMT % tv, FMT % fld.u[it, ix]]
-                if fld.v is not None:
-                    row.append(FMT % fld.v[it, ix])
-                fh.write(",".join(row) + "\n")
+        for values in zip(*columns.values()):
+            fh.write(row % values)
+
+
+def write_field(path: str, fld: SolutionField, command: str, params: dict):
+    nt, nx = fld.t.size, fld.x.size
+    columns = {"x": np.tile(fld.x, nt), "t": np.repeat(fld.t, nx), "u": fld.u.reshape(-1)}
+    if fld.v is not None:
+        columns["v"] = fld.v.reshape(-1)
+    _write_csv(path, command, params, columns)
 
 
 def read_field(path: str) -> SolutionField:
@@ -55,9 +62,12 @@ def read_field(path: str) -> SolutionField:
     ts = np.unique(t_all)
     xs = np.unique(x_all)
     nt, nx = ts.size, xs.size
-    if nt * nx != rows.shape[0]:
-        raise FileFormatError("field file is not a full rectangular grid")
     order = np.lexsort((x_all, t_all))
+    if nt * nx != rows.shape[0] or not (
+        np.array_equal(t_all[order], np.repeat(ts, nx))
+        and np.array_equal(x_all[order], np.tile(xs, nt))
+    ):
+        raise FileFormatError("field file is not a full rectangular grid")
     u = rows[order, cols.index("u")].reshape(nt, nx)
     v = None
     if "v" in cols:
@@ -69,15 +79,10 @@ def write_contour(path: str, ks, values, command: str, params: dict, param_name=
     ks = np.asarray(ks)
     values = np.asarray(values)
     par = np.abs(ks) if param_name == "modulus" else np.angle(ks)
-    cols = ["param", "k_re", "k_im", "value_re", "value_im"]
-    with open(path, "w") as fh:
-        for line in _header_lines(command, dict(params, param=param_name), cols):
-            fh.write(line + "\n")
-        fh.write(",".join(cols) + "\n")
-        for p, k, v in zip(par, ks, values):
-            fh.write(
-                ",".join(FMT % z for z in (p, k.real, k.imag, v.real, v.imag)) + "\n"
-            )
+    _write_csv(path, command, dict(params, param=param_name), {
+        "param": par, "k_re": ks.real, "k_im": ks.imag,
+        "value_re": values.real, "value_im": values.imag,
+    })
 
 
 def read_contour(path: str):
@@ -138,10 +143,4 @@ def read_initial_csv(path: str):
 
 
 def write_initial_csv(path: str, x, u0, v0, command: str, params: dict):
-    cols = ["x", "u0", "v0"]
-    with open(path, "w") as fh:
-        for line in _header_lines(command, params, cols):
-            fh.write(line + "\n")
-        fh.write(",".join(cols) + "\n")
-        for row in zip(x, u0, v0):
-            fh.write(",".join(FMT % z for z in row) + "\n")
+    _write_csv(path, command, params, {"x": x, "u0": u0, "v0": v0})

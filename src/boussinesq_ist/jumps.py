@@ -238,10 +238,12 @@ def build_v(sd: ScatteringData, x, t, k, segment: int):
 # ----------------------------------------------------------------------------
 
 
-def _q1(k0, c, x, t, k):
+def _removal(j, k0, c, x, t, k):
+    """Identity plus the (1, j) entry that removes the pole at k0: Q1 for
+    j = 3, and P1 for j = 2 (real poles)."""
     v = np.eye(3, dtype=complex)
-    cc = c * np.exp(-eval_theta(3, 1, x, t, k0))
-    v[0, 2] = -cc / (k - k0) * (k**2 - OMEGA) / (k0**2 - OMEGA)
+    cc = c * np.exp(-eval_theta(j, 1, x, t, k0))
+    v[0, j - 1] = -cc / (k - k0) * (k**2 - OMEGA) / (k0**2 - OMEGA)
     return v
 
 
@@ -253,26 +255,19 @@ def _q7(k0, c, x, t, k):
     return v
 
 
-def _p1(k0, c, x, t, k):
-    v = np.eye(3, dtype=complex)
-    cc = c * np.exp(-eval_theta(2, 1, x, t, k0))
-    v[0, 1] = -cc / (k - k0) * (k**2 - OMEGA) / (k0**2 - OMEGA)
-    return v
-
-
 def named_circle_jump(name: str, k0, c, x, t, k):
     """The explicitly displayed pole-removal matrices, by name."""
     w = OMEGA
     if name == "Q1":
-        return _q1(k0, c, x, t, k)
+        return _removal(3, k0, c, x, t, k)
     if name == "Q7":
         return _q7(k0, c, x, t, k)
     if name == "P1":
-        return _p1(k0, c, x, t, k)
+        return _removal(2, k0, c, x, t, k)
     if name == "Q2":
-        return _AI @ _q1(k0, c, x, t, w**2 * k) @ _A
+        return _AI @ _removal(3, k0, c, x, t, w**2 * k) @ _A
     if name == "Q5":
-        return _B @ _AI @ np.linalg.inv(_q1(k0, c, x, t, 1.0 / (w * k))) @ _A @ _B
+        return _B @ _AI @ np.linalg.inv(_removal(3, k0, c, x, t, 1.0 / (w * k))) @ _A @ _B
     if name == "Q11":
         from boussinesq_ist.spectral import r_matrix
 
@@ -280,9 +275,9 @@ def named_circle_jump(name: str, k0, c, x, t, k):
         inner = np.conj(np.linalg.inv(named_circle_jump("Q5", k0, c, x, t, np.conj(k))))
         return r @ inner.T @ np.linalg.inv(r)
     if name == "P5":
-        return _B @ _AI @ np.linalg.inv(_p1(k0, c, x, t, 1.0 / (w * k))) @ _A @ _B
+        return _B @ _AI @ np.linalg.inv(_removal(2, k0, c, x, t, 1.0 / (w * k))) @ _A @ _B
     if name == "P6":
-        return _B @ _A @ np.linalg.inv(_p1(k0, c, x, t, 1.0 / (w**2 * k))) @ _AI @ _B
+        return _B @ _A @ np.linalg.inv(_removal(2, k0, c, x, t, 1.0 / (w**2 * k))) @ _AI @ _B
     raise ValueError(f"unknown pole-removal matrix {name}")
 
 
@@ -385,32 +380,13 @@ def circle_jump(circle: Circle, x, t, k):
             # kk lies on w^rot * (base); w*kk lies on w^(rot+1) * base
             return _A @ eval_at((rot + 1) % 3, kind, OMEGA * kk) @ _AI
         if kind == "plain":
-            return _p1(k0, c, x, t, kk) if is_real else _q1(k0, c, x, t, kk)
+            return _removal(2 if is_real else 3, k0, c, x, t, kk)
         if kind == "star":
             return _q7(k0, c, x, t, kk)
-        if kind == "inv":
-            return _B @ np.linalg.inv(eval_at(0, "plain", 1.0 / kk)) @ _B
-        if kind == "invstar":
-            return _B @ np.linalg.inv(eval_at(0, "star", 1.0 / kk)) @ _B
-        raise ValueError(kind)
+        base_kind = {"inv": "plain", "invstar": "star"}[kind]
+        return _B @ np.linalg.inv(eval_at(0, base_kind, 1.0 / kk)) @ _B
 
-    if circle.kind in ("inv", "invstar"):
-        # circle = w^rot * (base^-1); 1/k lies on w^-rot * base... reduce
-        # rotation first: point of w^rot * C-inverse
-        def eval_inv(rot, kk):
-            if rot != 0:
-                return _A @ eval_inv((rot + 1) % 3, OMEGA * kk) @ _AI
-            base_kind = "plain" if circle.kind == "inv" else "star"
-            return _B @ np.linalg.inv(eval_at(0, base_kind, 1.0 / kk)) @ _B
-
-        return eval_inv(circle.rot, k)
     return eval_at(circle.rot, circle.kind, k)
-
-
-def build_circle_jump(sd: ScatteringData, x, t, k, circle: Circle):
-    """Spec-facing wrapper: jump on a named circle of the system."""
-    del sd  # the circle carries its own pole data
-    return circle_jump(circle, x, t, k)
 
 
 # ----------------------------------------------------------------------------

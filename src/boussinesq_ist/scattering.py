@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from boussinesq_ist import volterra as vt
+from boussinesq_ist.solitons import REAL_POLE_TOL
 from boussinesq_ist.spectral import (
-    OMEGA,
     QHAT_EXCLUSION,
     DomainError,
     dist_to_qhat,
@@ -38,8 +38,8 @@ DERIV_STEP = 1e-5
 NEWTON_TOL = 1e-10
 NEWTON_MAXIT = 20
 WINDING_TOL = 0.2
+EVOLVE_EXP_CLIP = 700.0
 MAX_POLES = 16
-REAL_POLE_TOL = 1e-9
 
 #: rectangles (re_lo, re_hi, im_lo, im_hi) inside the pole sector whose
 #: boundaries keep >= 0.05 distance from the contour and the roots of unity
@@ -171,19 +171,25 @@ def _plan(kbatch):
 
 
 def _march(data: InitialData, kbatch, kind, col, want_traj=False, want_s=False,
-           clip=True, growth_ok=False):
+           growth_ok=False):
     k, ls, g1, g2 = _plan(kbatch)
     if vt.KINDS[kind][3]:
         g1 = np.swapaxes(g1, -1, -2)
         g2 = np.swapaxes(g2, -1, -2)
     n1, n2 = data.potential_scalars
-    sl = data.support_slice() if (clip and not want_traj) else slice(0, data.x.size)
+    # trajectories span the whole grid; other results need only the support
+    sl = slice(0, data.x.size) if want_traj else data.support_slice()
     res = vt.march_column(
         data.x[sl], n1[sl], n2[sl], g1, g2, ls, col, kind,
         want_traj=want_traj, want_s=want_s, growth_ok=growth_ok,
     )
     res["k"] = k
     return res
+
+
+def _traj(data: InitialData, k, kind, col, growth_ok=False):
+    """(nx, 3) trajectory of one eigenfunction column at a single k."""
+    return _march(data, [k], kind, col, want_traj=True, growth_ok=growth_ok)["traj"][:, 0, :]
 
 
 @dataclass
@@ -215,13 +221,11 @@ def solve_volterra(data: InitialData, k: complex, which: str, growth_ok=False):
     nx = data.x.size
     out = np.full((nx, 3, 3), np.nan, dtype=complex)
     mask = np.zeros(3, dtype=bool)
+    _, ls, _, _ = _plan([k])
     for col in (1, 2, 3):
-        _, ls, _, _ = _plan([k])
         if not vt.column_stability(ls, col, which)[0] and not growth_ok:
             continue
-        res = _march(data, [k], which, col, want_traj=True, clip=False,
-                     growth_ok=growth_ok)
-        out[:, :, col - 1] = res["traj"][:, 0, :]
+        out[:, :, col - 1] = _traj(data, k, which, col, growth_ok=growth_ok)
         mask[col - 1] = True
     return out, mask
 
@@ -248,8 +252,8 @@ def scattering_matrices(data: InitialData, k: complex):
     sa = np.full((3, 3), np.nan, dtype=complex)
     sdef = np.zeros((3, 3), dtype=bool)
     sadef = np.zeros((3, 3), dtype=bool)
+    _, ls, _, _ = _plan([k])
     for col in (1, 2, 3):
-        _, ls, _, _ = _plan([k])
         if vt.column_stability(ls, col, "X")[0]:
             res = _march(data, [k], "X", col, want_s=True)
             s[:, col - 1] = res["s"][0]
@@ -275,19 +279,19 @@ def s11_batch(data: InitialData, ks):
     return val
 
 
+def _adjugate_cross(data: InitialData, k):
+    """Cross product of the adjugate columns YA_1 x XA_2 along the grid."""
+    return np.cross(_traj(data, k, "YA", 1), _traj(data, k, "XA", 2))
+
+
 def m2_matrix(data: InitialData, k: complex):
     """The sectionally analytic 3x3 matrix on the pole sector, assembled from
     eigenfunction columns and connection entries; det = 1 where defined."""
-    x1 = _march(data, [k], "X", 1, want_traj=True, clip=False)["traj"][:, 0, :]
-    y2 = _march(data, [k], "Y", 2, want_traj=True, clip=False)["traj"][:, 0, :]
-    xa2 = _march(data, [k], "XA", 2, want_traj=True, clip=False)["traj"][:, 0, :]
-    ya1 = _march(data, [k], "YA", 1, want_traj=True, clip=False)["traj"][:, 0, :]
+    x1 = _traj(data, k, "X", 1)
+    y2 = _traj(data, k, "Y", 2)
+    w = _adjugate_cross(data, k)
     s11 = s11_batch(data, [k])[0]
     sa22, _ = _s_entry_batch(data, [k], "XA", 2, 2)
-    w = np.empty_like(x1)
-    w[:, 0] = ya1[:, 1] * xa2[:, 2] - ya1[:, 2] * xa2[:, 1]
-    w[:, 1] = ya1[:, 2] * xa2[:, 0] - ya1[:, 0] * xa2[:, 2]
-    w[:, 2] = ya1[:, 0] * xa2[:, 1] - ya1[:, 1] * xa2[:, 0]
     out = np.empty((data.x.size, 3, 3), dtype=complex)
     out[:, :, 0] = x1
     out[:, :, 1] = y2 / sa22[0]
@@ -326,6 +330,21 @@ def circle_samples(n: int = 1536):
     return np.exp(1j * phi)
 
 
+def _lagrange4(y, t):
+    """4-point Lagrange interpolation on a uniform grid: y holds the samples
+    at offsets -1, 0, 1, 2 along its last axis, t is the offset of the point."""
+    w = np.stack(
+        [
+            -t * (t - 1) * (t - 2) / 6,
+            (t + 1) * (t - 1) * (t - 2) / 2,
+            -(t + 1) * t * (t - 2) / 2,
+            (t + 1) * t * (t - 1) / 6,
+        ],
+        axis=-1,
+    )
+    return np.sum(w * y, axis=-1)
+
+
 @dataclass
 class ScatteringData:
     """Reflection-coefficient samples plus the pole spectrum.
@@ -349,35 +368,13 @@ class ScatteringData:
     r1_fn: object = None
     r2_fn: object = None
 
-    @property
-    def derived_conjugate_residues(self) -> dict:
-        out = {}
-        for k0, c in self.residues.items():
-            if abs(complex(k0).imag) > REAL_POLE_TOL:
-                kb = np.conj(k0)
-                out[k0] = (kb**2 - 1.0) / (OMEGA**2 * (OMEGA**2 - kb**2)) * np.conj(c)
-        return out
-
     def _interp_circle(self, vals, k):
         n = self.circle.size
         step = 2 * np.pi / n
         phi = np.mod(np.angle(k) - 0.5 * step, 2 * np.pi) / step
         base = np.floor(phi).astype(int)
         frac = phi - base
-        idx = (base[..., None] + np.arange(-1, 3)) % n
-        y = vals[idx]
-        t = frac[..., None]
-        # 4-point Lagrange on the uniform periodic grid
-        w = np.stack(
-            [
-                -t[..., 0] * (t[..., 0] - 1) * (t[..., 0] - 2) / 6,
-                (t[..., 0] + 1) * (t[..., 0] - 1) * (t[..., 0] - 2) / 2,
-                -(t[..., 0] + 1) * t[..., 0] * (t[..., 0] - 2) / 2,
-                (t[..., 0] + 1) * t[..., 0] * (t[..., 0] - 1) / 6,
-            ],
-            axis=-1,
-        )
-        return np.sum(w * y, axis=-1)
+        return _lagrange4(vals[(base[..., None] + np.arange(-1, 3)) % n], frac)
 
     def _interp_ray(self, pts, vals, k, expected_args):
         """Segment-aware interpolation in log-modulus.
@@ -401,23 +398,10 @@ class ScatteringData:
         def piece(sub_pts, sub_vals, rq):
             lr = np.log(np.abs(sub_pts))
             n = lr.size
-            step = lr[1] - lr[0]
+            step = (lr[-1] - lr[0]) / (n - 1)
             pos = (np.log(rq) - lr[0]) / step
             base = np.clip(np.round(pos).astype(int), 1, n - 3)
-            t = pos - base
-            idx = base[..., None] + np.arange(-1, 3)
-            y = sub_vals[idx]
-            tt = t[..., None]
-            w = np.stack(
-                [
-                    -tt[..., 0] * (tt[..., 0] - 1) * (tt[..., 0] - 2) / 6,
-                    (tt[..., 0] + 1) * (tt[..., 0] - 1) * (tt[..., 0] - 2) / 2,
-                    -(tt[..., 0] + 1) * tt[..., 0] * (tt[..., 0] - 2) / 2,
-                    (tt[..., 0] + 1) * tt[..., 0] * (tt[..., 0] - 1) / 6,
-                ],
-                axis=-1,
-            )
-            return np.sum(w * y, axis=-1)
+            return _lagrange4(sub_vals[base[..., None] + np.arange(-1, 3)], pos - base)
 
         qin = r < 1.0
         if np.any(qin):
@@ -426,54 +410,33 @@ class ScatteringData:
             out[~qin] = piece(pts[~inner_mask], vals[~inner_mask], r[~qin])
         return out
 
-    def eval_r1(self, k):
+    def _eval(self, k, fn, circle_vals, ray_pts, ray_vals, ray_args):
+        """Reflection coefficient at k from the callable backend when set, else
+        interpolated on the circle or on the ray contour (inner, outer args)."""
         k = np.asarray(k, dtype=complex)
-        if self.r1_fn is not None:
-            out = np.asarray(self.r1_fn(k), dtype=complex)
+        if fn is not None:
+            out = np.asarray(fn(k), dtype=complex)
             return complex(out.reshape(-1)[0]) if k.ndim == 0 else out.reshape(k.shape)
         scalar = k.ndim == 0
         k = np.atleast_1d(k)
         out = np.empty(k.shape, dtype=complex)
         on_circle = np.abs(np.abs(k) - 1.0) < 1e-9
         if np.any(on_circle):
-            out[on_circle] = self._interp_circle(self.r1_circle, k[on_circle])
+            out[on_circle] = self._interp_circle(circle_vals, k[on_circle])
         if np.any(~on_circle):
-            out[~on_circle] = self._interp_ray(
-                self.gamma1, self.r1_ray, k[~on_circle], (np.pi / 2, -np.pi / 2)
-            )
+            out[~on_circle] = self._interp_ray(ray_pts, ray_vals, k[~on_circle], ray_args)
         return out[0] if scalar else out
 
+    def eval_r1(self, k):
+        return self._eval(k, self.r1_fn, self.r1_circle, self.gamma1, self.r1_ray, (np.pi / 2, -np.pi / 2))
+
     def eval_r2(self, k):
-        k = np.asarray(k, dtype=complex)
-        if self.r2_fn is not None:
-            out = np.asarray(self.r2_fn(k), dtype=complex)
-            return complex(out.reshape(-1)[0]) if k.ndim == 0 else out.reshape(k.shape)
-        scalar = k.ndim == 0
-        k = np.atleast_1d(k)
-        out = np.empty(k.shape, dtype=complex)
-        on_circle = np.abs(np.abs(k) - 1.0) < 1e-9
-        if np.any(on_circle):
-            out[on_circle] = self._interp_circle(self.r2_circle, k[on_circle])
-        if np.any(~on_circle):
-            out[~on_circle] = self._interp_ray(
-                self.gamma4, self.r2_ray, k[~on_circle], (-np.pi / 2, np.pi / 2)
-            )
-        return out[0] if scalar else out
+        return self._eval(k, self.r2_fn, self.r2_circle, self.gamma4, self.r2_ray, (-np.pi / 2, np.pi / 2))
 
 
 def _theta21_rate(k):
     """theta_21(0, t, k)/t = (z_2 - z_1)(k)."""
     return eval_z(2, k) - eval_z(1, k)
-
-
-def _clipped_exp(z):
-    """exp with the real part saturated at +-700 to keep dressings finite.
-
-    The time dressing grows like exp(|k|^2 t / 4) toward the inner tip of the
-    ray contour (the instability of the equation); saturating keeps evolved
-    samples ordered and finite instead of overflowing to inf * 0 = nan."""
-    z = np.asarray(z, dtype=complex)
-    return np.exp(np.clip(z.real, -700.0, 700.0) + 1j * z.imag)
 
 
 def reflection_coefficients(
@@ -598,11 +561,14 @@ def _winding_and_centroid(data, rect, n_per_edge=48, max_refine=8):
     return n, centroid
 
 
-def _s11_derivative(data, k, step=DERIV_STEP):
-    """Two-step Richardson central difference of the (1,1) entry."""
-    ks = np.array([k + step, k - step, k + 2 * step, k - 2 * step])
-    v = s11_batch(data, ks)
+def _richardson(fn, k, step):
+    """Two-step Richardson central difference of a batched function of k."""
+    v = fn(np.array([k + step, k - step, k + 2 * step, k - 2 * step]))
     return (8.0 * (v[0] - v[1]) - (v[2] - v[3])) / (12.0 * step)
+
+
+def _s11_derivative(data, k, step=DERIV_STEP):
+    return _richardson(lambda ks: s11_batch(data, ks), k, step)
 
 
 def _newton_polish(data, k0):
@@ -690,9 +656,7 @@ def search_rectangle_around(k0: complex, half_re: float = 0.35, half_im: float =
 
 
 def _sa22_derivative(data, k, step=DERIV_STEP):
-    ks = np.array([k + step, k - step, k + 2 * step, k - 2 * step])
-    v, _ = _s_entry_batch(data, ks, "XA", 2, 2)
-    return (8.0 * (v[0] - v[1]) - (v[2] - v[3])) / (12.0 * step)
+    return _richardson(lambda ks: _s_entry_batch(data, ks, "XA", 2, 2)[0], k, step)
 
 
 def _weighted_ratio(pi_vec, x1_vec, weights):
@@ -720,11 +684,11 @@ def residue_constant(data: InitialData, k0: complex, fit_tol: float = FIT_TOL):
     k0 = complex(k0)
     x = data.x
     window = (x >= x[0] / 2.0) & (x <= x[-1] / 2.0)
-    x1 = _march(data, [k0], "X", 1, want_traj=True, clip=False)["traj"][:, 0, :]
+    x1 = _traj(data, k0, "X", 1)
 
     if abs(k0.imag) < REAL_POLE_TOL:
         k0 = complex(k0.real, 0.0)
-        y2 = _march(data, [k0], "Y", 2, want_traj=True, clip=False)["traj"][:, 0, :]
+        y2 = _traj(data, k0, "Y", 2)
         dsa22 = _sa22_derivative(data, k0)
         rate = eval_l(1, k0) - eval_l(2, k0)
         pi_vec = y2 * np.exp(-rate * x)[:, None] / dsa22
@@ -735,12 +699,7 @@ def residue_constant(data: InitialData, k0: complex, fit_tol: float = FIT_TOL):
                 "the adjugate (2,2) connection entry vanishes at the zero; "
                 "the simple-pole normalization breaks down"
             )
-        xa2 = _march(data, [k0], "XA", 2, want_traj=True, clip=False)["traj"][:, 0, :]
-        ya1 = _march(data, [k0], "YA", 1, want_traj=True, clip=False)["traj"][:, 0, :]
-        w = np.empty_like(xa2)
-        w[:, 0] = ya1[:, 1] * xa2[:, 2] - ya1[:, 2] * xa2[:, 1]
-        w[:, 1] = ya1[:, 2] * xa2[:, 0] - ya1[:, 0] * xa2[:, 2]
-        w[:, 2] = ya1[:, 0] * xa2[:, 1] - ya1[:, 1] * xa2[:, 0]
+        w = _adjugate_cross(data, k0)
         ds11 = _s11_derivative(data, k0)
         rate = eval_l(1, k0) - eval_l(3, k0)
         pi_vec = w * np.exp(-rate * x)[:, None] / ds11
@@ -781,11 +740,14 @@ def evolve_scattering(sd: ScatteringData, t: float) -> ScatteringData:
     if t < 0:
         raise ValueError("time must be nonnegative")
 
+    # The time dressing grows like exp(|k|^2 t / 4) toward the inner tip of
+    # the ray contour (the instability of the equation); saturating at 700
+    # keeps evolved samples ordered and finite instead of inf * 0 = nan.
     def dress1(k):
-        return _clipped_exp(-_theta21_rate(k) * t)
+        return vt._clipped_exp(-_theta21_rate(k) * t, EVOLVE_EXP_CLIP)
 
     def dress2(k):
-        return _clipped_exp(_theta21_rate(k) * t)
+        return vt._clipped_exp(_theta21_rate(k) * t, EVOLVE_EXP_CLIP)
 
     new_res = {}
     for k0, c in sd.residues.items():

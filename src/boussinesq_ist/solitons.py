@@ -58,10 +58,6 @@ class Grid:
         object.__setattr__(self, "t", np.atleast_1d(np.asarray(self.t, dtype=float)))
 
 
-def default_grid(t=(0.0,)) -> Grid:
-    return Grid(np.linspace(-30.0, 30.0, 6001), np.asarray(t, dtype=float))
-
-
 @dataclass
 class SolutionField:
     """Real field u (and optionally v) sampled on a rectangular (x, t) grid."""
@@ -180,22 +176,6 @@ def derived_conjugate_constant(k0: complex, c: complex) -> complex:
 # ----------------------------------------------------------------------------
 # dressed residue coefficients
 # ----------------------------------------------------------------------------
-
-
-def dressed_c(k0, c, x, t):
-    """C(x,t) = c * exp(-theta_31(x,t,k0))."""
-    rx = eval_l(1, k0) - eval_l(3, k0)
-    rt = eval_z(1, k0) - eval_z(3, k0)
-    return c * np.exp(rx * x + rt * t)
-
-
-def dressed_d(k0, c, x, t):
-    """D(x,t) = d * exp(theta_32(x,t, conj(k0)))."""
-    kb = np.conj(k0)
-    d = derived_conjugate_constant(k0, c)
-    rx = eval_l(3, kb) - eval_l(2, kb)
-    rt = eval_z(3, kb) - eval_z(2, kb)
-    return d * np.exp(rx * x + rt * t)
 
 
 def dressed_e(k0, c, x, t):

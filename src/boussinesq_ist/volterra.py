@@ -25,6 +25,12 @@ KINDS = {
 }
 
 
+def _clipped_exp(z, limit=EXP_CLIP):
+    """exp with the real part saturated at +-limit to keep dressings finite."""
+    z = np.asarray(z, dtype=complex)
+    return np.exp(np.clip(z.real, -limit, limit) + 1j * z.imag)
+
+
 class UnboundedExponentialError(ValueError):
     """Requested column has an exponentially growing dressing entry."""
 
@@ -33,21 +39,21 @@ class UnboundedExponentialError(ValueError):
         self.entry = entry
 
 
+def _decay_rates(ls, col, kind):
+    """Decay rate of each dressing entry along the march; negative grows."""
+    _, d, side, _ = KINDS[kind]
+    proj = d * (ls - ls[..., col - 1 : col]).real
+    return proj if side == "right" else -proj
+
+
 def column_stability(ls, col, kind, tol=STABILITY_TOL):
     """Boolean mask over the k-batch: True where the march stays bounded."""
-    sign, d, side, _ = KINDS[kind]
-    delta = ls - ls[..., col - 1 : col]
-    proj = d * delta.real
-    if side == "right":
-        return np.all(proj >= -tol, axis=-1)
-    return np.all(proj <= tol, axis=-1)
+    return np.all(_decay_rates(ls, col, kind) >= -tol, axis=-1)
 
 
 def unstable_entries(ls, col, kind, tol=STABILITY_TOL):
     """Row indices i whose dressing e^{...(l_i - l_col)} grows along the march."""
-    sign, d, side, _ = KINDS[kind]
-    delta = (ls - ls[..., col - 1 : col]).real * d
-    bad = delta < -tol if side == "right" else delta > tol
+    bad = _decay_rates(ls, col, kind) < -tol
     return [i + 1 for i in range(3) if np.any(bad[..., i])]
 
 
@@ -98,11 +104,11 @@ def march_column(
 
     delta = ls - ls[..., j : j + 1]  # (nk, 3)
     if side == "right":
-        prop = np.exp(np.clip((-d * h * delta).real, -EXP_CLIP, EXP_CLIP) + 1j * (-d * h * delta).imag)
+        prop = _clipped_exp(-d * h * delta)
         order = range(nx - 2, -1, -1)
         start = nx - 1
     else:
-        prop = np.exp(np.clip((d * h * delta).real, -EXP_CLIP, EXP_CLIP) + 1j * (d * h * delta).imag)
+        prop = _clipped_exp(d * h * delta)
         order = range(1, nx)
         start = 0
 
@@ -130,8 +136,7 @@ def march_column(
         s_sum = np.zeros((nk, 3), dtype=complex)
 
     def s_integrand(m, mphi_m):
-        ex = s_dress_sign * x[m] * delta
-        return np.exp(np.clip(ex.real, -EXP_CLIP, EXP_CLIP) + 1j * ex.imag) * mphi_m
+        return _clipped_exp(s_dress_sign * x[m] * delta) * mphi_m
 
     if want_s:
         f_prev = s_integrand(start, mphi)

@@ -179,3 +179,28 @@ def test_console_entry_point(tmp_path):
 def test_help_exits_clean():
     assert main(["--help"]) == 0
     assert main(["soliton", "--help"]) == 0
+
+
+@pytest.mark.parametrize("checks, bad", [("lxa", "'lxa'"), ("pde,lxa", "'lxa'"), ("", "''")])
+def test_verify_rejects_unknown_checks(tmp_path, capsys, checks, bad):
+    src = tmp_path / "sol"
+    run("soliton", "--k0", 2, "--xmin", -5, "--xmax", 5, "--hx", 0.1, "--out", src)
+    assert run("verify", "--field", src / "solution.csv", "--checks", checks,
+               "--out", tmp_path / "v") == 1
+    assert bad in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("hx", ["0", "-0.01", "nan"])
+def test_bad_hx_is_a_config_error(tmp_path, capsys, hx):
+    assert run("soliton", "--k0", 2, "--hx", hx, "--out", tmp_path / "s") == 1
+    assert "hx must be positive and finite" in capsys.readouterr().err
+
+
+def test_read_field_rejects_duplicated_grid_rows(tmp_path):
+    # four rows and 2 x 2 distinct values, but (x, t) = (0, 1) is missing
+    path = tmp_path / "dup.csv"
+    path.write_text("x,t,u\n0,0,1\n0,0,2\n1,0,3\n1,1,4\n")
+    with pytest.raises(fileio.FileFormatError):
+        fileio.read_field(str(path))
+    assert run("verify", "--field", path, "--out", tmp_path / "v") == 1

@@ -108,7 +108,7 @@ def test_unbounded_exponential_error_names_entry(gauss):
     rows = vt.unstable_entries(ls, 2, "X")
     assert rows  # the growing row indices are reported
     with pytest.raises(vt.UnboundedExponentialError) as err:
-        sc._march(gauss, [1.8 + 0.3j], "X", 2, want_traj=True, clip=False)
+        sc._march(gauss, [1.8 + 0.3j], "X", 2, want_traj=True)
     assert "(i, j)" in str(err.value)
 
 
