@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 
 import numpy as np
 
@@ -105,22 +106,20 @@ def read_json(path: str) -> dict:
 
 def _read_csv(path: str):
     header = None
-    data = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
+            if line and not line.startswith("#"):
                 header = [c.strip() for c in line.split(",")]
-                continue
-            try:
-                data.append([float(c) for c in line.split(",")])
-            except ValueError as exc:
-                raise FileFormatError(f"bad row in {path}: {line!r}") from exc
-    if header is None or not data:
+                break
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                rows = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+        except ValueError as exc:
+            raise FileFormatError(f"bad row in {path}: {exc}") from exc
+    if header is None or rows.size == 0:
         raise FileFormatError(f"{path} has no data rows")
-    rows = np.asarray(data, dtype=float)
     if rows.shape[1] != len(header):
         raise FileFormatError(f"{path}: ragged rows")
     if not np.all(np.isfinite(rows)):

@@ -61,6 +61,10 @@ class TooManyPolesError(ArithmeticError):
     pass
 
 
+class NewtonError(ArithmeticError):
+    """Newton refinement of a pole did not converge within NEWTON_MAXIT steps."""
+
+
 class FitResidualError(ArithmeticError):
     """Column proportionality violated: not a genuine simple zero, or the
     quadrature is too coarse."""
@@ -579,8 +583,11 @@ def _newton_polish(data, k0):
         dk = val / dv
         k = k - dk
         if abs(dk) < NEWTON_TOL:
-            break
-    return k
+            return k
+    raise NewtonError(
+        f"Newton refinement from {complex(k0):.6g} did not converge in {NEWTON_MAXIT} steps:"
+        f" last |dk| = {abs(dk):.3e}, |s11| = {abs(val):.3e}"
+    )
 
 
 def find_poles(data: InitialData, regions=None, max_poles: int = MAX_POLES):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -204,3 +205,14 @@ def test_read_field_rejects_duplicated_grid_rows(tmp_path):
     with pytest.raises(fileio.FileFormatError):
         fileio.read_field(str(path))
     assert run("verify", "--field", path, "--out", tmp_path / "v") == 1
+
+
+@pytest.mark.parametrize("body", ["0,0,1\n0,a,2\n", "0,0,1\n1,0\n", "0,0,nan\n", ""],
+                         ids=["token", "short-row", "nan", "no-rows"])
+def test_read_field_rejects_malformed_rows(tmp_path, body):
+    path = tmp_path / "bad.csv"
+    path.write_text("# boussinesq-ist\nx,t,u\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(fileio.FileFormatError):
+            fileio.read_field(str(path))

@@ -316,6 +316,22 @@ def test_find_poles_respects_pole_budget(soliton_data):
         sc.find_poles(data, max_poles=0)
 
 
+def test_newton_reports_non_convergence(soliton_data, monkeypatch):
+    data, _, _ = soliton_data
+    monkeypatch.setattr(sc, "NEWTON_MAXIT", 1)
+    with pytest.raises(sc.NewtonError, match=r"\|dk\| = .*\|s11\| = "):
+        sc._newton_polish(data, 2.05)
+    assert issubclass(sc.NewtonError, ArithmeticError)  # exit code 2
+
+
+def test_newton_converges_from_nearby_start(soliton_data):
+    data, k0, _ = soliton_data
+    k = sc._newton_polish(data, 2.05)
+    assert abs(sc.s11_batch(data, [k])[0]) < 1e-12
+    # the sampled data's zero sits 2.0e-6 from k0 at hx = 0.01
+    assert abs(k - k0) < 1e-5
+
+
 def test_residue_fit_rejects_non_zero_point(soliton_data):
     data, _, _ = soliton_data
     with pytest.raises(sc.FitResidualError):

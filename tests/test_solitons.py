@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -306,6 +308,57 @@ def test_n_soliton_rejects_singular_spec():
         sol.n_soliton([(2.0, -1.0 * chi)], grid)
     with pytest.raises(sol.SingularBreatherError):
         sol.n_soliton([(2 * np.exp(-1j * np.pi / 12), 0.2 + 0.1j)], grid)
+
+
+def _guard_grid(x1):
+    # every point sits at x = 30 (condition <= 2) except index 1
+    x = np.full(170_001, 30.0)
+    x[1] = x1
+    return sol.Grid(x, [0.0])
+
+
+def test_condition_guard_covers_every_point(monkeypatch):
+    # index 1 (condition ~11.5 in the 1-norm) lies between the strides of a
+    # sampled probe, so only a check of every point sees it
+    pole = [(2.0, sol.residue_constant_from_position(2.0, 0.0))]
+    monkeypatch.setattr(sol, "CONDITION_LIMIT", 5.0)
+    with pytest.raises(sol.NearSingularSystemError, match=r"\(0, 0\)"):
+        sol.n_soliton(pole, _guard_grid(0.0))
+    fld = sol.n_soliton(pole, _guard_grid(30.0))
+    assert np.all(np.isfinite(fld.u))
+
+
+def test_exactly_singular_system_is_near_singular_error():
+    # two coupled images whose system is [[1, -1], [-1, 1]] at every point
+    entries = [sol._PoleEntry(0.5, 1, 2, 1.0, 0.0, 0.0), sol._PoleEntry(-0.5, 2, 1, -1.0, 0.0, 0.0)]
+    with pytest.raises(sol.NearSingularSystemError, match="inf"):
+        sol._solve_residues(entries, np.linspace(-1, 1, 5)[None, :], np.zeros((1, 1)))
+
+
+def test_blocked_residue_solve_is_bit_identical(monkeypatch):
+    k0 = 1.93185 + 0.51764j
+    pairs = [(2.0, sol.residue_constant_from_position(2.0, 1.0)),
+             (k0, sol.breather_constant_for_position(k0, -2.0))]
+    grid = sol.Grid(np.linspace(-10, 10, 201), [0.0, 0.3])
+    whole = sol.n_soliton(pairs, grid)
+    npol = 18
+    for points in (1, 7, 401):  # down to one-point blocks, and a one-point tail
+        monkeypatch.setattr(sol, "BLOCK_ENTRIES", points * npol**2)
+        fld = sol.n_soliton(pairs, grid)
+        for a, b in ((fld.u, whole.u), (fld.v, whole.v), (fld.n31, whole.n31)):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_n_soliton_memory_is_bounded():
+    grid = sol.Grid(np.linspace(-30, 30, 2001), np.linspace(0.0, 1.0, 101))
+    pole = [(2.0, sol.residue_constant_from_position(2.0, 0.0))]
+    tracemalloc.start()
+    try:
+        sol.n_soliton(pole, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200e6
 
 
 def test_spec_classification():
