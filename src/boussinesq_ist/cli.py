@@ -17,25 +17,24 @@ import sys
 
 import numpy as np
 
-from boussinesq_ist import fileio, jumps, scattering, solitons, spectral, verify
+from boussinesq_ist import fileio, jumps, scattering, solitons, spectral, verify, volterra
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_VALIDATION = 3
 
+# every ArithmeticError is numerical; the ValueError subclasses that are must
+# be named here, or _CONFIG_ERRORS takes them
 _NUMERIC_ERRORS = (
     spectral.DomainError,
     scattering.ZeroOnContourError,
-    scattering.WindingError,
-    scattering.TooManyPolesError,
-    scattering.FitResidualError,
     solitons.SingularSolitonError,
     solitons.SingularBreatherError,
     solitons.NonRealComboError,
     solitons.NearSingularSystemError,
     jumps.NearPoleError,
-    jumps.InequalityViolatedError,
+    volterra.UnboundedExponentialError,
     ArithmeticError,
 )
 _CONFIG_ERRORS = (fileio.FileFormatError, OSError, ValueError)
@@ -60,6 +59,8 @@ def _grid_args(p):
 
 
 def _parse_grid(args) -> solitons.Grid:
+    if not (np.isfinite(args.xmin) and np.isfinite(args.xmax)):
+        raise ValueError(f"xmin and xmax must be finite, got {args.xmin}, {args.xmax}")
     if args.xmax <= args.xmin:
         raise ValueError("xmax must exceed xmin")
     if not 0.0 < args.hx < np.inf:
@@ -67,6 +68,8 @@ def _parse_grid(args) -> solitons.Grid:
     n = int(round((args.xmax - args.xmin) / args.hx)) + 1
     x = np.linspace(args.xmin, args.xmax, n)
     t = np.array([float(s) for s in args.tvals.split(",")])
+    if not (np.all(np.isfinite(t)) and np.unique(t).size == t.size):
+        raise ValueError(f"tvals must be finite and distinct, got {args.tvals}")
     return solitons.Grid(x, t)
 
 

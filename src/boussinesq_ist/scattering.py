@@ -25,7 +25,7 @@ from boussinesq_ist.spectral import (
     eval_l_all,
     eval_z,
     potential_entries,
-    potential_generators,
+    potential_factor,
 )
 
 DEFAULT_LX = 30.0
@@ -87,6 +87,19 @@ def _fd1(y, h):
     return out
 
 
+def _checked_grid(x):
+    """x as floats; ValueError unless a finite, increasing, uniform 1-d grid of >= 9 points."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 9:
+        raise ValueError("need a 1-d grid with at least 9 points")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("initial data contains non-finite values")
+    steps = np.diff(x)
+    if not steps[0] > 0 or np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
+        raise ValueError("grid must be uniform and increasing")
+    return x
+
+
 @dataclass(frozen=True)
 class InitialData:
     """Real-valued samples (u0, v0) on a uniform grid, plus derived entries."""
@@ -98,18 +111,13 @@ class InitialData:
     warnings: tuple = ()
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
+        x = _checked_grid(self.x)
         u0 = np.asarray(self.u0, dtype=float)
         v0 = np.asarray(self.v0, dtype=float)
-        if x.ndim != 1 or x.size < 9:
-            raise ValueError("need a 1-d grid with at least 9 points")
         if u0.shape != x.shape or v0.shape != x.shape:
             raise ValueError("u0, v0 must match the grid")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u0)) and np.all(np.isfinite(v0))):
+        if not (np.all(np.isfinite(u0)) and np.all(np.isfinite(v0))):
             raise ValueError("initial data contains non-finite values")
-        steps = np.diff(x)
-        if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
-            raise ValueError("grid must be uniform")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "v0", v0)
@@ -128,7 +136,7 @@ class InitialData:
         """Build v0 as the left cumulative integral of u1; u1 must have
         vanishing total integral for the system and the scalar equation to
         share initial data."""
-        x = np.asarray(x, dtype=float)
+        x = _checked_grid(x)
         u1 = np.asarray(u1, dtype=float)
         h = x[1] - x[0]
         total = np.trapezoid(u1, dx=h)
@@ -170,21 +178,17 @@ def _plan(kbatch):
     if np.any(dist_to_qhat(k) < QHAT_EXCLUSION):
         raise DomainError("k too close to a sixth root of unity (or zero)")
     ls = eval_l_all(k)
-    g1, g2 = potential_generators(k)
-    return k, ls, g1, g2
+    return k, ls, potential_factor(ls)
 
 
 def _march(data: InitialData, kbatch, kind, col, want_traj=False, want_s=False,
            growth_ok=False):
-    k, ls, g1, g2 = _plan(kbatch)
-    if vt.KINDS[kind][3]:
-        g1 = np.swapaxes(g1, -1, -2)
-        g2 = np.swapaxes(g2, -1, -2)
+    k, ls, c = _plan(kbatch)
     n1, n2 = data.potential_scalars
     # trajectories span the whole grid; other results need only the support
     sl = slice(0, data.x.size) if want_traj else data.support_slice()
     res = vt.march_column(
-        data.x[sl], n1[sl], n2[sl], g1, g2, ls, col, kind,
+        data.x[sl], n1[sl], n2[sl], c, ls, col, kind,
         want_traj=want_traj, want_s=want_s, growth_ok=growth_ok,
     )
     res["k"] = k
@@ -225,7 +229,7 @@ def solve_volterra(data: InitialData, k: complex, which: str, growth_ok=False):
     nx = data.x.size
     out = np.full((nx, 3, 3), np.nan, dtype=complex)
     mask = np.zeros(3, dtype=bool)
-    _, ls, _, _ = _plan([k])
+    _, ls, _ = _plan([k])
     for col in (1, 2, 3):
         if not vt.column_stability(ls, col, which)[0] and not growth_ok:
             continue
@@ -256,7 +260,7 @@ def scattering_matrices(data: InitialData, k: complex):
     sa = np.full((3, 3), np.nan, dtype=complex)
     sdef = np.zeros((3, 3), dtype=bool)
     sadef = np.zeros((3, 3), dtype=bool)
-    _, ls, _, _ = _plan([k])
+    _, ls, _ = _plan([k])
     for col in (1, 2, 3):
         if vt.column_stability(ls, col, "X")[0]:
             res = _march(data, [k], "X", col, want_s=True)

@@ -184,20 +184,27 @@ def potential_entries(u, ux, v):
     return n1, n2
 
 
+def potential_factor(ls):
+    """c = P^-1 e3 from the rates ls = (l1, l2, l3), shape (..., 3).
+
+    These are the Lagrange weights c_j = 1 / prod_{m != j} (l_j - l_m).
+    The conjugated potential is the rank-one U = c (n1 + n2 l)^T.
+    """
+    l1, l2, l3 = ls[..., 0], ls[..., 1], ls[..., 2]
+    d12, d13, d23 = l1 - l2, l1 - l3, l2 - l3
+    return np.stack([1.0 / (d12 * d13), -1.0 / (d12 * d23), 1.0 / (d13 * d23)], axis=-1)
+
+
 def potential_generators(k):
-    """G1 = P^-1 E31 P and G2 = P^-1 E32 P.
+    """G1 = P^-1 E31 P = c (1,1,1)^T and G2 = P^-1 E32 P = c (l1,l2,l3)^T.
 
     The conjugated potential is U(x,k) = n1(x) G1(k) + n2(x) G2(k); it is
-    nilpotent of order two, which the time-stepping exploits.
+    nilpotent of order two. The march applies it through the factor c alone
+    (:func:`potential_factor`); the dense pair states the paper's identity.
     """
-    p = vandermonde(k)
-    pinv = vandermonde_inv(k)
-    col3 = pinv[..., :, 2]  # P^-1 e3
-    row1 = p[..., 0, :]  # e1^T P (all ones)
-    row2 = p[..., 1, :]  # e2^T P (the l_j)
-    g1 = col3[..., :, None] * row1[..., None, :]
-    g2 = col3[..., :, None] * row2[..., None, :]
-    return g1, g2
+    ls = eval_l_all(k)
+    c = potential_factor(ls)[..., :, None]
+    return c * np.ones_like(ls)[..., None, :], c * ls[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -214,22 +221,24 @@ class LaxMatrices:
 
 
 def lax_tilde(k, u, ux, uxx, v, vx):
-    """Companion-form pair (L~, Z~) before conjugation by P(k)."""
+    """Companion-form pair (L~, Z~) before conjugation by P(k), each of shape
+    ``np.broadcast(u, ux, uxx, v, vx).shape + (3, 3)``."""
     la = lam(k)
-    lt = np.zeros((3, 3), dtype=complex)
-    lt[0, 1] = 1.0
-    lt[1, 2] = 1.0
-    lt[2, 0] = la / (12j * SQRT3) - ux / 4.0 - 1j * v / (4.0 * SQRT3)
-    lt[2, 1] = -(1.0 + 2.0 * u) / 4.0
+    shape = np.broadcast(u, ux, uxx, v, vx).shape + (3, 3)
+    lt = np.zeros(shape, dtype=complex)
+    lt[..., 0, 1] = 1.0
+    lt[..., 1, 2] = 1.0
+    lt[..., 2, 0] = la / (12j * SQRT3) - ux / 4.0 - 1j * v / (4.0 * SQRT3)
+    lt[..., 2, 1] = -(1.0 + 2.0 * u) / 4.0
 
-    zt = np.zeros((3, 3), dtype=complex)
-    zt[0, 0] = -1j * (1.0 + 2.0 * u) / (2.0 * SQRT3)
-    zt[0, 2] = -1j * SQRT3
-    zt[1, 0] = -la / 12.0 - 1j * ux / (4.0 * SQRT3) - v / 4.0
-    zt[1, 1] = 1j * (1.0 + 2.0 * u) / (4.0 * SQRT3)
-    zt[2, 0] = -1j * uxx / (4.0 * SQRT3) - vx / 4.0
-    zt[2, 1] = -la / 12.0 + 1j * ux / (4.0 * SQRT3) - v / 4.0
-    zt[2, 2] = 1j * (1.0 + 2.0 * u) / (4.0 * SQRT3)
+    zt = np.zeros(shape, dtype=complex)
+    zt[..., 0, 0] = -1j * (1.0 + 2.0 * u) / (2.0 * SQRT3)
+    zt[..., 0, 2] = -1j * SQRT3
+    zt[..., 1, 0] = -la / 12.0 - 1j * ux / (4.0 * SQRT3) - v / 4.0
+    zt[..., 1, 1] = 1j * (1.0 + 2.0 * u) / (4.0 * SQRT3)
+    zt[..., 2, 0] = -1j * uxx / (4.0 * SQRT3) - vx / 4.0
+    zt[..., 2, 1] = -la / 12.0 + 1j * ux / (4.0 * SQRT3) - v / 4.0
+    zt[..., 2, 2] = 1j * (1.0 + 2.0 * u) / (4.0 * SQRT3)
     return lt, zt
 
 

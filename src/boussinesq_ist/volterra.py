@@ -1,10 +1,12 @@
 """Batched product-integration march for the x-part eigenfunction columns.
 
 Each eigenfunction column obeys a Volterra equation whose kernel is a
-diagonal exponential dressing of the (nilpotent) conjugated potential, so a
-trapezoidal product rule marches it exactly in the dressing and second order
-in the potential, one implicit step per grid interval.  The implicit factor
-(I + c U)^-1 equals I - c U because U^2 = 0, which keeps every step explicit.
+diagonal exponential dressing of the conjugated potential, so a trapezoidal
+product rule marches it exactly in the dressing and second order in the
+potential, one implicit step per grid interval.  The potential is rank one,
+U = c (n1 + n2 l)^T with c = P^-1 e3, so U^2 = 0: the implicit factor
+(I + a U)^-1 equals I - a U, which keeps every step explicit, and applying U
+(or U^T for the adjugate flows) costs two length-3 products per k.
 
 Everything is vectorized over a batch of spectral parameters k.
 """
@@ -61,8 +63,7 @@ def march_column(
     x,
     n1,
     n2,
-    g1,
-    g2,
+    c,
     ls,
     col,
     kind,
@@ -75,9 +76,10 @@ def march_column(
     Parameters
     ----------
     x : (nx,) ascending uniform grid
-    n1, n2 : (nx,) potential scalars multiplying the two generators
-    g1, g2 : (nk, 3, 3) conjugated generators (pre-transposed for the
-        adjugate flows)
+    n1, n2 : (nx,) potential scalars
+    c : (nk, 3) factor P^-1 e3 of the conjugated potential
+        U = c (n1 + n2 l)^T (:func:`spectral.potential_factor`); the kinds
+        flagged in ``KINDS`` as transposed march with U^T
     ls : (nk, 3) exponential rates l_j(k)
     col : column index 1..3
     kind : "X" | "XA" | "Y" | "YA"
@@ -86,7 +88,7 @@ def march_column(
     (nx, nk, 3), optional ``s`` and ``s_defined`` (nk, 3) for the connection
     matrix column, and ``stable`` (nk,) the stability mask that was applied.
     """
-    sign, d, side, _ = KINDS[kind]
+    sign, d, side, transpose = KINDS[kind]
     x = np.asarray(x, dtype=float)
     nx = x.size
     h = float(x[1] - x[0]) if nx > 1 else 0.0
@@ -116,29 +118,26 @@ def march_column(
     ej[:, j] = 1.0
 
     def apply_pot(m, phi):
-        return n1[m] * np.einsum("kij,kj->ki", g1, phi) + n2[m] * np.einsum(
-            "kij,kj->ki", g2, phi
-        )
+        row = n1[m] + n2[m] * ls
+        if transpose:
+            return row * np.einsum("kj,kj->k", c, phi)[:, None]
+        return c * np.einsum("kj,kj->k", row, phi)[:, None]
 
     phi = ej.copy()
     mphi = apply_pot(start, phi)
 
-    traj = None
     if want_traj:
         traj = np.empty((nx, nk, 3), dtype=complex)
         traj[start] = phi
 
-    s_sum = None
-    s_dress_sign = None
-    if want_s:
-        # connection column: e_j + sign * integral of dressed potential term
-        s_dress_sign = -1.0 if kind == "X" else +1.0
-        s_sum = np.zeros((nk, 3), dtype=complex)
+    # connection column: e_j + sign * integral of dressed potential term
+    s_dress_sign = -1.0 if kind == "X" else +1.0
 
     def s_integrand(m, mphi_m):
         return _clipped_exp(s_dress_sign * x[m] * delta) * mphi_m
 
     if want_s:
+        s_sum = np.zeros((nk, 3), dtype=complex)
         f_prev = s_integrand(start, mphi)
         s_edge_first = f_prev.copy()
         max_integrand = np.abs(f_prev)
@@ -146,10 +145,9 @@ def march_column(
     half = 0.5 * h * sign
     for m in order:
         rhs = ej + prop * ((phi - ej) + half * mphi)
-        mph_new = apply_pot(m, rhs)
-        phi = rhs + half * mph_new
-        # nilpotency gives M phi_m = M rhs exactly, no recompute needed
-        mphi = mph_new
+        # nilpotency gives U phi_m = U rhs exactly, no recompute needed
+        mphi = apply_pot(m, rhs)
+        phi = rhs + half * mphi
         if want_traj:
             traj[m] = phi
         if want_s:

@@ -216,3 +216,40 @@ def test_read_field_rejects_malformed_rows(tmp_path, body):
         warnings.simplefilter("error")
         with pytest.raises(fileio.FileFormatError):
             fileio.read_field(str(path))
+
+
+@pytest.mark.parametrize("flags, msg", [
+    (["--tvals", "nan,inf"], "tvals must be finite and distinct"),
+    (["--tvals", "0,0"], "tvals must be finite and distinct"),
+    (["--xmin", "-5", "--xmax", "inf"], "xmin and xmax must be finite"),
+    (["--xmin", "nan", "--xmax", "5"], "xmin and xmax must be finite"),
+    (["--xmin=-inf", "--xmax", "5"], "xmin and xmax must be finite"),
+], ids=["tvals-nonfinite", "tvals-repeated", "xmax-inf", "xmin-nan", "xmin-inf"])
+def test_bad_grid_flags_are_config_errors(tmp_path, capsys, flags, msg):
+    assert run("soliton", "--k0", 2, "--hx", 0.1, *flags, "--out", tmp_path / "s") == 1
+    assert msg in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+    assert run("breather", "--k0-re", 1.9318516525781366, "--k0-im", 0.5176380902050415,
+               "--hx", 0.1, *flags, "--out", tmp_path / "b") == 1
+    assert msg in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, msg", [
+    ("x,u0,u1\n0,1,0\n", "at least 9 points"),
+    ("x,u0,u1\n" + "0,0,0\n" * 9, "uniform and increasing"),
+    ("x,u0,v0\n" + "".join(f"{8 - i},0,0\n" for i in range(9)), "uniform and increasing"),
+], ids=["u1-one-row", "u1-constant-x", "descending-x"])
+def test_bad_data_grids_are_config_errors(tmp_path, capsys, text, msg):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    assert run("scatter", "--data", path, "--out", tmp_path / "o") == 1
+    assert msg in capsys.readouterr().err
+
+
+def test_march_overflow_is_a_numeric_error(tmp_path, capsys):
+    x = np.linspace(-6, 6, 121)
+    rows = "".join(f"{xx:.17g},{1e155 * np.exp(-xx**2):.17g},0\n" for xx in x)
+    path = tmp_path / "big.csv"
+    path.write_text("x,u0,v0\n" + rows)
+    assert run("scatter", "--data", path, "--out", tmp_path / "o") == 2
+    assert "overflowed" in capsys.readouterr().err

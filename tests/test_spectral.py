@@ -166,6 +166,22 @@ def test_lax_matches_reduced_potential_form():
     np.testing.assert_allclose(lx.U, n1 * g1 + n2 * g2, atol=1e-13)
 
 
+
+def test_lax_tilde_broadcasts_over_fields():
+    # each entry of the field-array call is the scalar call (numpy's array
+    # loops may round complex division differently in the last bit)
+    k = 1.3 + 0.4j
+    rng = np.random.default_rng(3)
+    cols = rng.normal(size=(4, 2, 1))  # u, ux, uxx, v down a column
+    row = rng.normal(size=(1, 4))  # vx along a row
+    lt, zt = sp.lax_tilde(k, *cols, row)
+    assert lt.shape == zt.shape == (2, 4, 3, 3)
+    for i in range(2):
+        for j in range(4):
+            ls, zs = sp.lax_tilde(k, *(float(f) for f in cols[:, i, 0]), float(row[0, j]))
+            np.testing.assert_allclose(lt[i, j], ls, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(zt[i, j], zs, rtol=0, atol=1e-15)
+
 def test_potential_is_nilpotent():
     k = 0.8 - 0.6j
     n1, n2 = sp.potential_entries(0.4, 0.3, -0.2)

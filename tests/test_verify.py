@@ -95,6 +95,14 @@ def test_lax_compatibility(soliton_field):
     assert vf.lax_compatibility(bad, ks) > 1e-1
 
 
+
+def test_lax_compatibility_needs_an_interior(soliton_field):
+    two_levels = sol.SolutionField(
+        soliton_field.x, soliton_field.t[:2], soliton_field.u[:2], v=soliton_field.v[:2]
+    )
+    with pytest.raises(ValueError, match="at least 3 time levels"):
+        vf.lax_compatibility(two_levels, [1.3 + 0.4j])
+
 def test_mass_conservation():
     c = sol.residue_constant_from_position(2.0, 0.0)
     grid = sol.Grid(np.linspace(-30, 30, 6001), np.linspace(0, 1, 5))

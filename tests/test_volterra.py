@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from boussinesq_ist import scattering as sc
 from boussinesq_ist import spectral as sp
@@ -9,8 +11,7 @@ from boussinesq_ist import volterra as vt
 def _setup(kbatch):
     k = np.atleast_1d(np.asarray(kbatch, dtype=complex))
     ls = sp.eval_l_all(k)
-    g1, g2 = sp.potential_generators(k)
-    return k, ls, g1, g2
+    return k, ls, sp.potential_factor(ls)
 
 
 def test_stability_masks_match_rate_ordering():
@@ -27,8 +28,8 @@ def test_stability_masks_match_rate_ordering():
 def test_march_zero_potential_is_exact():
     x = np.linspace(-8, 8, 321)
     n = np.zeros_like(x)
-    k, ls, g1, g2 = _setup([np.exp(0.3j), 1.5 + 0.2j])
-    out = vt.march_column(x, n, n, g1, g2, ls, 1, "X", want_traj=True, want_s=True)
+    k, ls, c = _setup([np.exp(0.3j), 1.5 + 0.2j])
+    out = vt.march_column(x, n, n, c, ls, 1, "X", want_traj=True, want_s=True)
     assert np.max(np.abs(out["traj"][:, :, 0] - 1.0)) == 0.0
     np.testing.assert_allclose(out["s"], [[1, 0, 0], [1, 0, 0]], atol=0)
     assert out["s_defined"].all()
@@ -53,10 +54,10 @@ def test_march_second_order_self_convergence():
 def test_march_refuses_growing_columns():
     x = np.linspace(-5, 5, 101)
     n = np.exp(-(x**2))
-    k, ls, g1, g2 = _setup([1.8 + 0.3j])
+    k, ls, c = _setup([1.8 + 0.3j])
     with pytest.raises(vt.UnboundedExponentialError):
-        vt.march_column(x, n, n, g1, g2, ls, 2, "X")
-    out = vt.march_column(x, n, n, g1, g2, ls, 2, "X", growth_ok=True)
+        vt.march_column(x, n, n, c, ls, 2, "X")
+    out = vt.march_column(x, n, n, c, ls, 2, "X", growth_ok=True)
     assert not out["stable"][0]
 
 
@@ -69,3 +70,62 @@ def test_connection_entry_definedness():
     assert sdef[0, 0]  # diagonal entry of the stable column
     assert not sdef[:, 1].any()  # unstable column entirely masked
     assert np.all(np.isnan(s[:, 1]))
+
+
+def _dense_march(x, n1, n2, k, col, kind):
+    """Trajectory of the trapezoidal march with the dense generators
+    G1 = P^-1 E31 P and G2 = P^-1 E32 P from a numerical inverse of P,
+    transposed for the adjugate kinds."""
+    sign, d, side, transpose = vt.KINDS[kind]
+    p, pinv = sp.vandermonde(k), sp.vandermonde_inv(k)
+    g1 = pinv[:, :, 2, None] * p[:, None, 0, :]
+    g2 = pinv[:, :, 2, None] * p[:, None, 1, :]
+    if transpose:
+        g1, g2 = np.swapaxes(g1, 1, 2), np.swapaxes(g2, 1, 2)
+    ls = sp.eval_l_all(k)
+    h = x[1] - x[0]
+    delta = ls - ls[:, col - 1 : col]
+    if side == "right":
+        prop, order, start = np.exp(-d * h * delta), range(x.size - 2, -1, -1), x.size - 1
+    else:
+        prop, order, start = np.exp(d * h * delta), range(1, x.size), 0
+    ej = np.zeros((k.size, 3), dtype=complex)
+    ej[:, col - 1] = 1.0
+
+    def apply_pot(m, phi):
+        return np.einsum("kij,kj->ki", n1[m] * g1 + n2[m] * g2, phi)
+
+    traj = np.empty((x.size, k.size, 3), dtype=complex)
+    phi = traj[start] = ej
+    mphi = apply_pot(start, phi)
+    for m in order:
+        rhs = ej + prop * ((phi - ej) + 0.5 * h * sign * mphi)
+        mphi = apply_pot(m, rhs)
+        phi = traj[m] = rhs + 0.5 * h * sign * mphi
+    return traj
+
+
+@pytest.mark.parametrize("kind", ["X", "XA", "Y", "YA"])
+def test_rank_one_march_matches_dense_generators(kind):
+    # pole sector, both vertical rays inside and outside the circle, and the
+    # unit circle away from the roots of unity
+    k = np.array([1.8 + 0.3j, -0.6 + 0.02j, 0.5j, -3j, -0.5j, 2.5j, np.exp(0.45j), np.exp(2.0j)])
+    x = np.linspace(-4, 4, 161)
+    data = sc.InitialData(x, 0.8 * np.exp(-(x**2)), 0.3 * x * np.exp(-(x**2)))
+    n1, n2 = data.potential_scalars
+    k, ls, c = _setup(k)
+    for col in (1, 2, 3):
+        out = vt.march_column(x, n1, n2, c, ls, col, kind, want_traj=True, growth_ok=True)
+        ref = _dense_march(x, n1, n2, k, col, kind)
+        scale = np.max(np.abs(ref), axis=(0, 2))
+        assert np.all(np.max(np.abs(out["traj"] - ref), axis=(0, 2)) <= 1e-12 * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-20, 20), st.floats(-20, 20))
+def test_potential_factor_is_the_third_column_of_the_inverse(re, im):
+    k = complex(re, im)
+    assume(abs(k) <= 20 and sp.dist_to_qhat(k) >= 0.05)
+    c = sp.potential_factor(sp.eval_l_all(k))
+    ref = sp.vandermonde_inv(k)[:, 2]
+    assert np.linalg.norm(c - ref) <= 1e-12 * np.linalg.norm(ref)
