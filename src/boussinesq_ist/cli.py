@@ -51,9 +51,9 @@ _CONTOUR_FILES = (
 
 
 def _grid_args(p):
-    p.add_argument("--xmin", type=float, default=-30.0)
-    p.add_argument("--xmax", type=float, default=30.0)
-    p.add_argument("--hx", type=float, default=0.01)
+    p.add_argument("--xmin", type=float, default=-solitons.DEFAULT_LX)
+    p.add_argument("--xmax", type=float, default=solitons.DEFAULT_LX)
+    p.add_argument("--hx", type=float, default=solitons.DEFAULT_HX)
     p.add_argument("--tvals", type=str, default="0",
                    help="comma-separated time levels")
 

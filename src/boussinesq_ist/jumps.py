@@ -9,6 +9,7 @@ rotation and inversion symmetries of the reconstruction problem.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,8 @@ from boussinesq_ist.spectral import (
     DomainError,
     dist_to_gamma,
     eval_theta,
+    on_real_axis,
+    on_unit_circle,
     rtilde,
 )
 
@@ -103,7 +106,7 @@ def arc_weight(sd: ScatteringData, k) -> complex:
     product at the conjugate-rotated point. Real and nonnegative for genuine
     data."""
     k = complex(k)
-    if abs(abs(k) - 1.0) > 1e-9:
+    if not on_unit_circle(k):
         raise DomainError("arc weight is defined on the unit circle")
     z = 1.0 / (OMEGA**2 * k)
     _require_r2_ok([k, z])
@@ -302,64 +305,38 @@ def _inverted_circle(center, radius):
     return np.conj(center) / d, radius / abs(d)
 
 
-def circle_system(poles, residues, epsilon: float | None = None):
+def circle_system(poles, residues):
     """All pole-removal circles for the given pole set.
 
     Six circles per real pole and twelve per complex pole; the radius is
     shrunk until all circles are pairwise disjoint and clear of the contour.
     """
-    pts = []
+    bases = []  # (pole, circle kind, base point): a complex pole adds its conjugate
     for k0 in poles:
         k0 = complex(k0)
-        base = [k0, np.conj(k0)] if abs(k0.imag) > 1e-9 else [k0]
-        for b in base:
-            for j in range(3):
-                pts.append(OMEGA**j * b)
-                pts.append(OMEGA**j / b)
-    pts = np.array(pts)
-    if epsilon is None:
-        sep = np.inf
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                sep = min(sep, abs(pts[i] - pts[j]))
-        sep = min(sep, float(np.min(dist_to_gamma(pts))))
-        epsilon = min(CIRCLE_EPS_MAX, sep / 3.0)
+        bases.append((k0, "plain", k0))
+        if not on_real_axis(k0):
+            bases.append((k0, "star", np.conj(k0)))
+    pts = np.array([p for _, _, b in bases for j in range(3) for p in (OMEGA**j * b, OMEGA**j / b)])
+    gaps = [abs(a - b) for a, b in itertools.combinations(pts, 2)]
+    epsilon = min(CIRCLE_EPS_MAX, min(gaps + [float(np.min(dist_to_gamma(pts)))]) / 3.0)
 
     def build(eps):
         out = []
-        for k0 in poles:
-            k0 = complex(k0)
-            c = residues[k0]
-            is_real = abs(k0.imag) <= 1e-9
-            variants = [("plain", k0)] if is_real else [("plain", k0), ("star", np.conj(k0))]
-            for kind, base in variants:
-                inv_kind = "inv" if kind == "plain" else "invstar"
-                for j in range(3):
-                    out.append(
-                        Circle(OMEGA**j * base, eps, True, k0, c, j, kind)
-                    )
-                    ic, ir = _inverted_circle(base, eps)
-                    out.append(
-                        Circle(OMEGA**j * ic, ir, False, k0, c, j, inv_kind)
-                    )
+        for k0, kind, base in bases:
+            inv_kind = "inv" if kind == "plain" else "invstar"
+            ic, ir = _inverted_circle(base, eps)
+            for j in range(3):
+                out.append(Circle(OMEGA**j * base, eps, True, k0, residues[k0], j, kind))
+                out.append(Circle(OMEGA**j * ic, ir, False, k0, residues[k0], j, inv_kind))
         return out
 
     for _ in range(40):
         circles = build(epsilon)
-        ok = True
-        for i in range(len(circles)):
-            ci = circles[i]
-            if dist_to_gamma(np.array([ci.center]))[0] <= ci.radius:
-                ok = False
-                break
-            for j in range(i + 1, len(circles)):
-                cj = circles[j]
-                if abs(ci.center - cj.center) <= ci.radius + cj.radius:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(dist_to_gamma(np.array([c.center]))[0] > c.radius for c in circles) and all(
+            abs(a.center - b.center) > a.radius + b.radius
+            for a, b in itertools.combinations(circles, 2)
+        ):
             return circles
         epsilon /= 2.0
     raise DomainError("could not find disjoint pole-removal circles")
@@ -373,7 +350,7 @@ def circle_jump(circle: Circle, x, t, k):
     """
     k = complex(k)
     k0, c = circle.k0, circle.c
-    is_real = abs(complex(k0).imag) <= 1e-9
+    is_real = on_real_axis(k0)
 
     def eval_at(rot, kind, kk):
         if rot != 0:
@@ -400,7 +377,7 @@ def _window(s):
     return np.sin(np.pi * s) ** 2
 
 
-def synthetic_scattering_data(seed: int = 0, amplitude: float = 0.35) -> ScatteringData:
+def synthetic_scattering_data(seed: int = 0) -> ScatteringData:
     """Reflection data satisfying the two admissibility relations exactly.
 
     Free smooth values are drawn on three of the six 60-degree arcs; the
@@ -408,6 +385,7 @@ def synthetic_scattering_data(seed: int = 0, amplitude: float = 0.35) -> Scatter
     coefficient is defined by the conjugation symmetry. Ray values are a
     smooth super-polynomially decaying bump.
     """
+    amplitude = 0.35
     rng = np.random.default_rng(seed)
     coefs = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     ray_coefs = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -464,7 +442,7 @@ def synthetic_scattering_data(seed: int = 0, amplitude: float = 0.35) -> Scatter
     def r1_fn(k):
         k = np.atleast_1d(np.asarray(k, dtype=complex))
         out = np.empty(k.shape, dtype=complex)
-        on_circle = np.abs(np.abs(k) - 1.0) < 1e-9
+        on_circle = on_unit_circle(k)
         if np.any(on_circle):
             out[on_circle] = circle_r1(k[on_circle])
         if np.any(~on_circle):

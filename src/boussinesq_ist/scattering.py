@@ -16,21 +16,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from boussinesq_ist import volterra as vt
-from boussinesq_ist.solitons import REAL_POLE_TOL
 from boussinesq_ist.spectral import (
     QHAT_EXCLUSION,
     DomainError,
+    Sector,
+    classify,
+    dist_to_gamma,
     dist_to_qhat,
     eval_l,
     eval_l_all,
     eval_z,
+    on_real_axis,
+    on_unit_circle,
     potential_entries,
     potential_factor,
 )
 
-DEFAULT_LX = 30.0
-DEFAULT_HX = 0.01
-QUAD_TOL = 1e-6
 DECAY_TOL = 1e-10
 MASS_TOL = 1e-8
 FIT_TOL = 1e-4
@@ -40,6 +41,7 @@ NEWTON_MAXIT = 20
 WINDING_TOL = 0.2
 EVOLVE_EXP_CLIP = 700.0
 MAX_POLES = 16
+RAY_DECADES = (-2, 2)  # log10 of the smallest and largest ray modulus
 
 #: rectangles (re_lo, re_hi, im_lo, im_hi) inside the pole sector whose
 #: boundaries keep >= 0.05 distance from the contour and the roots of unity
@@ -107,8 +109,7 @@ class InitialData:
     x: np.ndarray
     u0: np.ndarray
     v0: np.ndarray
-    decay_tol: float = DECAY_TOL
-    warnings: tuple = ()
+    warnings: tuple = field(init=False)
 
     def __post_init__(self):
         x = _checked_grid(self.x)
@@ -121,18 +122,12 @@ class InitialData:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "v0", v0)
-        warn = list(self.warnings)
-        edge = max(
-            abs(u0[0]), abs(u0[-1]), abs(v0[0]), abs(v0[-1])
-        )
-        if edge > self.decay_tol:
-            warn.append(
-                f"edge values {edge:.3e} exceed decay tolerance {self.decay_tol:g}"
-            )
-        object.__setattr__(self, "warnings", tuple(warn))
+        edge = max(abs(u0[0]), abs(u0[-1]), abs(v0[0]), abs(v0[-1]))
+        warn = f"edge values {edge:.3e} exceed decay tolerance {DECAY_TOL:g}"
+        object.__setattr__(self, "warnings", (warn,) if edge > DECAY_TOL else ())
 
     @staticmethod
-    def from_u1(x, u0, u1, mass_tol: float = MASS_TOL) -> "InitialData":
+    def from_u1(x, u0, u1) -> "InitialData":
         """Build v0 as the left cumulative integral of u1; u1 must have
         vanishing total integral for the system and the scalar equation to
         share initial data."""
@@ -140,9 +135,9 @@ class InitialData:
         u1 = np.asarray(u1, dtype=float)
         h = x[1] - x[0]
         total = np.trapezoid(u1, dx=h)
-        if abs(total) > mass_tol:
+        if abs(total) > MASS_TOL:
             raise ValueError(
-                f"total integral of u1 is {total:.3e}, above {mass_tol:g}"
+                f"total integral of u1 is {total:.3e}, above {MASS_TOL:g}"
             )
         v0 = np.concatenate([[0.0], np.cumsum(0.5 * h * (u1[1:] + u1[:-1]))])
         return InitialData(x, np.asarray(u0, dtype=float), v0)
@@ -153,16 +148,16 @@ class InitialData:
 
     @property
     def potential_scalars(self):
-        n1, n2 = potential_entries(self.u0, _fd1(self.u0, self.hx), self.v0)
-        return n1, n2
+        return potential_entries(self.u0, _fd1(self.u0, self.hx), self.v0)
 
-    def support_slice(self, threshold: float = 1e-15) -> slice:
+    def support_slice(self) -> slice:
+        """Grid slice outside of which the potential is below 1e-15 of its peak."""
         n1, n2 = self.potential_scalars
         env = np.maximum(np.abs(n1), np.abs(n2))
         top = float(np.max(env)) if env.size else 0.0
         if top == 0.0:
             return slice(0, 2)
-        idx = np.nonzero(env > threshold * top)[0]
+        idx = np.nonzero(env > 1e-15 * top)[0]
         lo = max(0, int(idx[0]) - 2)
         hi = min(self.x.size, int(idx[-1]) + 3)
         return slice(lo, hi)
@@ -195,9 +190,9 @@ def _march(data: InitialData, kbatch, kind, col, want_traj=False, want_s=False,
     return res
 
 
-def _traj(data: InitialData, k, kind, col, growth_ok=False):
+def _traj(data: InitialData, k, kind, col):
     """(nx, 3) trajectory of one eigenfunction column at a single k."""
-    return _march(data, [k], kind, col, want_traj=True, growth_ok=growth_ok)["traj"][:, 0, :]
+    return _march(data, [k], kind, col, want_traj=True)["traj"][:, 0, :]
 
 
 @dataclass
@@ -218,7 +213,7 @@ class EigenfunctionBundle:
     sA_defined: np.ndarray | None = None
 
 
-def solve_volterra(data: InitialData, k: complex, which: str, growth_ok=False):
+def solve_volterra(data: InitialData, k: complex, which: str):
     """Matrix sequence of one eigenfunction over the grid.
 
     Columns whose dressing grows along the march are NaN-filled and reported
@@ -231,9 +226,9 @@ def solve_volterra(data: InitialData, k: complex, which: str, growth_ok=False):
     mask = np.zeros(3, dtype=bool)
     _, ls, _ = _plan([k])
     for col in (1, 2, 3):
-        if not vt.column_stability(ls, col, which)[0] and not growth_ok:
+        if not vt.column_stability(ls, col, which)[0]:
             continue
-        out[:, :, col - 1] = _traj(data, k, which, col, growth_ok=growth_ok)
+        out[:, :, col - 1] = _traj(data, k, which, col)
         mask[col - 1] = True
     return out, mask
 
@@ -312,20 +307,21 @@ def m2_matrix(data: InitialData, k: complex):
 # ----------------------------------------------------------------------------
 
 
-def ray_moduli(per_decade: int = 64, decades=(-2, 2)):
-    m = np.logspace(decades[0], decades[1], per_decade * (decades[1] - decades[0]) + 1)
-    return m[np.abs(m - 1.0) > 1e-12]
+def ray_moduli(per_decade: int = 64):
+    lo, hi = RAY_DECADES
+    m = np.logspace(lo, hi, per_decade * (hi - lo) + 1)
+    return m[~on_unit_circle(m)]
 
 
-def gamma1_samples(per_decade: int = 64, decades=(-2, 2)):
+def gamma1_samples(per_decade: int = 64):
     """Vertical-ray part of the first sampling contour: i(0,1) and -i(1,oo)."""
-    m = ray_moduli(per_decade, decades)
+    m = ray_moduli(per_decade)
     return np.where(m < 1.0, 1j * m, -1j * m)
 
 
-def gamma4_samples(per_decade: int = 64, decades=(-2, 2)):
+def gamma4_samples(per_decade: int = 64):
     """Vertical-ray part of the fourth sampling contour: -i(0,1) and i(1,oo)."""
-    m = ray_moduli(per_decade, decades)
+    m = ray_moduli(per_decade)
     return np.where(m < 1.0, -1j * m, 1j * m)
 
 
@@ -428,7 +424,7 @@ class ScatteringData:
         scalar = k.ndim == 0
         k = np.atleast_1d(k)
         out = np.empty(k.shape, dtype=complex)
-        on_circle = np.abs(np.abs(k) - 1.0) < 1e-9
+        on_circle = on_unit_circle(k)
         if np.any(on_circle):
             out[on_circle] = self._interp_circle(circle_vals, k[on_circle])
         if np.any(~on_circle):
@@ -450,7 +446,6 @@ def _theta21_rate(k):
 def reflection_coefficients(
     data: InitialData,
     per_decade: int = 64,
-    decades=(-2, 2),
     circle_n: int = 1536,
 ) -> ScatteringData:
     """Sample r1 on its ray contour and the circle, r2 likewise.
@@ -458,8 +453,8 @@ def reflection_coefficients(
     Raises ZeroOnContourError when the (1,1) entries vanish at a sample, and
     attaches a rapid-decay report for the ray tails.
     """
-    g1k = gamma1_samples(per_decade, decades)
-    g4k = gamma4_samples(per_decade, decades)
+    g1k = gamma1_samples(per_decade)
+    g4k = gamma4_samples(per_decade)
     ck = circle_samples(circle_n)
 
     # entry ratio: the (1,2) entry over the (1,1) entry of the connection matrix
@@ -500,25 +495,25 @@ def reflection_coefficients(
     )
 
 
-def unit_point_genericity(data: InitialData, delta: float = 1e-3) -> dict:
+def unit_point_genericity(data: InitialData) -> dict:
     """Detector for non-generic behavior of the (1,1) entry at k = +-1.
 
     Generic data has a simple pole there, so (k -+ 1) s_11 stays away from
-    zero on nearby circle points; values below 1e-6 are flagged.
+    zero on the circle points at angle +-1e-3; values below 1e-6 are flagged.
     """
     out = {}
     for kstar in (1.0, -1.0):
-        ks = kstar * np.exp(np.array([1j * delta, -1j * delta]))
+        ks = kstar * np.exp(np.array([1e-3j, -1e-3j]))
         vals = s11_batch(data, ks)
         m = float(np.min(np.abs((ks - kstar) * vals)))
         out[str(kstar)] = {"min_weighted_entry": m, "generic": bool(m > 1e-6)}
     return out
 
 
-def reflection_floor(data: InitialData, n: int = 50) -> float:
+def reflection_floor(data: InitialData) -> float:
     """max |r1| over a coarse ray sample; the radiation content indicator."""
-    m = np.logspace(-1.5, 1.5, n)
-    m = m[np.abs(m - 1.0) > 1e-6]
+    m = np.logspace(-1.5, 1.5, 50)
+    m = m[~on_unit_circle(m)]
     ks = np.where(m < 1.0, 1j * m, -1j * m)
     den, _ = _s_entry_batch(data, ks, "X", 1, 1)
     num, _ = _s_entry_batch(data, ks, "X", 2, 1)
@@ -540,10 +535,11 @@ def _rect_boundary(rect, n_per_edge):
     return np.append(pts, pts[0])
 
 
-def _winding_and_centroid(data, rect, n_per_edge=48, max_refine=8):
-    pts = _rect_boundary(rect, n_per_edge)
+def _winding_and_centroid(data, rect):
+    """Winding number of s11 around rect (48 points per edge, <= 8 refinements)."""
+    pts = _rect_boundary(rect, 48)
     vals = s11_batch(data, pts)
-    for _ in range(max_refine):
+    for _ in range(8):
         dphase = np.angle(vals[1:] / vals[:-1])
         if np.all(np.abs(dphase) < np.pi / 2):
             break
@@ -569,14 +565,15 @@ def _winding_and_centroid(data, rect, n_per_edge=48, max_refine=8):
     return n, centroid
 
 
-def _richardson(fn, k, step):
+def _richardson(fn, k):
     """Two-step Richardson central difference of a batched function of k."""
-    v = fn(np.array([k + step, k - step, k + 2 * step, k - 2 * step]))
-    return (8.0 * (v[0] - v[1]) - (v[2] - v[3])) / (12.0 * step)
+    h = DERIV_STEP
+    v = fn(np.array([k + h, k - h, k + 2 * h, k - 2 * h]))
+    return (8.0 * (v[0] - v[1]) - (v[2] - v[3])) / (12.0 * h)
 
 
-def _s11_derivative(data, k, step=DERIV_STEP):
-    return _richardson(lambda ks: s11_batch(data, ks), k, step)
+def _s11_derivative(data, k):
+    return _richardson(lambda ks: s11_batch(data, ks), k)
 
 
 def _newton_polish(data, k0):
@@ -594,7 +591,7 @@ def _newton_polish(data, k0):
     )
 
 
-def find_poles(data: InitialData, regions=None, max_poles: int = MAX_POLES):
+def find_poles(data: InitialData, regions=None):
     """Zeros of the (1,1) connection entry inside the search rectangles.
 
     Winding-number count on the boundary, recursive bisection until single
@@ -608,8 +605,8 @@ def find_poles(data: InitialData, regions=None, max_poles: int = MAX_POLES):
         n, centroid = _winding_and_centroid(data, rect)
         if n == 0:
             return
-        if len(zeros) + n > max_poles:
-            raise TooManyPolesError(f"more than {max_poles} zeros in the region")
+        if len(zeros) + n > MAX_POLES:
+            raise TooManyPolesError(f"more than {MAX_POLES} zeros in the region")
         if n == 1:
             zeros.append(_newton_polish(data, centroid))
             return
@@ -629,7 +626,7 @@ def find_poles(data: InitialData, regions=None, max_poles: int = MAX_POLES):
         recurse(tuple(rect), 0)
     out = []
     for z in zeros:
-        if abs(z.imag) < REAL_POLE_TOL * max(1.0, abs(z)):
+        if on_real_axis(z):
             z = complex(z.real, 0.0)
         # regions may overlap; keep one copy of each zero
         if all(abs(z - prev) > 1e-6 for prev in out):
@@ -637,13 +634,13 @@ def find_poles(data: InitialData, regions=None, max_poles: int = MAX_POLES):
     return out
 
 
-def search_rectangle_around(k0: complex, half_re: float = 0.35, half_im: float = 0.25):
+def search_rectangle_around(k0: complex):
     """A pole-search rectangle containing k0 that stays inside the pole
     sector with a 0.05 margin from the contour; None if k0 sits too close to
-    the contour for any such rectangle to exist."""
-    from boussinesq_ist.spectral import Sector, classify, dist_to_gamma
-
+    the contour for any such rectangle to exist. The half-widths start at
+    0.35 (real) and 0.25 (imaginary) and shrink by 0.72 per try."""
     k0 = complex(k0)
+    half_re, half_im = 0.35, 0.25
     for _ in range(24):
         rect = (k0.real - half_re, k0.real + half_re, k0.imag - half_im, k0.imag + half_im)
         pts = _rect_boundary(rect, 16)
@@ -666,8 +663,8 @@ def search_rectangle_around(k0: complex, half_re: float = 0.35, half_im: float =
 # ----------------------------------------------------------------------------
 
 
-def _sa22_derivative(data, k, step=DERIV_STEP):
-    return _richardson(lambda ks: _s_entry_batch(data, ks, "XA", 2, 2)[0], k, step)
+def _sa22_derivative(data, k):
+    return _richardson(lambda ks: _s_entry_batch(data, ks, "XA", 2, 2)[0], k)
 
 
 def _weighted_ratio(pi_vec, x1_vec, weights):
@@ -683,13 +680,13 @@ def _weighted_ratio(pi_vec, x1_vec, weights):
     return complex(c), float(resid)
 
 
-def residue_constant(data: InitialData, k0: complex, fit_tol: float = FIT_TOL):
+def residue_constant(data: InitialData, k0: complex):
     """Residue constant at a simple zero of the (1,1) connection entry.
 
     Real zeros use the proportionality between the second left-normalized
     column and the first right-normalized column; complex zeros use the
     cross-product vector built from the adjugate eigenfunctions. Returns
-    (c, fit_residual); a large fit residual signals that k0 is not a genuine
+    (c, fit_residual); a fit residual above FIT_TOL signals that k0 is not a genuine
     simple zero or that the quadrature is too coarse.
     """
     k0 = complex(k0)
@@ -697,7 +694,7 @@ def residue_constant(data: InitialData, k0: complex, fit_tol: float = FIT_TOL):
     window = (x >= x[0] / 2.0) & (x <= x[-1] / 2.0)
     x1 = _traj(data, k0, "X", 1)
 
-    if abs(k0.imag) < REAL_POLE_TOL:
+    if on_real_axis(k0):
         k0 = complex(k0.real, 0.0)
         y2 = _traj(data, k0, "Y", 2)
         dsa22 = _sa22_derivative(data, k0)
@@ -719,9 +716,9 @@ def residue_constant(data: InitialData, k0: complex, fit_tol: float = FIT_TOL):
     if not np.any(weights > 0):
         raise FitResidualError("no usable fit window: |X_11| too small throughout")
     c, resid = _weighted_ratio(pi_vec, x1, weights)
-    if resid > fit_tol:
+    if resid > FIT_TOL:
         raise FitResidualError(
-            f"linear dependence violated: fit residual {resid:.3e} > {fit_tol:g}"
+            f"linear dependence violated: fit residual {resid:.3e} > {FIT_TOL:g}"
         )
     return c, resid
 
@@ -730,10 +727,7 @@ def residue_constant_compact(data: InitialData, k0: complex):
     """Compact-support shortcut -s_12/sdot_11 (real k0) or -s_13/sdot_11."""
     k0 = complex(k0)
     ds11 = _s11_derivative(data, k0)
-    if abs(k0.imag) < REAL_POLE_TOL:
-        num, _ = _s_entry_batch(data, [k0], "X", 2, 1, growth_ok=True)
-    else:
-        num, _ = _s_entry_batch(data, [k0], "X", 3, 1, growth_ok=True)
+    num, _ = _s_entry_batch(data, [k0], "X", 2 if on_real_axis(k0) else 3, 1, growth_ok=True)
     return -num[0] / ds11
 
 
@@ -762,10 +756,8 @@ def evolve_scattering(sd: ScatteringData, t: float) -> ScatteringData:
 
     new_res = {}
     for k0, c in sd.residues.items():
-        if abs(complex(k0).imag) < REAL_POLE_TOL:
-            rate = eval_z(1, k0) - eval_z(2, k0)
-        else:
-            rate = eval_z(1, k0) - eval_z(3, k0)
+        # a real pole couples l_1 with l_2, a complex one l_1 with l_3
+        rate = eval_z(1, k0) - eval_z(2 if on_real_axis(k0) else 3, k0)
         new_res[k0] = c * np.exp(rate * t)
 
     kwargs = dict(

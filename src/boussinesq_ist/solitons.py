@@ -20,14 +20,26 @@ from boussinesq_ist.spectral import (
     classify,
     eval_l,
     eval_z,
+    on_real_axis,
 )
 
-REAL_POLE_TOL = 1e-9
+#: default synthesis grid: x in [-DEFAULT_LX, DEFAULT_LX] with step DEFAULT_HX
+DEFAULT_LX = 30.0
+DEFAULT_HX = 0.01
 NONREAL_COMBO_TOL = 1e-10
 CONDITION_LIMIT = 1e12
 #: matrix entries per block of the residue solve, which bounds its memory
 BLOCK_ENTRIES = 1 << 18
 IM_U_TOL = 1e-9
+
+
+#: (side, regularity) of a breather pole in each complex subregion of D2
+_BREATHER_SUBREGIONS = {
+    Subregion.REG_R: ("right", "regular"),
+    Subregion.REG_L: ("left", "regular"),
+    Subregion.SING_R: ("right", "singular"),
+    Subregion.SING_L: ("left", "singular"),
+}
 
 
 class SingularSolitonError(ValueError):
@@ -80,12 +92,17 @@ class SolutionField:
         return float(self.t[1] - self.t[0]) if self.t.size > 1 else 0.0
 
 
-def _realize(arr, what):
-    im = float(np.max(np.abs(arr.imag))) if arr.size else 0.0
+def _realize(arr, what, grid):
+    """Real part of the (nt, nx) field; refuses |Im| above IM_U_TOL at any grid point."""
     if not np.all(np.isfinite(arr)):
         raise ArithmeticError(f"{what} contains non-finite values")
-    if im > IM_U_TOL:
-        raise ArithmeticError(f"{what} has imaginary part {im:.3e} > {IM_U_TOL:g}")
+    im = np.abs(arr.imag)
+    if im.size and im.max() > IM_U_TOL:
+        it, ix = np.unravel_index(np.argmax(im), im.shape)
+        raise ArithmeticError(
+            f"{what} has imaginary part {im[it, ix]:.3e} > {IM_U_TOL:g}"
+            f" at (x, t) = ({grid.x[ix]:.6g}, {grid.t[it]:.6g})"
+        )
     return np.ascontiguousarray(arr.real)
 
 
@@ -136,25 +153,17 @@ class SolitonSpec:
         for k0, c in pairs:
             k0 = complex(k0)
             c = complex(c)
-            if abs(k0.imag) <= REAL_POLE_TOL:
+            if on_real_axis(k0):
                 k0r = k0.real
                 reg = classify_one_soliton(k0r, c)
                 side = "right" if k0r > 1.0 else "left"
                 out.append(PoleData(complex(k0r), c, "soliton", side, reg))
             else:
                 sub = classify(k0).subregion
-                if sub is Subregion.REG_R:
-                    out.append(PoleData(k0, c, "breather", "right", "regular"))
-                elif sub is Subregion.REG_L:
-                    out.append(PoleData(k0, c, "breather", "left", "regular"))
-                elif sub is Subregion.SING_R:
-                    out.append(PoleData(k0, c, "breather", "right", "singular"))
-                elif sub is Subregion.SING_L:
-                    out.append(PoleData(k0, c, "breather", "left", "singular"))
-                else:
+                if sub not in _BREATHER_SUBREGIONS:
                     raise DomainError(f"complex pole {k0} lies outside the pole sector")
-                if c == 0:
-                    out[-1] = PoleData(k0, c, "breather", out[-1].side, "zero")
+                side, reg = _BREATHER_SUBREGIONS[sub]
+                out.append(PoleData(k0, c, "breather", side, "zero" if c == 0 else reg))
         return SolitonSpec(tuple(out))
 
     def require_regular(self):
@@ -302,8 +311,7 @@ def h_indicator(k0: complex) -> float:
     ones, which is exactly what separates smooth breathers from blow-up.
     """
     k0 = complex(k0)
-    sub = classify(k0).subregion
-    if sub in (Subregion.NONE, Subregion.REAL_RIGHT, Subregion.REAL_LEFT):
+    if classify(k0).subregion not in _BREATHER_SUBREGIONS:
         raise DomainError(
             "indicator defined only off the real axis inside the pole sector"
         )
@@ -358,7 +366,7 @@ def breather(k0: complex, c: complex, grid: Grid) -> SolutionField:
     """
     k0 = complex(k0)
     sub = classify(k0).subregion
-    if sub not in (Subregion.REG_R, Subregion.REG_L, Subregion.SING_R, Subregion.SING_L):
+    if sub not in _BREATHER_SUBREGIONS:
         raise DomainError(f"pole {k0} lies outside the complex pole sector")
     meta = {"constructor": "breather", "k0": k0, "c": complex(c), "subregion": sub.value}
     nt, nx = grid.t.size, grid.x.size
@@ -405,8 +413,8 @@ def breather(k0: complex, c: complex, grid: Grid) -> SolutionField:
     tt = np.trace((kinv @ wt) @ kw, axis1=-2, axis2=-1) + np.trace(
         kinv @ (w_t + brak(lam_t, w)), axis1=-2, axis2=-1
     )
-    u = _realize(-6.0 * tx, "breather u")
-    v = _realize(-6.0 * tt, "breather v")
+    u = _realize(-6.0 * tx, "breather u", grid)
+    v = _realize(-6.0 * tt, "breather v", grid)
     return SolutionField(grid.x, grid.t, u, v=v, n31=n31, meta=meta)
 
 
@@ -565,6 +573,6 @@ def n_soliton(spec: SolitonSpec, grid: Grid) -> SolutionField:
     xg = grid.x[None, :]
     tg = grid.t[:, None]
     n31, n31_x, n31_t = _solve_residues(entries, xg, tg)
-    u = _realize(-1j * SQRT3 * n31_x, "n_soliton u")
-    v = _realize(-1j * SQRT3 * n31_t, "n_soliton v")
+    u = _realize(-1j * SQRT3 * n31_x, "n_soliton u", grid)
+    v = _realize(-1j * SQRT3 * n31_t, "n_soliton v", grid)
     return SolutionField(grid.x, grid.t, u, v=v, n31=n31, meta=meta)

@@ -30,7 +30,7 @@ QHAT = KAPPA + (0j,)
 MAT_A = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
 MAT_B = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
 
-#: default tolerance for "sits on the contour / at a root of unity" tests
+#: tolerance for "sits on the contour / on the real axis / on the unit circle"
 TOL_CONTOUR = 1e-9
 #: points closer to a root of unity than this are rejected by P(k)^-1 users
 QHAT_EXCLUSION = 1e-6
@@ -128,6 +128,18 @@ def dist_to_qhat(k):
     """Distance to the nearest of the six sixth roots of unity or 0."""
     k = np.asarray(k, dtype=complex)
     return np.min(np.stack([np.abs(k - q) for q in QHAT]), axis=0)
+
+
+def on_real_axis(k) -> bool:
+    """True when |Im k| < TOL_CONTOUR max(1, |k|): the rule by which a pole is
+    real (a soliton) rather than complex (a breather)."""
+    k = complex(k)
+    return abs(k.imag) < TOL_CONTOUR * max(1.0, abs(k))
+
+
+def on_unit_circle(k):
+    """Elementwise ||k| - 1| < TOL_CONTOUR."""
+    return np.abs(np.abs(k) - 1.0) < TOL_CONTOUR
 
 
 def dist_to_gamma(k):
@@ -300,16 +312,16 @@ class SpectralPoint:
         return self.sector is Sector.ON_CONTOUR
 
 
-def classify(k, tol: float = TOL_CONTOUR) -> SpectralPoint:
+def classify(k) -> SpectralPoint:
     """Assign the sector D1..D6 and, inside D2, the finer subregion.
 
-    Points within ``tol`` of the contour (six rays + unit circle) get the
+    Points within ``TOL_CONTOUR`` of the contour (six rays + unit circle) get the
     on-contour marker and no subregion; boundary rays are owned by no sector.
     """
     k = complex(k)
     if k == 0:
         raise DomainError("cannot classify k = 0")
-    if dist_to_gamma(k) < tol:
+    if dist_to_gamma(k) < TOL_CONTOUR:
         return SpectralPoint(k, Sector.ON_CONTOUR, Subregion.NONE)
 
     r = abs(k)
@@ -322,7 +334,7 @@ def classify(k, tol: float = TOL_CONTOUR) -> SpectralPoint:
 
     sub = Subregion.NONE
     if sector is Sector.D2:
-        if abs(k.imag) < tol * max(1.0, r):
+        if on_real_axis(k):
             sub = Subregion.REAL_RIGHT if k.real > 1.0 else Subregion.REAL_LEFT
         elif r > 1.0:
             sub = Subregion.REG_R if k.imag > 0 else Subregion.SING_R

@@ -15,7 +15,7 @@ import numpy as np
 
 from boussinesq_ist import scattering as sc
 from boussinesq_ist import solitons as sol
-from boussinesq_ist.spectral import dist_to_qhat, lax_tilde
+from boussinesq_ist.spectral import SQRT3, dist_to_qhat, eval_l, lax_tilde
 
 
 def fd_weights(order: int, offsets) -> np.ndarray:
@@ -146,6 +146,8 @@ def system_residual(fld: sol.SolutionField) -> dict:
     """Residuals of v_t = u_x + (u^2)_x + u_xxx and u_t = v_x."""
     if fld.v is None:
         raise ValueError("field carries no v samples")
+    if fld.t.size < 3 or fld.x.size < 7:
+        raise ValueError("system check needs at least 3 time levels and 7 x-points")
     u, v = fld.u, fld.v
     vt, rt = deriv_t(v, 1, fld.ht)
     ut, _ = deriv_t(u, 1, fld.ht)
@@ -215,12 +217,12 @@ class MassReport:
         }
 
 
-def mass_conservation(fld: sol.SolutionField, decay_tol: float = 1e-8) -> MassReport:
-    """Trapezoid mass per time level; flags non-decaying fields."""
+def mass_conservation(fld: sol.SolutionField) -> MassReport:
+    """Trapezoid mass per time level; flags fields with |u| >= 1e-8 at an x-edge."""
     edges = max(float(np.max(np.abs(fld.u[:, 0]))), float(np.max(np.abs(fld.u[:, -1]))))
     masses = np.trapezoid(fld.u, dx=fld.hx, axis=1)
     dev = float(np.max(np.abs(masses - masses[0]))) if masses.size else 0.0
-    return MassReport(masses, dev, bool(edges < decay_tol))
+    return MassReport(masses, dev, bool(edges < 1e-8))
 
 
 @dataclass
@@ -245,8 +247,6 @@ class RoundTripReport:
 
 def _auto_extent(spec: sol.SolitonSpec) -> float:
     """Domain half-width that buries the slowest pole tail below ~1e-6."""
-    from boussinesq_ist.spectral import SQRT3, eval_l
-
     lx = 35.0
     for p in spec.poles:
         if p.regularity == "zero":
@@ -265,21 +265,16 @@ def _auto_extent(spec: sol.SolitonSpec) -> float:
     return min(lx, 120.0)
 
 
-def round_trip(
-    spec,
-    lx: float | None = None,
-    hx: float = 0.01,
-    pole_tol: float = 1e-3,
-    residue_tol: float = 1e-2,
-    floor_tol: float = 1e-3,
-) -> RoundTripReport:
-    """Synthesize u(.,0), v(.,0) from the spectral data, rescatter, compare."""
+def round_trip(spec, lx: float | None = None) -> RoundTripReport:
+    """Synthesize u(.,0), v(.,0) on [-lx, lx] with step DEFAULT_HX from the
+    spectral data, rescatter, compare."""
+    pole_tol, residue_tol, floor_tol = 1e-3, 1e-2, 1e-3
     if isinstance(spec, (list, tuple)):
         spec = sol.SolitonSpec.from_pairs(spec)
     spec.require_regular()
     if lx is None:
         lx = _auto_extent(spec)
-    grid = sol.Grid(np.linspace(-lx, lx, int(round(2 * lx / hx)) + 1), [0.0])
+    grid = sol.Grid(np.linspace(-lx, lx, int(round(2 * lx / sol.DEFAULT_HX)) + 1), [0.0])
     fld = sol.n_soliton(spec, grid)
     data = sc.InitialData(grid.x, fld.u[0], fld.v[0])
 

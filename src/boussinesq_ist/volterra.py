@@ -48,14 +48,14 @@ def _decay_rates(ls, col, kind):
     return proj if side == "right" else -proj
 
 
-def column_stability(ls, col, kind, tol=STABILITY_TOL):
+def column_stability(ls, col, kind):
     """Boolean mask over the k-batch: True where the march stays bounded."""
-    return np.all(_decay_rates(ls, col, kind) >= -tol, axis=-1)
+    return np.all(_decay_rates(ls, col, kind) >= -STABILITY_TOL, axis=-1)
 
 
-def unstable_entries(ls, col, kind, tol=STABILITY_TOL):
+def unstable_entries(ls, col, kind):
     """Row indices i whose dressing e^{...(l_i - l_col)} grows along the march."""
-    bad = _decay_rates(ls, col, kind) < -tol
+    bad = _decay_rates(ls, col, kind) < -STABILITY_TOL
     return [i + 1 for i in range(3) if np.any(bad[..., i])]
 
 

@@ -66,6 +66,19 @@ def test_nsoliton_matches_soliton_through_files(tmp_path):
     assert np.max(np.abs(u1 - u2)) < 1e-8
 
 
+def test_nsoliton_pole_within_the_relative_real_axis_tolerance_is_a_soliton(tmp_path):
+    # |Im k| = 1.5e-9 lies below 1e-9 |k| = 2e-9: real by the one real-axis rule
+    c = sol.residue_constant_from_position(2.0, 0.0)
+    fields = []
+    for im in ("1.5e-9", "0"):
+        out = tmp_path / im
+        assert run("nsoliton", "--pole", f"2,{im},{c.real},{c.imag}", "--xmin", -10,
+                   "--xmax", 10, "--hx", 0.05, "--tvals", "0,0.1", "--out", out) == 0
+        fields.append(fileio.read_field(str(out / "solution.csv")))
+    np.testing.assert_array_equal(fields[0].u, fields[1].u)
+    np.testing.assert_array_equal(fields[0].v, fields[1].v)
+
+
 def test_scatter_and_evolve_files(tmp_path):
     src = tmp_path / "sol"
     run("soliton", "--k0", 2, "--x0", 0, "--xmin", -20, "--xmax", 20, "--hx", 0.02,
@@ -107,6 +120,18 @@ def test_verify_command_passes_and_fails(tmp_path):
     bad_dir = tmp_path / "bad"
     assert run("verify", "--field", src / "solution.csv", "--tol-pde", "1e-12",
                "--out", bad_dir) == 3
+
+
+def test_verify_system_check_on_two_levels_names_its_minimum(tmp_path, capsys):
+    src = tmp_path / "sol"
+    run("soliton", "--k0", 2, "--xmin", -10, "--xmax", 10, "--hx", 0.05, "--tvals", "0,0.1",
+        "--out", src)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run("verify", "--field", src / "solution.csv", "--checks", "system",
+                 "--out", tmp_path / "v")
+    assert rc == 1
+    assert "system check needs at least 3 time levels and 7 x-points" in capsys.readouterr().err
 
 
 def test_jumps_command(tmp_path):

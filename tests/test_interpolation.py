@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 
 from boussinesq_ist import scattering as sc
 
-DECADES = (-2, 2)
 UNIT = st.floats(-1.0, 1.0)
 FRACTION = st.floats(0.001, 0.999)
 
@@ -27,8 +26,8 @@ def grids(draw, max_circle=1536):
 
 def contour_data(per_decade, n, r1_ray, r2_ray, r1_circle, r2_circle):
     return sc.ScatteringData(
-        gamma1=sc.gamma1_samples(per_decade, DECADES), r1_ray=r1_ray,
-        gamma4=sc.gamma4_samples(per_decade, DECADES), r2_ray=r2_ray,
+        gamma1=sc.gamma1_samples(per_decade), r1_ray=r1_ray,
+        gamma4=sc.gamma4_samples(per_decade), r2_ray=r2_ray,
         circle=sc.circle_samples(n), r1_circle=r1_circle, r2_circle=r2_circle,
     )
 
@@ -72,8 +71,8 @@ def test_eval_reproduces_samples_cubic_in_the_grid_index(grid, coefs, fractions)
     # fractional ray indices anywhere on a half; circle indices away from the
     # wrap-around, where the periodic samples stop being one cubic
     s_in, s_out = (half - 1) * np.array(fractions[:2]), (half - 1) * np.array(fractions[2:4])
-    m_in = 10.0 ** (DECADES[0] + s_in / per_decade)
-    m_out = 10.0 ** (DECADES[0] + (half + 1 + s_out) / per_decade)
+    m_in = 10.0 ** (sc.RAY_DECADES[0] + s_in / per_decade)
+    m_out = 10.0 ** (sc.RAY_DECADES[0] + (half + 1 + s_out) / per_decade)
     s_circ = 1.0 + (n - 4) * np.array(fractions[4:])
     k_circ = np.exp(1j * (s_circ + 0.5) * (2 * np.pi / n))
 

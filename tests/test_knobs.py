@@ -1,0 +1,111 @@
+"""Inventory of the defaulted parameters in the package.
+
+Every parameter with a default value, and every defaulted field of a
+dataclass, is listed below as (module, function or class, name). A default
+that no caller varies is a constant in disguise, so a new one needs a
+deliberate edit here.
+"""
+
+import ast
+import inspect
+from pathlib import Path
+
+import boussinesq_ist
+from boussinesq_ist import scattering as sc
+
+KEPT = {
+    ("cli", "main", "argv"),
+    ("fileio", "write_contour", "param_name"),
+    ("jumps", "InequalityViolatedError.__init__", "k"),
+    ("jumps", "sample_segment", "rng"),
+    ("jumps", "synthetic_scattering_data", "seed"),
+    ("jumps", "reflectionless_data", "poles"),
+    ("jumps", "reflectionless_data", "residues"),
+    ("scattering", "_march", "want_traj"),
+    ("scattering", "_march", "want_s"),
+    ("scattering", "_march", "growth_ok"),
+    ("scattering", "_s_entry_batch", "growth_ok"),
+    ("scattering", "ray_moduli", "per_decade"),
+    ("scattering", "gamma1_samples", "per_decade"),
+    ("scattering", "gamma4_samples", "per_decade"),
+    ("scattering", "circle_samples", "n"),
+    ("scattering", "reflection_coefficients", "per_decade"),
+    ("scattering", "reflection_coefficients", "circle_n"),
+    ("scattering", "find_poles", "regions"),
+    ("scattering", "estimate_T", "zero_floor"),
+    ("solitons", "SingularBreatherError.__init__", "witness"),
+    ("solitons", "breather_constant_for_position", "x0"),
+    ("solitons", "breather_constant_for_position", "phase"),
+    ("verify", "round_trip", "lx"),
+    ("volterra", "_clipped_exp", "limit"),
+    ("volterra", "UnboundedExponentialError.__init__", "entry"),
+    ("volterra", "march_column", "want_traj"),
+    ("volterra", "march_column", "want_s"),
+    ("volterra", "march_column", "growth_ok"),
+}
+
+KEPT_FIELDS = {
+    ("scattering", "EigenfunctionBundle", name) for name in ("s", "sA", "s_defined", "sA_defined")
+} | {
+    ("scattering", "ScatteringData", name)
+    for name in ("gamma1", "r1_ray", "gamma4", "r2_ray", "circle", "r1_circle", "r2_circle",
+                 "poles", "residues", "time", "decay_report", "r1_fn", "r2_fn")
+} | {
+    ("solitons", "SolutionField", "v"),
+    ("solitons", "SolutionField", "n31"),
+    ("solitons", "SolutionField", "meta"),
+    ("verify", "ResidualReport", "interior"),
+    ("verify", "RoundTripReport", "details"),
+}
+
+
+def _is_dataclass(node):
+    return any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+
+
+def _init_false(value):
+    return isinstance(value, ast.Call) and any(
+        kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+        for kw in value.keywords
+    )
+
+
+def _defaults():
+    params, fields = set(), set()
+
+    def walk(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                named = positional[len(positional) - len(a.defaults):] + [
+                    arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None
+                ]
+                params.update((module, prefix + child.name, arg.arg) for arg in named)
+                walk(child, module, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                if _is_dataclass(child):
+                    fields.update(
+                        (module, prefix + child.name, st.target.id)
+                        for st in child.body
+                        if isinstance(st, ast.AnnAssign) and st.value is not None
+                        and not _init_false(st.value)
+                    )
+                walk(child, module, prefix + child.name + ".")
+            else:
+                walk(child, module, prefix)
+
+    for path in sorted(Path(boussinesq_ist.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text()), path.stem, "")
+    return params, fields
+
+
+def test_defaulted_parameters_are_the_kept_ones():
+    params, fields = _defaults()
+    assert sorted(params - KEPT) == [], "new defaulted parameter: add it to KEPT or make it a constant"
+    assert sorted(KEPT - params) == [], "a kept parameter is gone: drop it from KEPT"
+    assert sorted(fields ^ KEPT_FIELDS) == []
+
+
+def test_initial_data_takes_only_the_samples():
+    assert list(inspect.signature(sc.InitialData).parameters) == ["x", "u0", "v0"]

@@ -310,10 +310,11 @@ def test_breather_pole_recovery():
     assert abs(np.conj(dsa22) - ds11) < 1e-5 * abs(ds11)
 
 
-def test_find_poles_respects_pole_budget(soliton_data):
+def test_find_poles_respects_pole_budget(soliton_data, monkeypatch):
     data, _, _ = soliton_data
+    monkeypatch.setattr(sc, "MAX_POLES", 0)
     with pytest.raises(sc.TooManyPolesError):
-        sc.find_poles(data, max_poles=0)
+        sc.find_poles(data)
 
 
 def test_newton_reports_non_convergence(soliton_data, monkeypatch):

@@ -328,6 +328,21 @@ def test_condition_guard_covers_every_point(monkeypatch):
     assert np.all(np.isfinite(fld.u))
 
 
+def test_imaginary_part_refusal_names_its_point(monkeypatch):
+    k0 = 1.93185 + 0.51764j
+    c = sol.breather_constant_for_position(k0, 0.0)
+    grid = sol.Grid(np.linspace(-10, 10, 201), [0.0, 0.1, 0.2])
+    monkeypatch.setattr(sol, "IM_U_TOL", 0.0)
+    with pytest.raises(ArithmeticError, match=r"n_soliton u has imaginary part .* at \(x, t\) = ") as err:
+        sol.n_soliton([(k0, c)], grid)
+    entries = sol._expand_pole_system(sol.SolitonSpec.from_pairs([(k0, c)]))
+    _, n31_x, _ = sol._solve_residues(entries, grid.x[None, :], grid.t[:, None])
+    it, ix = np.unravel_index(np.argmax(np.abs((-1j * sp.SQRT3 * n31_x).imag)), n31_x.shape)
+    assert str(err.value).endswith(f"at (x, t) = ({grid.x[ix]:.6g}, {grid.t[it]:.6g})")
+    with pytest.raises(ArithmeticError, match=r"breather u has imaginary part .* at \(x, t\) = "):
+        sol.breather(k0, c, grid)
+
+
 def test_exactly_singular_system_is_near_singular_error():
     # two coupled images whose system is [[1, -1], [-1, 1]] at every point
     entries = [sol._PoleEntry(0.5, 1, 2, 1.0, 0.0, 0.0), sol._PoleEntry(-0.5, 2, 1, -1.0, 0.0, 0.0)]

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from boussinesq_ist import jumps as jp
+from boussinesq_ist import scattering as sc
+from boussinesq_ist import solitons as sol
 from boussinesq_ist import spectral as sp
 
 RNG = np.random.default_rng(2024)
@@ -233,3 +238,22 @@ def test_sector_labels_match_roots():
 def test_classify_rejects_zero():
     with pytest.raises(sp.DomainError):
         sp.classify(0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(st.floats(1.1, 4.0), st.floats(-0.9, -0.1)),
+    st.floats(-2.0, 2.0),
+)
+def test_every_layer_shares_the_real_axis_rule(re, frac):
+    # |Im k| spans both sides of the threshold 1e-9 max(1, |k|)
+    k = complex(re, frac * 1e-9 * max(1.0, abs(re)))
+    real = sp.on_real_axis(k)
+    c = sol.residue_constant_from_position(re, 0.0)
+    assert (sol.SolitonSpec.from_pairs([(k, c)]).poles[0].kind == "soliton") == real
+    real_sub = sp.classify(k).subregion in (sp.Subregion.REAL_RIGHT, sp.Subregion.REAL_LEFT)
+    assert real_sub == real
+    assert len(jp.circle_system([k], {k: c})) == (6 if real else 12)
+    evolved = sc.evolve_scattering(jp.reflectionless_data([k], {k: 1.0}), 1.0).residues[k]
+    partner = 2 if real else 3
+    assert evolved == np.exp((sp.eval_z(1, k) - sp.eval_z(partner, k)) * 1.0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,16 @@ def test_lax_compatibility_needs_an_interior(soliton_field):
     )
     with pytest.raises(ValueError, match="at least 3 time levels"):
         vf.lax_compatibility(two_levels, [1.3 + 0.4j])
+
+@pytest.mark.parametrize("levels, points", [(2, 101), (3, 5)])
+def test_system_residual_names_its_minimum_grid(soliton_field, levels, points):
+    fld = sol.SolutionField(soliton_field.x[:points], soliton_field.t[:levels],
+                            soliton_field.u[:levels, :points], v=soliton_field.v[:levels, :points])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="system check needs at least 3 time levels and 7 x-points"):
+            vf.system_residual(fld)
+
 
 def test_mass_conservation():
     c = sol.residue_constant_from_position(2.0, 0.0)
