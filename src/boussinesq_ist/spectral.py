@@ -232,18 +232,18 @@ class LaxMatrices:
     lam: complex
 
 
-def lax_tilde(k, u, ux, uxx, v, vx):
-    """Companion-form pair (L~, Z~) before conjugation by P(k), each of shape
-    ``np.broadcast(u, ux, uxx, v, vx).shape + (3, 3)``."""
-    la = lam(k)
-    shape = np.broadcast(u, ux, uxx, v, vx).shape + (3, 3)
-    lt = np.zeros(shape, dtype=complex)
+def _l_tilde(k, u, ux, uxx, v, vx):
+    lt = np.zeros(np.broadcast(u, ux, uxx, v, vx).shape + (3, 3), dtype=complex)
     lt[..., 0, 1] = 1.0
     lt[..., 1, 2] = 1.0
-    lt[..., 2, 0] = la / (12j * SQRT3) - ux / 4.0 - 1j * v / (4.0 * SQRT3)
+    lt[..., 2, 0] = lam(k) / (12j * SQRT3) - ux / 4.0 - 1j * v / (4.0 * SQRT3)
     lt[..., 2, 1] = -(1.0 + 2.0 * u) / 4.0
+    return lt
 
-    zt = np.zeros(shape, dtype=complex)
+
+def _z_tilde(k, u, ux, uxx, v, vx):
+    la = lam(k)
+    zt = np.zeros(np.broadcast(u, ux, uxx, v, vx).shape + (3, 3), dtype=complex)
     zt[..., 0, 0] = -1j * (1.0 + 2.0 * u) / (2.0 * SQRT3)
     zt[..., 0, 2] = -1j * SQRT3
     zt[..., 1, 0] = -la / 12.0 - 1j * ux / (4.0 * SQRT3) - v / 4.0
@@ -251,7 +251,13 @@ def lax_tilde(k, u, ux, uxx, v, vx):
     zt[..., 2, 0] = -1j * uxx / (4.0 * SQRT3) - vx / 4.0
     zt[..., 2, 1] = -la / 12.0 + 1j * ux / (4.0 * SQRT3) - v / 4.0
     zt[..., 2, 2] = 1j * (1.0 + 2.0 * u) / (4.0 * SQRT3)
-    return lt, zt
+    return zt
+
+
+def lax_tilde(k, u, ux, uxx, v, vx):
+    """Companion-form pair (L~, Z~) before conjugation by P(k), each of shape
+    ``np.broadcast(u, ux, uxx, v, vx).shape + (3, 3)``."""
+    return _l_tilde(k, u, ux, uxx, v, vx), _z_tilde(k, u, ux, uxx, v, vx)
 
 
 def build_lax(k, u, ux, uxx, v, vx) -> LaxMatrices:

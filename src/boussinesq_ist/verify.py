@@ -15,7 +15,7 @@ import numpy as np
 
 from boussinesq_ist import scattering as sc
 from boussinesq_ist import solitons as sol
-from boussinesq_ist.spectral import SQRT3, dist_to_qhat, eval_l, lax_tilde
+from boussinesq_ist.spectral import SQRT3, _l_tilde, _z_tilde, dist_to_qhat, eval_l, lax_tilde
 
 
 def fd_weights(order: int, offsets) -> np.ndarray:
@@ -196,8 +196,8 @@ def lax_compatibility(fld: sol.SolutionField, ks) -> float:
         for n in range(fld.t.size)[core[0]]:
             xs = core[1]
             lt, zt = lax_tilde(k, u[n, xs], ux[n, xs], uxx[n, xs], v[n, xs], vx[n, xs])
-            lt_t = lax_tilde(k, ut[n, xs], uxt[n, xs], 0.0, vt[n, xs], 0.0)[0] - l0
-            zt_x = lax_tilde(k, ux[n, xs], uxx[n, xs], uxxx[n, xs], vx[n, xs], vxx[n, xs])[1] - z0
+            lt_t = _l_tilde(k, ut[n, xs], uxt[n, xs], 0.0, vt[n, xs], 0.0) - l0
+            zt_x = _z_tilde(k, ux[n, xs], uxx[n, xs], uxxx[n, xs], vx[n, xs], vxx[n, xs]) - z0
             res = lt_t - zt_x + lt @ zt - zt @ lt
             worst = max(worst, float(np.max(np.abs(res))))
     return worst

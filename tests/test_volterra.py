@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boussinesq_ist import scattering as sc
+from boussinesq_ist import solitons as sol
 from boussinesq_ist import spectral as sp
 from boussinesq_ist import volterra as vt
 
@@ -70,6 +73,62 @@ def test_connection_entry_definedness():
     assert sdef[0, 0]  # diagonal entry of the stable column
     assert not sdef[:, 1].any()  # unstable column entirely masked
     assert np.all(np.isnan(s[:, 1]))
+
+
+@pytest.fixture(scope="module")
+def soliton_data():
+    # the k0 = 2 soliton on the default CLI grid, as in scatter --poles
+    grid = sol.Grid(np.linspace(-sol.DEFAULT_LX, sol.DEFAULT_LX, 6001), [0.0])
+    fld = sol.n_soliton([(2.0, sol.residue_constant_from_position(2.0, 0.0))], grid)
+    return sc.InitialData(grid.x, fld.u[0], fld.v[0])
+
+
+def _connection_columns(monkeypatch, data, ks, kind, block):
+    monkeypatch.setattr(vt, "DRESS_BLOCK", block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return [sc._march(data, ks, kind, col, want_s=True) for col in (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "kind, ks",
+    [
+        ("X", sc.gamma1_samples()[::4]),
+        ("XA", sc.gamma4_samples()[::4]),
+        ("X", sc.circle_samples(192)),
+        ("XA", sc.circle_samples(192)),
+    ],
+    ids=["X-gamma1", "XA-gamma4", "X-circle", "XA-circle"],
+)
+def test_blocked_dressing_matches_the_exact_dressing(monkeypatch, soliton_data, kind, ks):
+    # anchors every DRESS_BLOCK steps against an exact exp at every step
+    blocked = _connection_columns(monkeypatch, soliton_data, ks, kind, vt.DRESS_BLOCK)
+    exact = _connection_columns(monkeypatch, soliton_data, ks, kind, 1)
+    for j, (new, ref) in enumerate(zip(blocked, exact)):
+        assert np.array_equal(new["s_defined"], ref["s_defined"])
+        scale = np.abs(ref["s"][:, j : j + 1])
+        dev = np.where(ref["s_defined"], np.abs(new["s"] - ref["s"]), 0.0)
+        assert np.all(dev <= 1e-12 * scale)
+    assert np.array_equal(blocked[0]["s"][:, 0], exact[0]["s"][:, 0])  # delta = 0
+
+
+def test_clipping_samples_keep_the_exact_dressing(monkeypatch, soliton_data):
+    # on the outer gamma1 ray, |Re rate| (max|x| + DRESS_BLOCK h) reaches
+    # EXP_CLIP from |k| ~ 35; at |k| = 100 the dressing itself saturates, and
+    # at |k| = 2e4 a table entry exp(rate r h), r < DRESS_BLOCK, would overflow
+    ks = np.array([-2e4j, -100j, -50j, -3j, 0.5j, np.exp(0.45j)])
+    ls = sp.eval_l_all(ks)
+    rate = np.abs((ls - ls[:, :1]).real).max(axis=1)
+    reach = rate * (np.max(np.abs(soliton_data.x)) + vt.DRESS_BLOCK * soliton_data.hx)
+    assert list(reach >= vt.EXP_CLIP) == [True, True, True, False, False, False]
+    assert reach[1] > 2 * vt.EXP_CLIP and rate[0] * (vt.DRESS_BLOCK - 1) * soliton_data.hx > 710
+    blocked = _connection_columns(monkeypatch, soliton_data, ks, "X", vt.DRESS_BLOCK)
+    exact = _connection_columns(monkeypatch, soliton_data, ks, "X", 1)
+    for new, ref in zip(blocked, exact):
+        assert np.array_equal(new["s"][:3], ref["s"][:3], equal_nan=True)
+        assert np.array_equal(new["s_defined"], ref["s_defined"])
+        # only those samples take the exact path: the others round differently
+        assert not any(np.array_equal(new["s"][i], ref["s"][i]) for i in (3, 4, 5))
 
 
 def _dense_march(x, n1, n2, k, col, kind):
