@@ -10,7 +10,6 @@ from boussinesq_ist import scattering  # noqa: E402
 from boussinesq_ist import jumps  # noqa: E402
 from boussinesq_ist import verify  # noqa: E402
 from boussinesq_ist import fileio  # noqa: E402
-from boussinesq_ist import cli  # noqa: E402
 
 __all__ = [
     "spectral",
@@ -20,5 +19,4 @@ __all__ = [
     "jumps",
     "verify",
     "fileio",
-    "cli",
 ]

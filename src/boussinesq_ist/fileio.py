@@ -76,7 +76,7 @@ def read_field(path: str) -> SolutionField:
     return SolutionField(xs, ts, u, v=v, meta={"source": os.path.basename(path)})
 
 
-def write_contour(path: str, ks, values, command: str, params: dict, param_name="modulus"):
+def write_contour(path: str, ks, values, command: str, params: dict, param_name: str):
     ks = np.asarray(ks)
     values = np.asarray(values)
     par = np.abs(ks) if param_name == "modulus" else np.angle(ks)

@@ -1,6 +1,6 @@
 """Jump matrices on the nine contour pieces and on the pole-removal circles,
-the scalar arc weight f with its log-densities, and a generator of synthetic
-admissible reflection data for property tests.
+the scalar arc weight f, and a generator of synthetic admissible reflection
+data for the jump-matrix property battery.
 
 The nine pieces live on six rays and three unit-circle arc families; the
 circle jumps remove simple poles and extend to the full circle system by the
@@ -10,7 +10,6 @@ rotation and inversion symmetries of the reconstruction problem.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,17 +57,8 @@ class NearPoleError(ValueError):
     """An entry needs the second reflection coefficient too close to its pole."""
 
 
-class InequalityViolatedError(ArithmeticError):
-    """A log-density hit a nonpositive argument."""
-
-    def __init__(self, msg, k=None):
-        super().__init__(msg)
-        self.k = k
-
-
-def sample_segment(j: int, n: int, rng=None):
-    """Deterministic (or rng-driven) points on contour piece j."""
-    rng = np.random.default_rng(0) if rng is None else rng
+def sample_segment(j: int, n: int, rng):
+    """n points on contour piece j drawn with the generator rng."""
     if j in _RAY_ANGLES:
         inner, outer = _RAY_ANGLES[j]
         r_in = rng.uniform(0.15, 0.9, size=(n + 1) // 2)
@@ -111,43 +101,6 @@ def arc_weight(sd: ScatteringData, k) -> complex:
     z = 1.0 / (OMEGA**2 * k)
     _require_r2_ok([k, z])
     return 1.0 + sd.eval_r1(k) * sd.eval_r2(k) + sd.eval_r1(z) * sd.eval_r2(z)
-
-
-def f_function(sd: ScatteringData, k) -> float:
-    """Arc weight as a real number; pure numerical imaginary parts are cut."""
-    val = complex(arc_weight(sd, k))
-    if abs(val.imag) > 1e-8:
-        raise InequalityViolatedError(
-            f"arc weight has imaginary part {val.imag:.3e} at {k}", k=k
-        )
-    return val.real
-
-
-def nu_functions(sd: ScatteringData, k):
-    """The four log-densities and the two sign-definite combinations.
-
-    Returns (nu1, nu2, nu3, nu4, nuhat1, nuhat2); raises when a logarithm
-    argument fails to be positive.
-    """
-    k = complex(k)
-
-    def safe_log(val, what):
-        val = complex(val)
-        if abs(val.imag) > 1e-8 or val.real <= 0.0:
-            raise InequalityViolatedError(
-                f"inequality violated: {what} = {val:.6e} at k = {k}", k=k
-            )
-        return math.log(val.real)
-
-    p1 = 1.0 + sd.eval_r1(OMEGA * k) * sd.eval_r2(OMEGA * k)
-    p2 = 1.0 + sd.eval_r1(OMEGA**2 * k) * sd.eval_r2(OMEGA**2 * k)
-    nu1 = -safe_log(p1, "1 + r1 r2 (rotated once)") / (2 * np.pi)
-    nu2 = -safe_log(p2, "1 + r1 r2 (rotated twice)") / (2 * np.pi)
-    nu3 = -safe_log(arc_weight(sd, OMEGA * k), "arc weight (rotated once)") / (2 * np.pi)
-    nu4 = -safe_log(arc_weight(sd, OMEGA**2 * k), "arc weight (rotated twice)") / (
-        2 * np.pi
-    )
-    return nu1, nu2, nu3, nu4, nu3 - nu1, nu2 + nu3 - nu4
 
 
 # ----------------------------------------------------------------------------
@@ -258,32 +211,6 @@ def _q7(k0, c, x, t, k):
     return v
 
 
-def named_circle_jump(name: str, k0, c, x, t, k):
-    """The explicitly displayed pole-removal matrices, by name."""
-    w = OMEGA
-    if name == "Q1":
-        return _removal(3, k0, c, x, t, k)
-    if name == "Q7":
-        return _q7(k0, c, x, t, k)
-    if name == "P1":
-        return _removal(2, k0, c, x, t, k)
-    if name == "Q2":
-        return _AI @ _removal(3, k0, c, x, t, w**2 * k) @ _A
-    if name == "Q5":
-        return _B @ _AI @ np.linalg.inv(_removal(3, k0, c, x, t, 1.0 / (w * k))) @ _A @ _B
-    if name == "Q11":
-        from boussinesq_ist.spectral import r_matrix
-
-        r = r_matrix(k)
-        inner = np.conj(np.linalg.inv(named_circle_jump("Q5", k0, c, x, t, np.conj(k))))
-        return r @ inner.T @ np.linalg.inv(r)
-    if name == "P5":
-        return _B @ _AI @ np.linalg.inv(_removal(2, k0, c, x, t, 1.0 / (w * k))) @ _A @ _B
-    if name == "P6":
-        return _B @ _A @ np.linalg.inv(_removal(2, k0, c, x, t, 1.0 / (w**2 * k))) @ _AI @ _B
-    raise ValueError(f"unknown pole-removal matrix {name}")
-
-
 @dataclass(frozen=True)
 class Circle:
     """One pole-removal circle: geometric data plus its symmetry coordinates."""
@@ -377,7 +304,7 @@ def _window(s):
     return np.sin(np.pi * s) ** 2
 
 
-def synthetic_scattering_data(seed: int = 0) -> ScatteringData:
+def synthetic_scattering_data(seed: int) -> ScatteringData:
     """Reflection data satisfying the two admissibility relations exactly.
 
     Free smooth values are drawn on three of the six 60-degree arcs; the
@@ -455,12 +382,3 @@ def synthetic_scattering_data(seed: int = 0) -> ScatteringData:
 
     return ScatteringData(r1_fn=r1_fn, r2_fn=r2_fn)
 
-
-def reflectionless_data(poles=(), residues=None) -> ScatteringData:
-    """Zero reflection with an optional pole set."""
-    return ScatteringData(
-        r1_fn=lambda k: np.zeros(np.shape(k), dtype=complex),
-        r2_fn=lambda k: np.zeros(np.shape(k), dtype=complex),
-        poles=tuple(poles),
-        residues=dict(residues or {}),
-    )

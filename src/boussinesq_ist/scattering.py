@@ -1,5 +1,6 @@
-"""Direct scattering map: eigenfunctions, connection matrices, reflection
-coefficients, the pole spectrum, and residue constants.
+"""Direct scattering map: initial data, connection matrices, reflection
+coefficients, the pole spectrum, residue constants, and the explicit time
+evolution of the scattering data.
 
 The eigenfunction columns are marched by the product-integration engine in
 :mod:`boussinesq_ist.volterra`; everything else is assembled from those
@@ -53,6 +54,11 @@ DEFAULT_REGIONS = (
 
 class ZeroOnContourError(ValueError):
     """The (1,1) connection entry vanishes at a contour sample."""
+
+
+class UndefinedEntryError(ArithmeticError):
+    """A connection entry that a reflection coefficient divides is undefined:
+    its dressing grows across the window, so the integral does not converge."""
 
 
 class WindingError(ArithmeticError):
@@ -176,16 +182,13 @@ def _plan(kbatch):
     return k, ls, potential_factor(ls)
 
 
-def _march(data: InitialData, kbatch, kind, col, want_traj=False, want_s=False,
-           growth_ok=False):
+def _march(data: InitialData, kbatch, kind, col, want_traj=False, want_s=False):
     k, ls, c = _plan(kbatch)
     n1, n2 = data.potential_scalars
     # trajectories span the whole grid; other results need only the support
     sl = slice(0, data.x.size) if want_traj else data.support_slice()
-    res = vt.march_column(
-        data.x[sl], n1[sl], n2[sl], c, ls, col, kind,
-        want_traj=want_traj, want_s=want_s, growth_ok=growth_ok,
-    )
+    res = vt.march_column(data.x[sl], n1[sl], n2[sl], c, ls, col, kind,
+                          want_traj=want_traj, want_s=want_s)
     res["k"] = k
     return res
 
@@ -193,56 +196,6 @@ def _march(data: InitialData, kbatch, kind, col, want_traj=False, want_s=False,
 def _traj(data: InitialData, k, kind, col):
     """(nx, 3) trajectory of one eigenfunction column at a single k."""
     return _march(data, [k], kind, col, want_traj=True)["traj"][:, 0, :]
-
-
-@dataclass
-class EigenfunctionBundle:
-    """Trajectories of the four eigenfunctions at one k, with the per-column
-    definedness masks and the connection matrices where they exist."""
-
-    k: complex
-    x: np.ndarray
-    X: np.ndarray
-    XA: np.ndarray
-    Y: np.ndarray
-    YA: np.ndarray
-    defined: dict
-    s: np.ndarray | None = None
-    sA: np.ndarray | None = None
-    s_defined: np.ndarray | None = None
-    sA_defined: np.ndarray | None = None
-
-
-def solve_volterra(data: InitialData, k: complex, which: str):
-    """Matrix sequence of one eigenfunction over the grid.
-
-    Columns whose dressing grows along the march are NaN-filled and reported
-    in the accompanying mask rather than trusted.
-    """
-    if which not in vt.KINDS:
-        raise ValueError("which must be one of X, XA, Y, YA")
-    nx = data.x.size
-    out = np.full((nx, 3, 3), np.nan, dtype=complex)
-    mask = np.zeros(3, dtype=bool)
-    _, ls, _ = _plan([k])
-    for col in (1, 2, 3):
-        if not vt.column_stability(ls, col, which)[0]:
-            continue
-        out[:, :, col - 1] = _traj(data, k, which, col)
-        mask[col - 1] = True
-    return out, mask
-
-
-def eigenfunction_bundle(data: InitialData, k: complex) -> EigenfunctionBundle:
-    mats = {}
-    masks = {}
-    for kind in ("X", "XA", "Y", "YA"):
-        mats[kind], masks[kind] = solve_volterra(data, k, kind)
-    s, sa, sdef, sadef = scattering_matrices(data, k)
-    return EigenfunctionBundle(
-        complex(k), data.x, mats["X"], mats["XA"], mats["Y"], mats["YA"],
-        masks, s, sa, sdef, sadef,
-    )
 
 
 def scattering_matrices(data: InitialData, k: complex):
@@ -270,11 +223,25 @@ def scattering_matrices(data: InitialData, k: complex):
     return s, sa, sdef, sadef
 
 
-def _s_entry_batch(data: InitialData, ks, kind: str, col: int, row: int,
-                   growth_ok=False):
+def _s_entry_batch(data: InitialData, ks, kind: str, col: int, row: int):
     """One connection-matrix entry over a k batch (kind "X" -> s, "XA" -> sA)."""
-    res = _march(data, ks, kind, col, want_s=True, growth_ok=growth_ok)
+    res = _march(data, ks, kind, col, want_s=True)
     return res["s"][:, row - 1], res["s_defined"][:, row - 1]
+
+
+def _row1_entries(data: InitialData, ks, kind: str):
+    """The (1,1) and (1,2) entries of s (kind "X") or sA (kind "XA") over a k
+    batch; UndefinedEntryError names the first sample where one is undefined."""
+    out = []
+    for col in (1, 2):
+        val, defined = _s_entry_batch(data, ks, kind, col, 1)
+        if not np.all(defined):
+            name = "s" if kind == "X" else "sA"
+            raise UndefinedEntryError(
+                f"connection entry {name}_1{col} is undefined at sample {ks[~defined][0]}"
+            )
+        out.append(val)
+    return out
 
 
 def s11_batch(data: InitialData, ks):
@@ -285,21 +252,6 @@ def s11_batch(data: InitialData, ks):
 def _adjugate_cross(data: InitialData, k):
     """Cross product of the adjugate columns YA_1 x XA_2 along the grid."""
     return np.cross(_traj(data, k, "YA", 1), _traj(data, k, "XA", 2))
-
-
-def m2_matrix(data: InitialData, k: complex):
-    """The sectionally analytic 3x3 matrix on the pole sector, assembled from
-    eigenfunction columns and connection entries; det = 1 where defined."""
-    x1 = _traj(data, k, "X", 1)
-    y2 = _traj(data, k, "Y", 2)
-    w = _adjugate_cross(data, k)
-    s11 = s11_batch(data, [k])[0]
-    sa22, _ = _s_entry_batch(data, [k], "XA", 2, 2)
-    out = np.empty((data.x.size, 3, 3), dtype=complex)
-    out[:, :, 0] = x1
-    out[:, :, 1] = y2 / sa22[0]
-    out[:, :, 2] = w / s11
-    return out
 
 
 # ----------------------------------------------------------------------------
@@ -450,7 +402,8 @@ def reflection_coefficients(
 ) -> ScatteringData:
     """Sample r1 on its ray contour and the circle, r2 likewise.
 
-    Raises ZeroOnContourError when the (1,1) entries vanish at a sample, and
+    Raises ZeroOnContourError when the (1,1) entries vanish at a sample and
+    UndefinedEntryError when an entry of the ratio is undefined there, and
     attaches a rapid-decay report for the ray tails.
     """
     g1k = gamma1_samples(per_decade)
@@ -459,8 +412,7 @@ def reflection_coefficients(
 
     # entry ratio: the (1,2) entry over the (1,1) entry of the connection matrix
     def r_values(kind, ks):
-        den, _ = _s_entry_batch(data, ks, kind, 1, 1)
-        num, _ = _s_entry_batch(data, ks, kind, 2, 1)
+        den, num = _row1_entries(data, ks, kind)
         if np.any(np.abs(den) < 1e-10):
             bad = ks[np.abs(den) < 1e-10][0]
             raise ZeroOnContourError(
@@ -515,8 +467,7 @@ def reflection_floor(data: InitialData) -> float:
     m = np.logspace(-1.5, 1.5, 50)
     m = m[~on_unit_circle(m)]
     ks = np.where(m < 1.0, 1j * m, -1j * m)
-    den, _ = _s_entry_batch(data, ks, "X", 1, 1)
-    num, _ = _s_entry_batch(data, ks, "X", 2, 1)
+    den, num = _row1_entries(data, ks, "X")
     return float(np.max(np.abs(num / den)))
 
 
@@ -721,14 +672,6 @@ def residue_constant(data: InitialData, k0: complex):
             f"linear dependence violated: fit residual {resid:.3e} > {FIT_TOL:g}"
         )
     return c, resid
-
-
-def residue_constant_compact(data: InitialData, k0: complex):
-    """Compact-support shortcut -s_12/sdot_11 (real k0) or -s_13/sdot_11."""
-    k0 = complex(k0)
-    ds11 = _s11_derivative(data, k0)
-    num, _ = _s_entry_batch(data, [k0], "X", 2 if on_real_axis(k0) else 3, 1, growth_ok=True)
-    return -num[0] / ds11
 
 
 # ----------------------------------------------------------------------------

@@ -185,18 +185,6 @@ def derived_conjugate_constant(k0: complex, c: complex) -> complex:
 
 
 # ----------------------------------------------------------------------------
-# dressed residue coefficients
-# ----------------------------------------------------------------------------
-
-
-def dressed_e(k0, c, x, t):
-    """E(x,t) = c * exp(-theta_21(x,t,k0)); real-positive dressing for real k0."""
-    rx = eval_l(1, k0) - eval_l(2, k0)
-    rt = eval_z(1, k0) - eval_z(2, k0)
-    return c * np.exp(rx * x + rt * t)
-
-
-# ----------------------------------------------------------------------------
 # one-soliton
 # ----------------------------------------------------------------------------
 
@@ -321,17 +309,6 @@ def h_indicator(k0: complex) -> float:
     if abs(den) < 1e-300:
         raise DomainError("indicator has poles on |k0| = 1 and the sector boundary")
     return (ki + SQRT3 * kr) ** 2 * (1.0 + r2 + r2**2) / den
-
-
-def h_radial(r: float) -> float:
-    """(r^4 + r^2 + 1) / (r^2 - 1)^2, the |k0|-factor of the indicator."""
-    return (r**4 + r**2 + 1.0) / (r**2 - 1.0) ** 2
-
-
-def h_angular(alpha: float) -> float:
-    """Angular factor of the indicator."""
-    s, co = np.sin(alpha), np.cos(alpha)
-    return (s + SQRT3 * co) ** 2 / (2.0 * s * (SQRT3 * co - s))
 
 
 def det_i_minus_a(k0: complex, c: complex, x, t):

@@ -1,9 +1,10 @@
 """Spectral-plane primitives shared by every other layer.
 
 Exact root-of-unity constants, the three exponential phase rates ``l_j`` /
-``z_j`` and their phase differences ``theta_ij``, the Vandermonde change of
-basis ``P(k)``, the Lax-pair matrices, the permutation symmetries, and the
-geometry of the six sectors of the complex spectral plane with their
+``z_j`` and their phase differences ``theta_ij``, the permutation and
+conjugation symmetries, the potential entries with the factor ``c = P^-1 e3``
+of the Vandermonde change of basis ``P(k)``, the companion-form Lax pair, and
+the geometry of the six sectors of the complex spectral plane with their
 regular/singular subregions.
 
 All functions are pure and accept numpy-broadcastable complex input where it
@@ -40,19 +41,6 @@ class DomainError(ValueError):
     """Input lies outside the domain of the requested spectral quantity."""
 
 
-@dataclass(frozen=True)
-class UnityRoots:
-    """The cube root ``omega``, the six sixth roots, and their union with 0."""
-
-    omega: complex
-    kappa: tuple
-    qhat: tuple
-
-
-def unity_roots() -> UnityRoots:
-    return UnityRoots(OMEGA, KAPPA, QHAT)
-
-
 def _check_nonzero(k):
     if np.any(np.asarray(k) == 0):
         raise DomainError("spectral parameter k must be nonzero")
@@ -76,11 +64,6 @@ def eval_l_all(k):
     """Stack (l_1, l_2, l_3)(k) along the last axis."""
     k = np.asarray(k, dtype=complex)
     return np.stack([eval_l(j, k) for j in (1, 2, 3)], axis=-1)
-
-
-def eval_z_all(k):
-    k = np.asarray(k, dtype=complex)
-    return np.stack([eval_z(j, k) for j in (1, 2, 3)], axis=-1)
 
 
 def eval_theta(i: int, j: int, x, t, k):
@@ -158,35 +141,8 @@ def dist_to_gamma(k):
 
 
 # ----------------------------------------------------------------------------
-# Vandermonde basis and Lax matrices
+# Potential and Lax pair
 # ----------------------------------------------------------------------------
-
-
-def vandermonde(k):
-    """P(k): columns (1, l_j, l_j^2)."""
-    ls = eval_l_all(k)
-    out = np.empty(ls.shape[:-1] + (3, 3), dtype=complex)
-    out[..., 0, :] = 1.0
-    out[..., 1, :] = ls
-    out[..., 2, :] = ls**2
-    return out
-
-
-def vandermonde_det(k):
-    """det P(k) = (l2-l1)(l3-l1)(l3-l2)."""
-    ls = eval_l_all(k)
-    l1, l2, l3 = ls[..., 0], ls[..., 1], ls[..., 2]
-    return (l2 - l1) * (l3 - l1) * (l3 - l2)
-
-
-def vandermonde_inv(k):
-    """P(k)^-1; refuses evaluation close to the sixth roots of unity."""
-    if np.any(dist_to_qhat(k) < QHAT_EXCLUSION):
-        raise DomainError(
-            f"P(k) is singular near the sixth roots of unity "
-            f"(need dist >= {QHAT_EXCLUSION:g})"
-        )
-    return np.linalg.inv(vandermonde(k))
 
 
 def potential_entries(u, ux, v):
@@ -205,31 +161,6 @@ def potential_factor(ls):
     l1, l2, l3 = ls[..., 0], ls[..., 1], ls[..., 2]
     d12, d13, d23 = l1 - l2, l1 - l3, l2 - l3
     return np.stack([1.0 / (d12 * d13), -1.0 / (d12 * d23), 1.0 / (d13 * d23)], axis=-1)
-
-
-def potential_generators(k):
-    """G1 = P^-1 E31 P = c (1,1,1)^T and G2 = P^-1 E32 P = c (l1,l2,l3)^T.
-
-    The conjugated potential is U(x,k) = n1(x) G1(k) + n2(x) G2(k); it is
-    nilpotent of order two. The march applies it through the factor c alone
-    (:func:`potential_factor`); the dense pair states the paper's identity.
-    """
-    ls = eval_l_all(k)
-    c = potential_factor(ls)[..., :, None]
-    return c * np.ones_like(ls)[..., None, :], c * ls[..., None, :]
-
-
-@dataclass(frozen=True)
-class LaxMatrices:
-    """Both members of the Lax pair at a point (k; u, ux, uxx, v, vx)."""
-
-    L: np.ndarray
-    Z: np.ndarray
-    calL: np.ndarray
-    calZ: np.ndarray
-    U: np.ndarray
-    V: np.ndarray
-    lam: complex
 
 
 def _l_tilde(k, u, ux, uxx, v, vx):
@@ -258,21 +189,6 @@ def lax_tilde(k, u, ux, uxx, v, vx):
     """Companion-form pair (L~, Z~) before conjugation by P(k), each of shape
     ``np.broadcast(u, ux, uxx, v, vx).shape + (3, 3)``."""
     return _l_tilde(k, u, ux, uxx, v, vx), _z_tilde(k, u, ux, uxx, v, vx)
-
-
-def build_lax(k, u, ux, uxx, v, vx) -> LaxMatrices:
-    """Conjugated Lax pair L = P^-1 L~ P, Z = P^-1 Z~ P and the residues
-    U = L - diag(l), V = Z - diag(z)."""
-    k = complex(k)
-    _check_nonzero(k)
-    p = vandermonde(k)
-    pinv = vandermonde_inv(k)
-    lt, zt = lax_tilde(k, u, ux, uxx, v, vx)
-    big_l = pinv @ lt @ p
-    big_z = pinv @ zt @ p
-    cal_l = np.diag(eval_l_all(k))
-    cal_z = np.diag(eval_z_all(k))
-    return LaxMatrices(big_l, big_z, cal_l, cal_z, big_l - cal_l, big_z - cal_z, lam(k))
 
 
 # ----------------------------------------------------------------------------
@@ -313,10 +229,6 @@ class SpectralPoint:
     sector: Sector
     subregion: Subregion
 
-    @property
-    def on_contour(self) -> bool:
-        return self.sector is Sector.ON_CONTOUR
-
 
 def classify(k) -> SpectralPoint:
     """Assign the sector D1..D6 and, inside D2, the finer subregion.
@@ -348,16 +260,3 @@ def classify(k) -> SpectralPoint:
             sub = Subregion.REG_L if k.imag < 0 else Subregion.SING_L
     return SpectralPoint(k, sector, sub)
 
-
-def sector_after_rotation(sector: Sector) -> Sector:
-    """Sector containing omega*k when k lies in ``sector`` (n -> n+2 mod 6)."""
-    if sector is Sector.ON_CONTOUR:
-        return sector
-    return Sector((sector.value + 2 - 1) % 6 + 1)
-
-
-def sector_after_inversion(sector: Sector) -> Sector:
-    """Sector containing 1/k when k lies in ``sector`` (n -> 7 - n)."""
-    if sector is Sector.ON_CONTOUR:
-        return sector
-    return Sector(7 - sector.value)

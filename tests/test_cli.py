@@ -1,5 +1,8 @@
 import json
+import re
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +203,17 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "e" / "solution.csv").exists()
+    assert b"RuntimeWarning" not in proc.stderr
+
+
+def test_readme_commands_run_as_written(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```bash\n(.*?)```", readme, re.S)
+    lines = [ln for b in blocks for ln in b.splitlines() if ln.startswith("boussinesq-ist ")]
+    assert len(lines) == 8  # one per subcommand
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
 
 
 def test_help_exits_clean():

@@ -1,9 +1,11 @@
-"""Inventory of the defaulted parameters in the package.
+"""Inventory of the defaulted parameters and of the public names in the package.
 
 Every parameter with a default value, and every defaulted field of a
 dataclass, is listed below as (module, function or class, name). A default
 that no caller varies is a constant in disguise, so a new one needs a
-deliberate edit here.
+deliberate edit here. Likewise every public top-level name must be reached
+from the command line; the few that only the acceptance battery uses are
+listed in ACCEPTANCE_ONLY.
 """
 
 import ast
@@ -15,16 +17,8 @@ from boussinesq_ist import scattering as sc
 
 KEPT = {
     ("cli", "main", "argv"),
-    ("fileio", "write_contour", "param_name"),
-    ("jumps", "InequalityViolatedError.__init__", "k"),
-    ("jumps", "sample_segment", "rng"),
-    ("jumps", "synthetic_scattering_data", "seed"),
-    ("jumps", "reflectionless_data", "poles"),
-    ("jumps", "reflectionless_data", "residues"),
     ("scattering", "_march", "want_traj"),
     ("scattering", "_march", "want_s"),
-    ("scattering", "_march", "growth_ok"),
-    ("scattering", "_s_entry_batch", "growth_ok"),
     ("scattering", "ray_moduli", "per_decade"),
     ("scattering", "gamma1_samples", "per_decade"),
     ("scattering", "gamma4_samples", "per_decade"),
@@ -45,8 +39,6 @@ KEPT = {
 }
 
 KEPT_FIELDS = {
-    ("scattering", "EigenfunctionBundle", name) for name in ("s", "sA", "s_defined", "sA_defined")
-} | {
     ("scattering", "ScatteringData", name)
     for name in ("gamma1", "r1_ray", "gamma4", "r2_ray", "circle", "r1_circle", "r2_circle",
                  "poles", "residues", "time", "decay_report", "r1_fn", "r2_fn")
@@ -56,6 +48,14 @@ KEPT_FIELDS = {
     ("solitons", "SolutionField", "meta"),
     ("verify", "ResidualReport", "interior"),
     ("verify", "RoundTripReport", "details"),
+}
+
+
+#: public names that only tests/test_acceptance.py imports
+ACCEPTANCE_ONLY = {
+    ("scattering", "scattering_matrices"),
+    ("spectral", "r_matrix"),
+    ("jumps", "segment_of_circle_point"),
 }
 
 
@@ -109,3 +109,35 @@ def test_defaulted_parameters_are_the_kept_ones():
 
 def test_initial_data_takes_only_the_samples():
     assert list(inspect.signature(sc.InitialData).parameters) == ["x", "u0", "v0"]
+
+
+def _loaded_names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def test_every_public_name_is_reached_from_the_cli():
+    # A static name graph: a top-level def or class reaches every name its
+    # body mentions, and module statements outside defs run on import, so
+    # they are roots. Names are matched without their module, which can only
+    # over-report reach.
+    edges, roots, public = {}, {"main"}, set()
+    for path in sorted(Path(boussinesq_ist.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                edges.setdefault(node.name, set()).update(_loaded_names(node))
+                defined = {node.name}
+            else:
+                roots |= _loaded_names(node)
+                defined = {n.id for n in ast.walk(node)
+                           if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            public |= {(path.stem, name) for name in defined if not name.startswith("_")}
+    reached, todo = set(roots), list(roots)
+    while todo:
+        new = edges.get(todo.pop(), set()) - reached
+        reached |= new
+        todo.extend(new)
+    unreached = {(module, name) for module, name in public if name not in reached}
+    assert sorted(unreached - ACCEPTANCE_ONLY) == [], "no command reaches these: delete them or move them to tests/"
+    assert sorted(ACCEPTANCE_ONLY - unreached) == [], "a listed name is now reached or gone: drop it"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from boussinesq_ist import scattering as sc
 from boussinesq_ist import solitons as sol
 from boussinesq_ist import spectral as sp
 from boussinesq_ist import volterra as vt
+
+import paper_identities as pi
 
 W = sp.OMEGA
 
@@ -72,7 +76,7 @@ def test_initial_data_decay_warning():
 def test_zero_data_gives_identity_everywhere():
     x = np.linspace(-10, 10, 401)
     zero = sc.InitialData(x, np.zeros_like(x), np.zeros_like(x))
-    traj, mask = sc.solve_volterra(zero, 1.4 + 0.2j, "X")
+    traj, mask = pi.solve_volterra(zero, 1.4 + 0.2j, "X")
     assert mask[0]
     assert np.nanmax(np.abs(traj - np.eye(3))) == 0.0
     s, sa, sdef, sadef = sc.scattering_matrices(zero, np.exp(0.7j))
@@ -82,24 +86,24 @@ def test_zero_data_gives_identity_everywhere():
 
 def test_unimodular_eigenfunction_on_circle(gauss):
     k = np.exp(0.4j)
-    traj, mask = sc.solve_volterra(gauss, k, "X")
+    traj, mask = pi.solve_volterra(gauss, k, "X")
     assert mask.all()
     np.testing.assert_allclose(np.linalg.det(traj), 1.0, atol=1e-10)
     # normalized at the right infinity
     np.testing.assert_allclose(traj[-1], np.eye(3), atol=1e-12)
-    trajy, _ = sc.solve_volterra(gauss, k, "Y")
+    trajy, _ = pi.solve_volterra(gauss, k, "Y")
     np.testing.assert_allclose(trajy[0], np.eye(3), atol=1e-12)
 
 
 def test_column_masks_in_pole_sector(gauss):
     # ordering of the three rates in the pole sector: l1 < l3 < l2 (real parts)
-    _, mask = sc.solve_volterra(gauss, 1.8 + 0.3j, "X")
+    _, mask = pi.solve_volterra(gauss, 1.8 + 0.3j, "X")
     assert mask.tolist() == [True, False, False]
-    _, mask = sc.solve_volterra(gauss, 1.8 + 0.3j, "XA")
+    _, mask = pi.solve_volterra(gauss, 1.8 + 0.3j, "XA")
     assert mask.tolist() == [False, True, False]
-    _, mask = sc.solve_volterra(gauss, 1.8 + 0.3j, "Y")
+    _, mask = pi.solve_volterra(gauss, 1.8 + 0.3j, "Y")
     assert mask.tolist() == [False, True, False]
-    _, mask = sc.solve_volterra(gauss, 1.8 + 0.3j, "YA")
+    _, mask = pi.solve_volterra(gauss, 1.8 + 0.3j, "YA")
     assert mask.tolist() == [True, False, False]
 
 
@@ -115,8 +119,8 @@ def test_unbounded_exponential_error_names_entry(gauss):
 def test_eigenfunction_rotation_symmetry(gauss):
     # X(x, k) = A X(x, w k) A^-1 on the unit circle where all columns exist
     k = np.exp(0.35j)
-    xa, _ = sc.solve_volterra(gauss, k, "X")
-    xb, _ = sc.solve_volterra(gauss, W * k, "X")
+    xa, _ = pi.solve_volterra(gauss, k, "X")
+    xb, _ = pi.solve_volterra(gauss, W * k, "X")
     conj = np.einsum("ij,xjl,lm->xim", sp.MAT_A, xb, np.linalg.inv(sp.MAT_A))
     assert np.max(np.abs(xa - conj)) < 1e-10
 
@@ -161,19 +165,21 @@ def test_conjugate_derivative_relation(soliton_data):
 
 
 def test_m2_is_unimodular(gauss):
-    m2 = sc.m2_matrix(gauss, 2.0 + 0.3j)
+    m2 = pi.m2_matrix(gauss, 2.0 + 0.3j)
     np.testing.assert_allclose(np.linalg.det(m2), 1.0, atol=1e-10)
 
 
 def test_eigenfunction_bundle(gauss):
+    # on the circle all four eigenfunctions and both connection matrices exist
     k = np.exp(0.4j)
-    b = sc.eigenfunction_bundle(gauss, k)
-    assert all(b.defined[kind].all() for kind in ("X", "XA", "Y", "YA"))
-    np.testing.assert_allclose(b.X[-1], np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(b.Y[0], np.eye(3), atol=1e-12)
-    assert b.s_defined.all()
-    s_direct, _, _, _ = sc.scattering_matrices(gauss, k)
-    np.testing.assert_allclose(b.s, s_direct, atol=1e-12)
+    mats = {}
+    for kind in ("X", "XA", "Y", "YA"):
+        mats[kind], mask = pi.solve_volterra(gauss, k, kind)
+        assert mask.all()
+    np.testing.assert_allclose(mats["X"][-1], np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(mats["Y"][0], np.eye(3), atol=1e-12)
+    _, _, sdef, sadef = sc.scattering_matrices(gauss, k)
+    assert sdef.all() and sadef.all()
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +197,23 @@ def test_reflection_decay_report(gauss_sd):
     assert all(np.isfinite(v) for v in rep.values())
     # the outer tail decays to the quadrature noise floor
     assert gauss_sd.decay_report["r1"]["tail_max"] < 1e-4
+
+
+def test_undefined_ratio_entry_is_a_numeric_error(gauss, monkeypatch):
+    # an undefined (1,2) entry at one sample must not pass into r1 or the floor
+    march = sc._s_entry_batch
+
+    def one_undefined(data, ks, kind, col, row):
+        val, defined = march(data, ks, kind, col, row)
+        return val, defined & ((np.arange(ks.size) != 3) | (col == 1))
+
+    monkeypatch.setattr(sc, "_s_entry_batch", one_undefined)
+    first = re.escape(f"s_12 is undefined at sample {sc.gamma1_samples(24)[3]}")
+    with pytest.raises(sc.UndefinedEntryError, match=first):
+        sc.reflection_coefficients(gauss, per_decade=24, circle_n=384)
+    with pytest.raises(sc.UndefinedEntryError, match="s_12 is undefined"):
+        sc.reflection_floor(gauss)
+    assert issubclass(sc.UndefinedEntryError, ArithmeticError)  # exit 2 in the CLI
 
 
 def test_reflection_interpolation_consistency(gauss, gauss_sd):
@@ -287,7 +310,7 @@ def test_compact_support_residue_shortcut():
     data = sc.InitialData(grid.x, u, v)
     poles = sc.find_poles(data)
     c_fit, _ = sc.residue_constant(data, poles[0])
-    c_short = sc.residue_constant_compact(data, poles[0])
+    c_short = pi.residue_constant_compact(data, poles[0])
     assert abs(c_short - c_fit) / abs(c_fit) < 1e-2
 
 

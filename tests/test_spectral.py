@@ -8,18 +8,19 @@ from boussinesq_ist import scattering as sc
 from boussinesq_ist import solitons as sol
 from boussinesq_ist import spectral as sp
 
+import paper_identities as pi
+
 RNG = np.random.default_rng(2024)
 SAMPLES = RNG.normal(size=12) + 1j * RNG.normal(size=12)
 SAMPLES = SAMPLES[np.abs(SAMPLES) > 0.2]
 
 
 def test_unity_roots():
-    roots = sp.unity_roots()
-    assert abs(roots.omega**3 - 1.0) < 1e-15
-    for j, kap in enumerate(roots.kappa):
+    assert abs(sp.OMEGA**3 - 1.0) < 1e-15
+    for j, kap in enumerate(sp.KAPPA):
         assert abs(kap - np.exp(1j * np.pi * j / 3)) < 1e-15
         assert abs(abs(kap) - 1.0) < 1e-15
-    assert len(roots.qhat) == 7 and 0j in roots.qhat
+    assert len(sp.QHAT) == 7 and 0j in sp.QHAT
 
 
 def test_l_at_unit_argument():
@@ -84,26 +85,26 @@ def test_permutation_matrices():
 
 def test_vandermonde_symmetries_and_det():
     for k in SAMPLES:
-        p = sp.vandermonde(k)
+        p = pi.vandermonde(k)
         np.testing.assert_allclose(
-            p, sp.vandermonde(sp.OMEGA * k) @ np.linalg.inv(sp.MAT_A), atol=1e-10
+            p, pi.vandermonde(sp.OMEGA * k) @ np.linalg.inv(sp.MAT_A), atol=1e-10
         )
-        np.testing.assert_allclose(p, sp.vandermonde(1.0 / k) @ sp.MAT_B, atol=1e-10)
-        assert abs(np.linalg.det(p) - sp.vandermonde_det(k)) < 1e-10
+        np.testing.assert_allclose(p, pi.vandermonde(1.0 / k) @ sp.MAT_B, atol=1e-10)
+        assert abs(np.linalg.det(p) - pi.vandermonde_det(k)) < 1e-10
 
 
 def test_vandermonde_inverse_identity():
     for k in SAMPLES:
         if sp.dist_to_qhat(k) < 0.05:
             continue
-        p = sp.vandermonde(k)
-        pinv = sp.vandermonde_inv(k)
+        p = pi.vandermonde(k)
+        pinv = pi.vandermonde_inv(k)
         np.testing.assert_allclose(pinv @ p, np.eye(3), atol=1e-12)
 
 
 def test_vandermonde_inverse_refuses_near_roots():
     with pytest.raises(sp.DomainError):
-        sp.vandermonde_inv(1.0 + 1e-8)
+        pi.vandermonde_inv(1.0 + 1e-8)
 
 
 def test_eval_l_rejects_zero():
@@ -143,10 +144,9 @@ def test_r_matrix_invertible_off_roots():
 
 
 def test_lax_zero_potential():
-    lx = sp.build_lax(1.7 + 0.3j, 0, 0, 0, 0, 0)
-    assert np.max(np.abs(lx.U)) < 1e-13
-    assert np.max(np.abs(lx.V)) < 1e-13
-    assert abs(lx.lam - sp.lam(1.7 + 0.3j)) == 0
+    big_u, big_v = pi.lax_residues(1.7 + 0.3j, 0, 0, 0, 0, 0)
+    assert np.max(np.abs(big_u)) < 1e-13
+    assert np.max(np.abs(big_v)) < 1e-13
 
 
 def test_lax_trace_free_potential():
@@ -156,19 +156,26 @@ def test_lax_trace_free_potential():
         if abs(k) < 0.3 or sp.dist_to_qhat(k) < 0.05:
             continue
         args = rng.normal(size=5)
-        lx = sp.build_lax(k, *args)
-        assert abs(np.trace(lx.U)) < 1e-12
-        assert abs(np.trace(lx.V)) < 1e-11
+        big_u, big_v = pi.lax_residues(k, *args)
+        assert abs(np.trace(big_u)) < 1e-12
+        assert abs(np.trace(big_v)) < 1e-11
+
+
+def _generators(k):
+    """G1 = P^-1 E31 P = c (1,1,1)^T and G2 = P^-1 E32 P = c (l1,l2,l3)^T."""
+    ls = sp.eval_l_all(k)
+    c = sp.potential_factor(ls)[..., :, None]
+    return c * np.ones_like(ls)[..., None, :], c * ls[..., None, :]
 
 
 def test_lax_matches_reduced_potential_form():
     # the conjugated x-part potential must equal the two-entry companion block
     k = 1.7 + 0.3j
     u, ux, uxx, v, vx = 0.5, -0.2, 0.1, 0.3, 0.05
-    lx = sp.build_lax(k, u, ux, uxx, v, vx)
+    big_u, _ = pi.lax_residues(k, u, ux, uxx, v, vx)
     n1, n2 = sp.potential_entries(u, ux, v)
-    g1, g2 = sp.potential_generators(k)
-    np.testing.assert_allclose(lx.U, n1 * g1 + n2 * g2, atol=1e-13)
+    g1, g2 = _generators(k)
+    np.testing.assert_allclose(big_u, n1 * g1 + n2 * g2, atol=1e-13)
 
 
 
@@ -190,7 +197,7 @@ def test_lax_tilde_broadcasts_over_fields():
 def test_potential_is_nilpotent():
     k = 0.8 - 0.6j
     n1, n2 = sp.potential_entries(0.4, 0.3, -0.2)
-    g1, g2 = sp.potential_generators(k)
+    g1, g2 = _generators(k)
     u = n1 * g1 + n2 * g2
     assert np.max(np.abs(u @ u)) < 1e-14
 
@@ -211,9 +218,9 @@ def test_classification_examples():
 
 def test_on_contour_marker():
     pt = sp.classify(np.exp(1j * 0.4))
-    assert pt.on_contour and pt.subregion is sp.Subregion.NONE
+    assert pt.sector is sp.Sector.ON_CONTOUR and pt.subregion is sp.Subregion.NONE
     pt = sp.classify(2.0 * np.exp(1j * np.pi / 6))
-    assert pt.on_contour
+    assert pt.sector is sp.Sector.ON_CONTOUR
 
 
 def test_sector_rotation_is_cyclic_successor():
@@ -223,9 +230,10 @@ def test_sector_rotation_is_cyclic_successor():
         ang = -np.pi / 6 + (m + 0.5) * np.pi / 3
         pts += [1.7 * np.exp(1j * ang), 0.55 * np.exp(1j * ang)]
     for k in pts:
+        # rotation by omega takes D_n to D_{n+2 mod 6}, inversion D_n to D_{7-n}
         s = sp.classify(k).sector
-        assert sp.classify(sp.OMEGA * k).sector is sp.sector_after_rotation(s)
-        assert sp.classify(1.0 / k).sector is sp.sector_after_inversion(s)
+        assert sp.classify(sp.OMEGA * k).sector is sp.Sector((s.value + 1) % 6 + 1)
+        assert sp.classify(1.0 / k).sector is sp.Sector(7 - s.value)
 
 
 def test_sector_labels_match_roots():
@@ -254,6 +262,7 @@ def test_every_layer_shares_the_real_axis_rule(re, frac):
     real_sub = sp.classify(k).subregion in (sp.Subregion.REAL_RIGHT, sp.Subregion.REAL_LEFT)
     assert real_sub == real
     assert len(jp.circle_system([k], {k: c})) == (6 if real else 12)
-    evolved = sc.evolve_scattering(jp.reflectionless_data([k], {k: 1.0}), 1.0).residues[k]
+    sd = sc.ScatteringData(r1_fn=np.zeros_like, r2_fn=np.zeros_like, poles=(k,), residues={k: 1.0})
+    evolved = sc.evolve_scattering(sd, 1.0).residues[k]
     partner = 2 if real else 3
     assert evolved == np.exp((sp.eval_z(1, k) - sp.eval_z(partner, k)) * 1.0)

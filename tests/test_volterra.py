@@ -10,6 +10,8 @@ from boussinesq_ist import solitons as sol
 from boussinesq_ist import spectral as sp
 from boussinesq_ist import volterra as vt
 
+import paper_identities as pi
+
 
 def _setup(kbatch):
     k = np.atleast_1d(np.asarray(kbatch, dtype=complex))
@@ -136,7 +138,7 @@ def _dense_march(x, n1, n2, k, col, kind):
     G1 = P^-1 E31 P and G2 = P^-1 E32 P from a numerical inverse of P,
     transposed for the adjugate kinds."""
     sign, d, side, transpose = vt.KINDS[kind]
-    p, pinv = sp.vandermonde(k), sp.vandermonde_inv(k)
+    p, pinv = pi.vandermonde(k), pi.vandermonde_inv(k)
     g1 = pinv[:, :, 2, None] * p[:, None, 0, :]
     g2 = pinv[:, :, 2, None] * p[:, None, 1, :]
     if transpose:
@@ -186,5 +188,5 @@ def test_potential_factor_is_the_third_column_of_the_inverse(re, im):
     k = complex(re, im)
     assume(abs(k) <= 20 and sp.dist_to_qhat(k) >= 0.05)
     c = sp.potential_factor(sp.eval_l_all(k))
-    ref = sp.vandermonde_inv(k)[:, 2]
+    ref = pi.vandermonde_inv(k)[:, 2]
     assert np.linalg.norm(c - ref) <= 1e-12 * np.linalg.norm(ref)
