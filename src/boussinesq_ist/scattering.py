@@ -182,13 +182,13 @@ def _plan(kbatch):
     return k, ls, potential_factor(ls)
 
 
-def _march(data: InitialData, kbatch, kind, col, want_traj=False, want_s=False):
+def _march(data: InitialData, kbatch, kind, col, want_traj=False, s_rows=()):
     k, ls, c = _plan(kbatch)
     n1, n2 = data.potential_scalars
     # trajectories span the whole grid; other results need only the support
     sl = slice(0, data.x.size) if want_traj else data.support_slice()
     res = vt.march_column(data.x[sl], n1[sl], n2[sl], c, ls, col, kind,
-                          want_traj=want_traj, want_s=want_s)
+                          want_traj=want_traj, s_rows=s_rows)
     res["k"] = k
     return res
 
@@ -211,11 +211,11 @@ def scattering_matrices(data: InitialData, k: complex):
     _, ls, _ = _plan([k])
     for col in (1, 2, 3):
         if vt.column_stability(ls, col, "X")[0]:
-            res = _march(data, [k], "X", col, want_s=True)
+            res = _march(data, [k], "X", col, s_rows=(1, 2, 3))
             s[:, col - 1] = res["s"][0]
             sdef[:, col - 1] = res["s_defined"][0]
         if vt.column_stability(ls, col, "XA")[0]:
-            res = _march(data, [k], "XA", col, want_s=True)
+            res = _march(data, [k], "XA", col, s_rows=(1, 2, 3))
             sa[:, col - 1] = res["s"][0]
             sadef[:, col - 1] = res["s_defined"][0]
     s[~sdef] = np.nan
@@ -225,8 +225,8 @@ def scattering_matrices(data: InitialData, k: complex):
 
 def _s_entry_batch(data: InitialData, ks, kind: str, col: int, row: int):
     """One connection-matrix entry over a k batch (kind "X" -> s, "XA" -> sA)."""
-    res = _march(data, ks, kind, col, want_s=True)
-    return res["s"][:, row - 1], res["s_defined"][:, row - 1]
+    res = _march(data, ks, kind, col, s_rows=(row,))
+    return res["s"][:, 0], res["s_defined"][:, 0]
 
 
 def _row1_entries(data: InitialData, ks, kind: str):

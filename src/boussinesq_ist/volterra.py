@@ -8,9 +8,10 @@ U = c (n1 + n2 l)^T with c = P^-1 e3, so U^2 = 0: the implicit factor
 (I + a U)^-1 equals I - a U, which keeps every step explicit, and applying U
 (or U^T for the adjugate flows) costs two length-3 products per k.
 
-The connection dressing exp(+-x (l_i - l_j)) is an exact exp every DRESS_BLOCK
-steps times a per-march table over the block; samples reaching EXP_CLIP stay exact.
-Everything is vectorized over a batch of spectral parameters k.
+Only the connection rows a caller requests are integrated.  Their dressing
+exp(+-x (l_i - l_j)) is an exact exp every DRESS_BLOCK steps times a per-march
+table over the block; samples whose requested rows reach EXP_CLIP stay exact.
+Everything is vectorized over a batch of spectral parameters k, component-major.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def march_column(
     col,
     kind,
     want_traj=False,
-    want_s=False,
+    s_rows=(),
     growth_ok=False,
 ):
     """March one eigenfunction column over a uniform x grid.
@@ -86,10 +87,12 @@ def march_column(
     ls : (nk, 3) exponential rates l_j(k)
     col : column index 1..3
     kind : "X" | "XA" | "Y" | "YA"
+    s_rows : consecutive connection rows (1..3) to integrate; () for none
 
-    Returns a dict with keys ``final`` (nk, 3), optional ``traj``
-    (nx, nk, 3), optional ``s`` and ``s_defined`` (nk, 3) for the connection
-    matrix column, and ``stable`` (nk,) the stability mask that was applied.
+    The state is held component-major, (3, nk).  Returns a dict with keys
+    ``final`` (nk, 3), optional ``traj`` (nx, nk, 3), ``s`` and ``s_defined``
+    (nk, len(s_rows)) when rows are requested, and ``stable`` (nk,) the
+    stability mask that was applied.
     """
     sign, d, side, transpose = KINDS[kind]
     x = np.asarray(x, dtype=float)
@@ -107,79 +110,96 @@ def march_column(
             entry=(rows[0], col) if rows else None,
         )
 
-    delta = ls - ls[..., j : j + 1]  # (nk, 3)
+    ls, c = np.ascontiguousarray(ls.T), np.ascontiguousarray(c.T)  # (3, nk)
+    delta = ls - ls[j]
     if side == "right":
         dx, order, start = -h, range(nx - 2, -1, -1), nx - 1
     else:
         dx, order, start = h, range(1, nx), 0
     prop = _clipped_exp(d * dx * delta)
 
-    ej = np.zeros((nk, 3), dtype=complex)
-    ej[:, j] = 1.0
+    ej = np.zeros((3, nk), dtype=complex)
+    ej[j] = 1.0
+    row, rhs, tmp, mphi = (np.empty((3, nk), dtype=complex) for _ in range(4))
+    # complex array operands skip numpy's per-call scalar conversion; same bits
+    n1, n2 = (np.asarray(n, dtype=complex)[:, None, None] for n in (n1, n2))
+    hh, half = np.array(0.5 * h, dtype=complex), np.array(0.5 * h * sign, dtype=complex)
 
-    def apply_pot(m, phi):
-        row = n1[m] + n2[m] * ls
+    def apply_pot(m, phi):  # into mphi
+        np.multiply(n2[m], ls, row)
+        np.add(n1[m], row, row)
         if transpose:
-            return row * np.einsum("kj,kj->k", c, phi)[:, None]
-        return c * np.einsum("kj,kj->k", row, phi)[:, None]
+            return np.multiply(row, np.einsum("jk,jk->k", c, phi), mphi)
+        return np.multiply(c, np.einsum("jk,jk->k", row, phi), mphi)
 
     phi = ej.copy()
-    mphi = apply_pot(start, phi)
+    apply_pot(start, phi)
 
     if want_traj:
         traj = np.empty((nx, nk, 3), dtype=complex)
-        traj[start] = phi
+        traj[start] = phi.T
 
-    # connection column: e_j + sign * integral of dressed potential term
+    # connection rows: e_j + sign * integral of dressed potential term
     s_dress_sign = -1.0 if kind == "X" else +1.0
-    if want_s:
+    if s_rows:
+        rs = slice(s_rows[0] - 1, s_rows[-1])
+        delta = delta[rs]
         block, rate = DRESS_BLOCK, s_dress_sign * delta
-        reach = np.abs(rate.real).max(axis=1) * (np.max(np.abs(x)) + block * h)
+        reach = np.abs(rate.real).max(axis=0) * (np.max(np.abs(x)) + block * h)
         exact = np.flatnonzero(reach >= EXP_CLIP)
-        rate[exact] = 0.0  # exact at every step; a zero rate keeps the table finite
-        table = np.empty((block, nk, 3), dtype=complex)
-        for r in range(block):
-            table[r] = np.exp(rate * (r * dx))
+        rate[:, exact] = 0.0  # exact at every step; a zero rate keeps the table finite
+        table = np.exp(rate * (np.arange(block)[:, None, None] * dx))  # (block, rows, nk)
         anchor = _clipped_exp(s_dress_sign * x[start] * delta)
-        s_sum = np.zeros((nk, 3), dtype=complex)
-        f_prev = anchor * mphi
+        dressed = anchor * table  # the block's dressings, one pass per block
+        s_sum = np.zeros_like(anchor)
+        mrow = mphi[rs]
+        f_prev = anchor * mrow
         s_edge_first = f_prev.copy()
         max_integrand = np.abs(f_prev)
+        f_cur, fsum, fabs = (np.empty_like(a) for a in (f_prev, f_prev, max_integrand))
 
-    half = 0.5 * h * sign
     for i, m in enumerate(order, 1):
-        rhs = ej + prop * ((phi - ej) + half * mphi)
+        # rhs = ej + prop * ((phi - ej) + half * mphi)
+        np.subtract(phi, ej, rhs)
+        np.multiply(half, mphi, tmp)
+        np.add(rhs, tmp, rhs)
+        np.multiply(prop, rhs, rhs)
+        np.add(ej, rhs, rhs)
         # nilpotency gives U phi_m = U rhs exactly, no recompute needed
-        mphi = apply_pot(m, rhs)
-        phi = rhs + half * mphi
+        apply_pot(m, rhs)
+        np.multiply(half, mphi, tmp)
+        np.add(rhs, tmp, phi)
         if want_traj:
-            traj[m] = phi
-        if want_s:
+            traj[m] = phi.T
+        if s_rows:
             if i % block == 0:
                 anchor = dress = _clipped_exp(s_dress_sign * x[m] * delta)
+                np.multiply(anchor, table, dressed)
             else:
-                dress = anchor * table[i % block]
+                dress = dressed[i % block]
                 if exact.size:
-                    dress[exact] = _clipped_exp(s_dress_sign * x[m] * delta[exact])
-            f_cur = dress * mphi
-            s_sum += 0.5 * h * (f_prev + f_cur)
-            max_integrand = np.maximum(max_integrand, np.abs(f_cur))
-            f_prev = f_cur
+                    dress[:, exact] = _clipped_exp(s_dress_sign * x[m] * delta[:, exact])
+            np.multiply(dress, mrow, f_cur)
+            np.add(f_prev, f_cur, fsum)
+            np.multiply(hh, fsum, fsum)
+            np.add(s_sum, fsum, s_sum)
+            max_integrand = np.maximum(max_integrand, np.abs(f_cur, fabs))
+            f_prev, f_cur = f_cur, f_prev
 
-    if not np.all(np.isfinite(phi[stable])):
+    if not np.all(np.isfinite(phi[:, stable])):
         raise UnboundedExponentialError(
             f"march for column {col} of {kind} overflowed", entry=(None, col)
         )
 
-    out = {"final": phi, "stable": stable}
+    out = {"final": phi.T.copy(), "stable": stable}
     if want_traj:
         out["traj"] = traj
-    if want_s:
+    if s_rows:
         # an entry is trustworthy when its integrand has visibly converged
         # inside the window (or carries no real exponential growth at all)
         ends = np.maximum(np.abs(f_prev), np.abs(s_edge_first))
         no_growth = np.abs((s_dress_sign * delta).real) < STABILITY_TOL
         converged = ends <= 1e-8 * (max_integrand + 1e-300)
-        out["s"] = ej + sign * s_sum
-        out["s_defined"] = no_growth | converged
+        out["s"] = (ej[rs] + sign * s_sum).T
+        out["s_defined"] = (no_growth | converged).T
     return out

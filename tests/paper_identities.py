@@ -100,7 +100,7 @@ def residue_constant_compact(data: sc.InitialData, k0: complex):
     n1, n2 = data.potential_scalars
     sl = data.support_slice()
     col = 2 if sp.on_real_axis(k0) else 3
-    res = vt.march_column(data.x[sl], n1[sl], n2[sl], c, ls, col, "X", want_s=True, growth_ok=True)
+    res = vt.march_column(data.x[sl], n1[sl], n2[sl], c, ls, col, "X", s_rows=(1,), growth_ok=True)
     return -res["s"][0, 0] / ds11
 
 

@@ -206,7 +206,7 @@ def test_console_entry_point(tmp_path):
     assert b"RuntimeWarning" not in proc.stderr
 
 
-def test_readme_commands_run_as_written(tmp_path, monkeypatch):
+def test_readme_commands_run_as_written(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     blocks = re.findall(r"```bash\n(.*?)```", readme, re.S)
     lines = [ln for b in blocks for ln in b.splitlines() if ln.startswith("boussinesq-ist ")]
@@ -214,6 +214,7 @@ def test_readme_commands_run_as_written(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
+        assert "warning:" not in capsys.readouterr().err, line
 
 
 def test_help_exits_clean():

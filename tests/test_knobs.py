@@ -18,7 +18,7 @@ from boussinesq_ist import scattering as sc
 KEPT = {
     ("cli", "main", "argv"),
     ("scattering", "_march", "want_traj"),
-    ("scattering", "_march", "want_s"),
+    ("scattering", "_march", "s_rows"),
     ("scattering", "ray_moduli", "per_decade"),
     ("scattering", "gamma1_samples", "per_decade"),
     ("scattering", "gamma4_samples", "per_decade"),
@@ -34,7 +34,7 @@ KEPT = {
     ("volterra", "_clipped_exp", "limit"),
     ("volterra", "UnboundedExponentialError.__init__", "entry"),
     ("volterra", "march_column", "want_traj"),
-    ("volterra", "march_column", "want_s"),
+    ("volterra", "march_column", "s_rows"),
     ("volterra", "march_column", "growth_ok"),
 }
 

@@ -34,7 +34,7 @@ def test_march_zero_potential_is_exact():
     x = np.linspace(-8, 8, 321)
     n = np.zeros_like(x)
     k, ls, c = _setup([np.exp(0.3j), 1.5 + 0.2j])
-    out = vt.march_column(x, n, n, c, ls, 1, "X", want_traj=True, want_s=True)
+    out = vt.march_column(x, n, n, c, ls, 1, "X", want_traj=True, s_rows=(1, 2, 3))
     assert np.max(np.abs(out["traj"][:, :, 0] - 1.0)) == 0.0
     np.testing.assert_allclose(out["s"], [[1, 0, 0], [1, 0, 0]], atol=0)
     assert out["s_defined"].all()
@@ -89,7 +89,7 @@ def _connection_columns(monkeypatch, data, ks, kind, block):
     monkeypatch.setattr(vt, "DRESS_BLOCK", block)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return [sc._march(data, ks, kind, col, want_s=True) for col in (1, 2)]
+        return [sc._march(data, ks, kind, col, s_rows=(1, 2, 3)) for col in (1, 2)]
 
 
 @pytest.mark.parametrize(
@@ -131,6 +131,66 @@ def test_clipping_samples_keep_the_exact_dressing(monkeypatch, soliton_data):
         assert np.array_equal(new["s_defined"], ref["s_defined"])
         # only those samples take the exact path: the others round differently
         assert not any(np.array_equal(new["s"][i], ref["s"][i]) for i in (3, 4, 5))
+
+
+def _exact_path(ls, col, kind, rows, data):
+    # the samples a march sends down the per-step exp path for these rows
+    delta = (ls - ls[:, col - 1 : col])[:, [r - 1 for r in rows]]
+    x = data.x[data.support_slice()]  # the window _march integrates over
+    reach = np.abs(delta.real).max(axis=1) * (np.max(np.abs(x)) + vt.DRESS_BLOCK * data.hx)
+    return reach >= vt.EXP_CLIP
+
+
+@pytest.mark.parametrize(
+    "kind, ks",
+    [
+        ("X", sc.gamma1_samples()[::4]),
+        ("XA", sc.gamma4_samples()[::4]),
+        ("X", sc.circle_samples(192)),
+        ("XA", sc.circle_samples(192)),
+    ],
+    ids=["X-gamma1", "XA-gamma4", "X-circle", "XA-circle"],
+)
+def test_one_requested_row_matches_the_full_column(soliton_data, kind, ks):
+    # a march that integrates only row r keeps the state bits, and row r's
+    # connection entry moves only where the two marches choose different
+    # samples for the exact per-step dressing
+    _, ls, _ = sc._plan(ks)
+    for col in (1, 2, 3):
+        stable = vt.column_stability(ls, col, kind)
+        if not stable.any():
+            continue
+        full = sc._march(soliton_data, ks[stable], kind, col, s_rows=(1, 2, 3))
+        scale = np.abs(full["s"][:, col - 1])
+        for r in (1, 2, 3):
+            one = sc._march(soliton_data, ks[stable], kind, col, s_rows=(r,))
+            assert np.array_equal(one["final"], full["final"])
+            assert one["s"].shape == one["s_defined"].shape == (int(stable.sum()), 1)
+            same = ~(_exact_path(ls[stable], col, kind, (1, 2, 3), soliton_data)
+                     | _exact_path(ls[stable], col, kind, (r,), soliton_data))
+            s, sdef = one["s"][:, 0], one["s_defined"][:, 0]
+            assert np.array_equal(s[same], full["s"][same, r - 1])
+            assert np.array_equal(sdef[same], full["s_defined"][same, r - 1])
+            assert np.all(np.abs(s - full["s"][:, r - 1])[~same] <= 1e-12 * scale[~same])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.floats(-6, 6), st.floats(-6, 6)), min_size=1, max_size=6),
+       st.sampled_from([("X", 1), ("XA", 2)]))
+def test_diagonal_entries_are_defined_by_construction(pts, kind_col):
+    # s11 (pole search, Newton) and sA22 (residue normalisation) read a
+    # diagonal entry, whose dressing rate l_j - l_j is exactly 0: the mask
+    # is True at every sample of the stable set, whatever the data
+    kind, col = kind_col
+    ks = np.array([complex(a, b) for a, b in pts])
+    ks = ks[sp.dist_to_qhat(ks) >= sc.QHAT_EXCLUSION]
+    assume(ks.size)
+    ks = ks[vt.column_stability(sp.eval_l_all(ks), col, kind)]
+    assume(ks.size)
+    x = np.linspace(-6, 6, 241)
+    data = sc.InitialData(x, 0.7 * np.exp(-(x**2)), 0.2 * x * np.exp(-(x**2)))
+    _, defined = sc._s_entry_batch(data, ks, kind, col, col)
+    assert defined.all()
 
 
 def _dense_march(x, n1, n2, k, col, kind):
