@@ -5,8 +5,10 @@ direct map (scatter), exercise the validators (roundtrip, verify, jumps),
 and apply the explicit time evolution to scattering files (evolve).
 
 Exit codes: 0 success, 1 configuration/IO problem, 2 numerical failure,
-3 a validation check ran and failed. Outputs carry no timestamps, so a
-repeated run with the same arguments is byte-identical.
+3 a validation check ran and failed. The exception's base class alone picks
+the code: an ArithmeticError is a numerical failure (2); a ValueError or
+OSError is a configuration/IO problem (1). Outputs carry no timestamps, so
+a repeated run with the same arguments is byte-identical.
 """
 
 from __future__ import annotations
@@ -17,27 +19,12 @@ import sys
 
 import numpy as np
 
-from boussinesq_ist import fileio, jumps, scattering, solitons, spectral, verify, volterra
+from boussinesq_ist import fileio, jumps, scattering, solitons, spectral, verify
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_VALIDATION = 3
-
-# every ArithmeticError is numerical; the ValueError subclasses that are must
-# be named here, or _CONFIG_ERRORS takes them
-_NUMERIC_ERRORS = (
-    spectral.DomainError,
-    scattering.ZeroOnContourError,
-    solitons.SingularSolitonError,
-    solitons.SingularBreatherError,
-    solitons.NonRealComboError,
-    solitons.NearSingularSystemError,
-    jumps.NearPoleError,
-    volterra.UnboundedExponentialError,
-    ArithmeticError,
-)
-_CONFIG_ERRORS = (fileio.FileFormatError, OSError, ValueError)
 
 _CHECKS = ("pde", "system", "mass", "lax")
 
@@ -284,7 +271,8 @@ def _cmd_evolve(args) -> int:
     residues = {}
     for kv, cv in zip(meta.get("poles", []), meta.get("residues", [])):
         residues[complex(kv[0], kv[1])] = complex(cv["c"][0], cv["c"][1])
-    sd = scattering.ScatteringData(**samples, poles=tuple(residues), residues=residues)
+    sd = scattering.ScatteringData(**samples, poles=tuple(residues), residues=residues,
+                                   time=meta.get("time", 0.0))
     out = scattering.evolve_scattering(sd, args.t)
     params = {"t": args.t, "source": os.path.basename(os.path.normpath(src))}
     _write_contours(args.out, out, "evolve", params)
@@ -385,10 +373,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except _NUMERIC_ERRORS as exc:
+    except ArithmeticError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except _CONFIG_ERRORS as exc:
+    except (OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -53,7 +53,7 @@ _ARC_BOUNDS = {
 }
 
 
-class NearPoleError(ValueError):
+class NearPoleError(ArithmeticError):
     """An entry needs the second reflection coefficient too close to its pole."""
 
 

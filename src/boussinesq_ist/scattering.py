@@ -52,7 +52,7 @@ DEFAULT_REGIONS = (
 )
 
 
-class ZeroOnContourError(ValueError):
+class ZeroOnContourError(ArithmeticError):
     """The (1,1) connection entry vanishes at a contour sample."""
 
 
@@ -714,16 +714,24 @@ def evolve_scattering(sd: ScatteringData, t: float) -> ScatteringData:
         kwargs["r1_fn"] = lambda k: old1(k) * dress1(np.asarray(k, dtype=complex))
         kwargs["r2_fn"] = lambda k: old2(k) * dress2(np.asarray(k, dtype=complex))
         return ScatteringData(**kwargs)
-    return ScatteringData(
-        gamma1=sd.gamma1,
-        r1_ray=sd.r1_ray * dress1(sd.gamma1),
-        gamma4=sd.gamma4,
-        r2_ray=sd.r2_ray * dress2(sd.gamma4),
-        circle=sd.circle,
-        r1_circle=sd.r1_circle * dress1(sd.circle),
-        r2_circle=sd.r2_circle * dress2(sd.circle),
-        **kwargs,
-    )
+    # an already evolved sample can be large enough for the dressing to overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = ScatteringData(
+            gamma1=sd.gamma1,
+            r1_ray=sd.r1_ray * dress1(sd.gamma1),
+            gamma4=sd.gamma4,
+            r2_ray=sd.r2_ray * dress2(sd.gamma4),
+            circle=sd.circle,
+            r1_circle=sd.r1_circle * dress1(sd.circle),
+            r2_circle=sd.r2_circle * dress2(sd.circle),
+            **kwargs,
+        )
+    for ks, r in ((out.gamma1, out.r1_ray), (out.gamma4, out.r2_ray),
+                  (out.circle, out.r1_circle), (out.circle, out.r2_circle)):
+        bad = ~np.isfinite(r)
+        if np.any(bad):
+            raise OverflowError(f"evolved reflection sample at k = {ks[bad][0]} overflows")
+    return out
 
 
 def estimate_T(sd: ScatteringData, zero_floor: float = 1e-12) -> float:

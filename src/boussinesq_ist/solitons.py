@@ -42,11 +42,11 @@ _BREATHER_SUBREGIONS = {
 }
 
 
-class SingularSolitonError(ValueError):
+class SingularSolitonError(ArithmeticError):
     """Residue constant puts the real pole on the singular ray."""
 
 
-class SingularBreatherError(ValueError):
+class SingularBreatherError(ArithmeticError):
     """det(I - B) vanishes somewhere on the requested grid."""
 
     def __init__(self, msg, witness=None):
@@ -54,11 +54,11 @@ class SingularBreatherError(ValueError):
         self.witness = witness
 
 
-class NonRealComboError(ValueError):
+class NonRealComboError(ArithmeticError):
     """i(w^2 k0^2 - w) c is not real, contradicting the positivity law."""
 
 
-class NearSingularSystemError(ValueError):
+class NearSingularSystemError(ArithmeticError):
     """Residue linear system is numerically near-singular."""
 
 

@@ -37,7 +37,7 @@ TOL_CONTOUR = 1e-9
 QHAT_EXCLUSION = 1e-6
 
 
-class DomainError(ValueError):
+class DomainError(ArithmeticError):
     """Input lies outside the domain of the requested spectral quantity."""
 
 

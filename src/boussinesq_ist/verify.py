@@ -96,7 +96,6 @@ class ResidualReport:
     ht: float
     stencil_orders: dict
     term_max: dict
-    interior: tuple = ()
 
     def to_dict(self):
         return {
@@ -138,7 +137,6 @@ def pde_residual(fld: sol.SolutionField) -> ResidualReport:
         fld.ht,
         {"x": 4, "t": 2},
         terms,
-        core,
     )
 
 

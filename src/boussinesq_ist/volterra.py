@@ -37,12 +37,8 @@ def _clipped_exp(z, limit=EXP_CLIP):
     return np.exp(np.clip(z.real, -limit, limit) + 1j * z.imag)
 
 
-class UnboundedExponentialError(ValueError):
+class UnboundedExponentialError(ArithmeticError):
     """Requested column has an exponentially growing dressing entry."""
-
-    def __init__(self, msg, entry=None):
-        super().__init__(msg)
-        self.entry = entry
 
 
 def _decay_rates(ls, col, kind):
@@ -106,8 +102,7 @@ def march_column(
         rows = unstable_entries(ls, col, kind)
         raise UnboundedExponentialError(
             f"column {col} of {kind} has growing dressing entries "
-            f"(i, j) = {[(i, col) for i in rows]}",
-            entry=(rows[0], col) if rows else None,
+            f"(i, j) = {[(i, col) for i in rows]}"
         )
 
     ls, c = np.ascontiguousarray(ls.T), np.ascontiguousarray(c.T)  # (3, nk)
@@ -187,9 +182,7 @@ def march_column(
             f_prev, f_cur = f_cur, f_prev
 
     if not np.all(np.isfinite(phi[:, stable])):
-        raise UnboundedExponentialError(
-            f"march for column {col} of {kind} overflowed", entry=(None, col)
-        )
+        raise UnboundedExponentialError(f"march for column {col} of {kind} overflowed")
 
     out = {"final": phi.T.copy(), "stable": stable}
     if want_traj:

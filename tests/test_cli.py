@@ -1,4 +1,6 @@
+import importlib
 import json
+import pkgutil
 import re
 import shlex
 import warnings
@@ -7,9 +9,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boussinesq_ist import fileio
+import boussinesq_ist
+from boussinesq_ist import cli, fileio
+from boussinesq_ist import scattering as sc
 from boussinesq_ist import solitons as sol
 from boussinesq_ist.cli import main
+
+#: every exception class that a module of the package defines
+PACKAGE_ERRORS = sorted(
+    (cls for info in pkgutil.iter_modules(boussinesq_ist.__path__)
+     for cls in vars(importlib.import_module(f"boussinesq_ist.{info.name}")).values()
+     if isinstance(cls, type) and issubclass(cls, Exception)
+     and cls.__module__ == f"boussinesq_ist.{info.name}"),
+    key=lambda cls: (cls.__module__, cls.__name__),
+)
 
 
 def run(*args):
@@ -170,6 +183,72 @@ def test_exit_code_numeric_errors(tmp_path):
     assert run("breather", "--k0-re", 1.9318516525781366, "--k0-im", -0.5176380902050415,
                "--c-re", 0.3, "--c-im", 0.2, "--xmin", -60, "--xmax", 60, "--hx", 0.1,
                "--out", tmp_path / "b") == 2
+
+
+def test_every_package_error_is_numerical_or_a_file_format_error():
+    assert len(PACKAGE_ERRORS) > 1
+    config = [cls for cls in PACKAGE_ERRORS if not issubclass(cls, ArithmeticError)]
+    assert config == [fileio.FileFormatError]
+    assert issubclass(fileio.FileFormatError, ValueError)
+
+
+@pytest.mark.parametrize("cls", PACKAGE_ERRORS + [ValueError, OSError, ZeroDivisionError],
+                         ids=lambda cls: cls.__name__)
+def test_exit_code_follows_the_exception_base_class(monkeypatch, capsys, cls):
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "_cmd_soliton", fail)
+    if cls in (fileio.FileFormatError, ValueError, OSError):
+        code, prefix = 1, "configuration error:"
+    else:
+        code, prefix = 2, "numerical error:"
+    assert run("soliton", "--k0", 2, "--out", "unused") == code
+    assert capsys.readouterr().err == f"{prefix} boom\n"
+
+
+def _flat_scatter_dir(path, level):
+    """A scatter directory whose reflection samples all equal level, with one pole."""
+    path.mkdir()
+    g1, g4, circle = sc.gamma1_samples(), sc.gamma4_samples(), sc.circle_samples()
+    for name, ks, param in (("r1_ray.csv", g1, "modulus"), ("r2_ray.csv", g4, "modulus"),
+                            ("r1_circle.csv", circle, "angle"),
+                            ("r2_circle.csv", circle, "angle")):
+        fileio.write_contour(str(path / name), ks, np.full(ks.shape, level, dtype=complex),
+                             "scatter", {}, param)
+    c = sol.residue_constant_from_position(2.0, 0.0)
+    fileio.write_json(str(path / "scatter.json"),
+                      {"poles": [[2.0, 0.0]], "residues": [{"c": [c.real, c.imag]}]})
+
+
+def test_chained_evolve_adds_the_times(tmp_path):
+    src = tmp_path / "scat"
+    _flat_scatter_dir(src, 1e-3)
+    assert run("evolve", "--scatter-dir", src, "--t", 0.02, "--out", tmp_path / "a") == 0
+    assert run("evolve", "--scatter-dir", tmp_path / "a", "--t", 0.01,
+               "--out", tmp_path / "ab") == 0
+    assert run("evolve", "--scatter-dir", src, "--t", 0.03, "--out", tmp_path / "b") == 0
+    chained = json.loads((tmp_path / "ab" / "scatter.json").read_text())
+    single = json.loads((tmp_path / "b" / "scatter.json").read_text())
+    assert chained["time"] == pytest.approx(0.03, abs=1e-15)
+    np.testing.assert_allclose(chained["residues"][0]["c"], single["residues"][0]["c"],
+                               rtol=1e-13)
+    for name, *_ in cli._CONTOUR_FILES:
+        np.testing.assert_allclose(fileio.read_contour(str(tmp_path / "ab" / name))[1],
+                                   fileio.read_contour(str(tmp_path / "b" / name))[1],
+                                   rtol=1e-13)
+
+
+def test_chained_evolve_overflow_is_a_numeric_error(tmp_path, capsys):
+    # the dressing saturates at exp(700) near k = 0 on the first ray, so a
+    # second evolve multiplies ~1e301 by ~1e304
+    src = tmp_path / "scat"
+    _flat_scatter_dir(src, 1e-3)
+    assert run("evolve", "--scatter-dir", src, "--t", 0.5, "--out", tmp_path / "e1") == 0
+    assert run("evolve", "--scatter-dir", tmp_path / "e1", "--t", 0.5,
+               "--out", tmp_path / "e2") == 2
+    assert "evolved reflection sample at k = 0.01j overflows" in capsys.readouterr().err
+    assert not (tmp_path / "e2").exists()
 
 
 def test_ingest_with_u1(tmp_path):

@@ -32,7 +32,6 @@ KEPT = {
     ("solitons", "breather_constant_for_position", "phase"),
     ("verify", "round_trip", "lx"),
     ("volterra", "_clipped_exp", "limit"),
-    ("volterra", "UnboundedExponentialError.__init__", "entry"),
     ("volterra", "march_column", "want_traj"),
     ("volterra", "march_column", "s_rows"),
     ("volterra", "march_column", "growth_ok"),
@@ -46,7 +45,6 @@ KEPT_FIELDS = {
     ("solitons", "SolutionField", "v"),
     ("solitons", "SolutionField", "n31"),
     ("solitons", "SolutionField", "meta"),
-    ("verify", "ResidualReport", "interior"),
     ("verify", "RoundTripReport", "details"),
 }
 
