@@ -251,6 +251,15 @@ def test_chained_evolve_overflow_is_a_numeric_error(tmp_path, capsys):
     assert not (tmp_path / "e2").exists()
 
 
+def test_commands_run_without_numpy_huge_pages(tmp_path):
+    was = cli._set_madvise_hugepage(True)
+    try:
+        assert run("jumps", "--samples", 3, "--out", tmp_path / "j") == 0
+        assert cli._set_madvise_hugepage(True) is False
+    finally:
+        cli._set_madvise_hugepage(was)
+
+
 def test_ingest_with_u1(tmp_path):
     x = np.linspace(-10, 10, 401)
     u1 = -2 * x * np.exp(-(x**2))
