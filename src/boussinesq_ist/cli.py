@@ -42,17 +42,26 @@ _CONTOUR_FILES = (
 )
 
 
+def _finite(text: str) -> float:
+    """The type of every float flag: a number, and neither nan nor inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _grid_args(p):
-    p.add_argument("--xmin", type=float, default=-solitons.DEFAULT_LX)
-    p.add_argument("--xmax", type=float, default=solitons.DEFAULT_LX)
-    p.add_argument("--hx", type=float, default=solitons.DEFAULT_HX)
+    p.add_argument("--xmin", type=_finite, default=-solitons.DEFAULT_LX)
+    p.add_argument("--xmax", type=_finite, default=solitons.DEFAULT_LX)
+    p.add_argument("--hx", type=_finite, default=solitons.DEFAULT_HX)
     p.add_argument("--tvals", type=str, default="0",
                    help="comma-separated time levels")
 
 
 def _parse_grid(args) -> solitons.Grid:
-    if not (np.isfinite(args.xmin) and np.isfinite(args.xmax)):
-        raise ValueError(f"xmin and xmax must be finite, got {args.xmin}, {args.xmax}")
     if args.xmax <= args.xmin:
         raise ValueError("xmax must exceed xmin")
     if not 0.0 < args.hx < np.inf:
@@ -69,8 +78,8 @@ def _parse_poles(args):
     pairs = []
     for chunk in args.pole or []:
         parts = [float(s) for s in chunk.split(",")]
-        if len(parts) != 4:
-            raise ValueError("--pole needs k0_re,k0_im,c_re,c_im")
+        if len(parts) != 4 or not np.all(np.isfinite(parts)):
+            raise ValueError(f"--pole needs four finite numbers k0_re,k0_im,c_re,c_im, got {chunk}")
         pairs.append((complex(parts[0], parts[1]), complex(parts[2], parts[3])))
     return pairs
 
@@ -176,6 +185,8 @@ def _cmd_scatter(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
+    if args.lx is not None and args.lx <= 0:
+        raise ValueError(f"lx must be positive, got {args.lx}")
     pairs = _parse_poles(args)
     if args.k0 is not None:
         c = solitons.residue_constant_from_position(args.k0, args.x0)
@@ -298,22 +309,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("soliton", help="closed-form sech^2 traveling wave")
-    p.add_argument("--k0", type=float, required=True)
-    p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--c-re", type=float, dest="c_re")
-    p.add_argument("--c-im", type=float, dest="c_im")
+    p.add_argument("--k0", type=_finite, required=True)
+    p.add_argument("--x0", type=_finite, default=0.0)
+    p.add_argument("--c-re", type=_finite, dest="c_re")
+    p.add_argument("--c-im", type=_finite, dest="c_im")
     p.add_argument("--emit-initial", action="store_true")
     _grid_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_soliton)
 
     p = sub.add_parser("breather", help="single complex-pole oscillating wave")
-    p.add_argument("--k0-re", type=float, required=True, dest="k0_re")
-    p.add_argument("--k0-im", type=float, required=True, dest="k0_im")
-    p.add_argument("--c-re", type=float, dest="c_re")
-    p.add_argument("--c-im", type=float, dest="c_im")
-    p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--phase", type=float, default=0.0)
+    p.add_argument("--k0-re", type=_finite, required=True, dest="k0_re")
+    p.add_argument("--k0-im", type=_finite, required=True, dest="k0_im")
+    p.add_argument("--c-re", type=_finite, dest="c_re")
+    p.add_argument("--c-im", type=_finite, dest="c_im")
+    p.add_argument("--x0", type=_finite, default=0.0)
+    p.add_argument("--phase", type=_finite, default=0.0)
     p.add_argument("--emit-initial", action="store_true")
     _grid_args(p)
     p.add_argument("--out", required=True)
@@ -331,27 +342,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="CSV with x,u0,v0 or x,u0,u1")
     p.add_argument("--poles", action="store_true",
                    help="also search for poles and fit residue constants")
-    p.add_argument("--zero-floor", type=float, default=1e-4, dest="zero_floor",
+    p.add_argument("--zero-floor", type=_finite, default=1e-4, dest="zero_floor",
                    help="reflection level treated as numerically zero")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_scatter)
 
     p = sub.add_parser("roundtrip", help="synthesize, rescatter, and compare")
-    p.add_argument("--k0", type=float, help="real pole shortcut")
-    p.add_argument("--x0", type=float, default=0.0)
+    p.add_argument("--k0", type=_finite, help="real pole shortcut")
+    p.add_argument("--x0", type=_finite, default=0.0)
     p.add_argument("--pole", action="append",
                    help="k0_re,k0_im,c_re,c_im (repeatable)")
-    p.add_argument("--lx", type=float, default=None)
+    p.add_argument("--lx", type=_finite, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_roundtrip)
 
     p = sub.add_parser("verify", help="FD residual checks on a field file")
     p.add_argument("--field", required=True)
     p.add_argument("--checks", default="pde,system,mass,lax")
-    p.add_argument("--tol-pde", type=float, default=1e-3, dest="tol_pde")
-    p.add_argument("--tol-system", type=float, default=1e-3, dest="tol_system")
-    p.add_argument("--tol-mass", type=float, default=1e-5, dest="tol_mass")
-    p.add_argument("--tol-lax", type=float, default=1e-3, dest="tol_lax")
+    p.add_argument("--tol-pde", type=_finite, default=1e-3, dest="tol_pde")
+    p.add_argument("--tol-system", type=_finite, default=1e-3, dest="tol_system")
+    p.add_argument("--tol-mass", type=_finite, default=1e-5, dest="tol_mass")
+    p.add_argument("--tol-lax", type=_finite, default=1e-3, dest="tol_lax")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_verify)
 
@@ -363,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="dress scattering files to time t")
     p.add_argument("--scatter-dir", required=True, dest="scatter_dir")
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_evolve)
 

@@ -11,7 +11,12 @@ U = c (n1 + n2 l)^T with c = P^-1 e3, so U^2 = 0: the implicit factor
 Only the connection rows a caller requests are integrated.  Their dressing
 exp(+-x (l_i - l_j)) is an exact exp every DRESS_BLOCK steps times a per-march
 table over the block; samples whose requested rows reach EXP_CLIP stay exact.
-Everything is vectorized over a batch of spectral parameters k, component-major.
+The march runs in blocks that start at those anchors.  Once per block it forms
+every step's potential row n1 + n2 l and, from the U phi the steps left, the
+dressed integrand, its trapezoid pairs and its maximum.  Per step it only
+updates the state and adds that step's trapezoid term, in step order, so the
+bits are a step-by-step march's.  Everything is vectorized over a batch of
+spectral parameters k, component-major.
 """
 
 from __future__ import annotations
@@ -108,78 +113,86 @@ def march_column(
     ls, c = np.ascontiguousarray(ls.T), np.ascontiguousarray(c.T)  # (3, nk)
     delta = ls - ls[j]
     if side == "right":
-        dx, order, start = -h, range(nx - 2, -1, -1), nx - 1
+        dx, ms = -h, np.arange(nx - 1, -1, -1)  # grid index of each march step
     else:
-        dx, order, start = h, range(1, nx), 0
+        dx, ms = h, np.arange(nx)
     prop = _clipped_exp(d * dx * delta)
 
+    block = DRESS_BLOCK
     ej = np.zeros((3, nk), dtype=complex)
     ej[j] = 1.0
-    row, rhs, tmp, mphi = (np.empty((3, nk), dtype=complex) for _ in range(4))
+    rhs, tmp = (np.empty((3, nk), dtype=complex) for _ in range(2))
+    # per block: pot[r] is step r's potential row n1 + n2 l, then its U phi
+    pot = np.empty((block, 3, nk), dtype=complex)
     # complex array operands skip numpy's per-call scalar conversion; same bits
-    n1, n2 = (np.asarray(n, dtype=complex)[:, None, None] for n in (n1, n2))
+    n1, n2 = (np.asarray(n, dtype=complex)[ms, None, None] for n in (n1, n2))
     hh, half = np.array(0.5 * h, dtype=complex), np.array(0.5 * h * sign, dtype=complex)
-
-    def apply_pot(m, phi):  # into mphi
-        np.multiply(n2[m], ls, row)
-        np.add(n1[m], row, row)
-        if transpose:
-            return np.multiply(row, np.einsum("jk,jk->k", c, phi), mphi)
-        return np.multiply(c, np.einsum("jk,jk->k", row, phi), mphi)
-
     phi = ej.copy()
-    apply_pot(start, phi)
+
+    def apply_pot(r, v):  # pot[r] = U v from the row in pot[r], and tmp = half U v
+        if transpose:
+            np.multiply(pot[r], np.einsum("jk,jk->k", c, v), pot[r])
+        else:
+            np.multiply(c, np.einsum("jk,jk->k", pot[r], v), pot[r])
+        np.multiply(half, pot[r], tmp)
 
     if want_traj:
         traj = np.empty((nx, nk, 3), dtype=complex)
-        traj[start] = phi.T
+        traj[ms[0]] = phi.T
 
     # connection rows: e_j + sign * integral of dressed potential term
     s_dress_sign = -1.0 if kind == "X" else +1.0
     if s_rows:
         rs = slice(s_rows[0] - 1, s_rows[-1])
         delta = delta[rs]
-        block, rate = DRESS_BLOCK, s_dress_sign * delta
+        rate = s_dress_sign * delta
         reach = np.abs(rate.real).max(axis=0) * (np.max(np.abs(x)) + block * h)
         exact = np.flatnonzero(reach >= EXP_CLIP)
         rate[:, exact] = 0.0  # exact at every step; a zero rate keeps the table finite
         table = np.exp(rate * (np.arange(block)[:, None, None] * dx))  # (block, rows, nk)
-        anchor = _clipped_exp(s_dress_sign * x[start] * delta)
-        dressed = anchor * table  # the block's dressings, one pass per block
-        s_sum = np.zeros_like(anchor)
-        mrow = mphi[rs]
-        f_prev = anchor * mrow
-        s_edge_first = f_prev.copy()
-        max_integrand = np.abs(f_prev)
-        f_cur, fsum, fabs = (np.empty_like(a) for a in (f_prev, f_prev, max_integrand))
+        # f[1 + r] is the integrand of block step r, f[0] that of the step before
+        f = np.empty((block + 1,) + delta.shape, dtype=complex)
+        scratch = np.empty_like(table)
+        s_sum = np.zeros(delta.shape, dtype=complex)
+        max_integrand = np.zeros(delta.shape)
 
-    for i, m in enumerate(order, 1):
-        # rhs = ej + prop * ((phi - ej) + half * mphi)
-        np.subtract(phi, ej, rhs)
-        np.multiply(half, mphi, tmp)
-        np.add(rhs, tmp, rhs)
-        np.multiply(prop, rhs, rhs)
-        np.add(ej, rhs, rhs)
-        # nilpotency gives U phi_m = U rhs exactly, no recompute needed
-        apply_pot(m, rhs)
-        np.multiply(half, mphi, tmp)
-        np.add(rhs, tmp, phi)
-        if want_traj:
-            traj[m] = phi.T
+    for i0 in range(0, nx, block):  # blocks start at the exact dressing anchors
+        nb = min(block, nx - i0)
+        np.multiply(n2[i0 : i0 + nb], ls, pot[:nb])
+        np.add(n1[i0 : i0 + nb], pot[:nb], pot[:nb])
+        if not i0:  # step 0 is the boundary value ej
+            apply_pot(0, phi)
+        for r in range(i0 == 0, nb):
+            # rhs = ej + prop * ((phi - ej) + half * mphi), tmp = half * mphi
+            np.subtract(phi, ej, rhs)
+            np.add(rhs, tmp, rhs)
+            np.multiply(prop, rhs, rhs)
+            np.add(ej, rhs, rhs)
+            # nilpotency gives U phi_m = U rhs exactly, no recompute needed
+            apply_pot(r, rhs)
+            np.add(rhs, tmp, phi)
+            if want_traj:
+                traj[ms[i0 + r]] = phi.T
         if s_rows:
-            if i % block == 0:
-                anchor = dress = _clipped_exp(s_dress_sign * x[m] * delta)
-                np.multiply(anchor, table, dressed)
-            else:
-                dress = dressed[i % block]
-                if exact.size:
-                    dress[:, exact] = _clipped_exp(s_dress_sign * x[m] * delta[:, exact])
-            np.multiply(dress, mrow, f_cur)
-            np.add(f_prev, f_cur, fsum)
-            np.multiply(hh, fsum, fsum)
-            np.add(s_sum, fsum, s_sum)
-            max_integrand = np.maximum(max_integrand, np.abs(f_cur, fabs))
-            f_prev, f_cur = f_cur, f_prev
+            anchor = _clipped_exp(s_dress_sign * x[ms[i0]] * delta)
+            dress = np.multiply(anchor, table[:nb], scratch[:nb])
+            dress[0] = anchor  # the anchor step takes the exact dressing
+            if exact.size:
+                dress[1:, :, exact] = _clipped_exp(
+                    (s_dress_sign * x[ms[i0 + 1 : i0 + nb]])[:, None, None] * delta[:, exact]
+                )
+            # out of place: numpy multiplies a lone complex element in place
+            # without a fused multiply-add, which would change the bits
+            np.multiply(dress, pot[:nb, rs], f[1 : nb + 1])
+            if not i0:
+                s_edge_first = f[1].copy()
+            lo = i0 == 0  # step 0 opens no interval
+            pairs = np.add(f[lo:nb], f[lo + 1 : nb + 1], scratch[lo:nb])
+            np.multiply(hh, pairs, pairs)
+            for term in pairs:  # onto s_sum in step order; a block sum first changes bits
+                np.add(s_sum, term, s_sum)
+            np.maximum(max_integrand, np.abs(f[1 : nb + 1]).max(axis=0), out=max_integrand)
+            f[0] = f[nb]
 
     if not np.all(np.isfinite(phi[:, stable])):
         raise UnboundedExponentialError(f"march for column {col} of {kind} overflowed")
@@ -190,7 +203,7 @@ def march_column(
     if s_rows:
         # an entry is trustworthy when its integrand has visibly converged
         # inside the window (or carries no real exponential growth at all)
-        ends = np.maximum(np.abs(f_prev), np.abs(s_edge_first))
+        ends = np.maximum(np.abs(f[0]), np.abs(s_edge_first))
         no_growth = np.abs((s_dress_sign * delta).real) < STABILITY_TOL
         converged = ends <= 1e-8 * (max_integrand + 1e-300)
         out["s"] = (ej[rs] + sign * s_sum).T

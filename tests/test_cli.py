@@ -320,10 +320,14 @@ def test_verify_rejects_unknown_checks(tmp_path, capsys, checks, bad):
     assert not (tmp_path / "v").exists()
 
 
-@pytest.mark.parametrize("hx", ["0", "-0.01", "nan"])
-def test_bad_hx_is_a_config_error(tmp_path, capsys, hx):
+@pytest.mark.parametrize("hx, msg", [
+    ("0", "hx must be positive and finite"),
+    ("-0.01", "hx must be positive and finite"),
+    ("nan", "argument --hx: must be a finite number, got 'nan'"),
+], ids=["0", "-0.01", "nan"])
+def test_bad_hx_is_a_config_error(tmp_path, capsys, hx, msg):
     assert run("soliton", "--k0", 2, "--hx", hx, "--out", tmp_path / "s") == 1
-    assert "hx must be positive and finite" in capsys.readouterr().err
+    assert msg in capsys.readouterr().err
 
 
 def test_read_field_rejects_duplicated_grid_rows(tmp_path):
@@ -349,9 +353,9 @@ def test_read_field_rejects_malformed_rows(tmp_path, body):
 @pytest.mark.parametrize("flags, msg", [
     (["--tvals", "nan,inf"], "tvals must be finite and distinct"),
     (["--tvals", "0,0"], "tvals must be finite and distinct"),
-    (["--xmin", "-5", "--xmax", "inf"], "xmin and xmax must be finite"),
-    (["--xmin", "nan", "--xmax", "5"], "xmin and xmax must be finite"),
-    (["--xmin=-inf", "--xmax", "5"], "xmin and xmax must be finite"),
+    (["--xmin", "-5", "--xmax", "inf"], "argument --xmax: must be a finite number"),
+    (["--xmin", "nan", "--xmax", "5"], "argument --xmin: must be a finite number"),
+    (["--xmin=-inf", "--xmax", "5"], "argument --xmin: must be a finite number"),
 ], ids=["tvals-nonfinite", "tvals-repeated", "xmax-inf", "xmin-nan", "xmin-inf"])
 def test_bad_grid_flags_are_config_errors(tmp_path, capsys, flags, msg):
     assert run("soliton", "--k0", 2, "--hx", 0.1, *flags, "--out", tmp_path / "s") == 1
@@ -360,6 +364,27 @@ def test_bad_grid_flags_are_config_errors(tmp_path, capsys, flags, msg):
     assert run("breather", "--k0-re", 1.9318516525781366, "--k0-im", 0.5176380902050415,
                "--hx", 0.1, *flags, "--out", tmp_path / "b") == 1
     assert msg in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["roundtrip", "--k0", "2", "--lx", "inf"], "argument --lx: must be a finite number"),
+    (["nsoliton", "--pole=nan,0,1,0"], "--pole needs four finite numbers"),
+    (["nsoliton", "--pole=2,0,inf,0"], "--pole needs four finite numbers"),
+    (["soliton", "--k0", "nan"], "argument --k0: must be a finite number"),
+    (["evolve", "--scatter-dir", "scat", "--t", "nan"], "argument --t: must be a finite number"),
+    (["evolve", "--scatter-dir", "scat", "--t", "inf"], "argument --t: must be a finite number"),
+    (["verify", "--field", "f.csv", "--tol-pde", "nan"], "argument --tol-pde: must be a finite"),
+    (["scatter", "--data", "d.csv", "--poles", "--zero-floor", "nan"],
+     "argument --zero-floor: must be a finite number"),
+    (["roundtrip", "--k0", "2", "--lx", "-5"], "lx must be positive, got -5.0"),
+], ids=["roundtrip-lx-inf", "nsoliton-pole-nan", "nsoliton-pole-inf", "soliton-k0-nan",
+        "evolve-t-nan", "evolve-t-inf", "verify-tol-nan", "scatter-zero-floor-nan",
+        "roundtrip-lx-negative"])
+def test_nonfinite_or_nonpositive_numbers_are_config_errors(tmp_path, capsys, argv, msg):
+    assert run(*argv, "--out", tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert msg in err and "Warning" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("text, msg", [

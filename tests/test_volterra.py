@@ -133,6 +133,58 @@ def test_clipping_samples_keep_the_exact_dressing(monkeypatch, soliton_data):
         assert not any(np.array_equal(new["s"][i], ref["s"][i]) for i in (3, 4, 5))
 
 
+def _outcome(march, args):
+    # the bytes of each result of one march, or its refusal
+    try:
+        out = march(*args)
+    except vt.UnboundedExponentialError as err:
+        return str(err)
+    return {key: (val.shape, val.dtype, val.tobytes()) for key, val in out.items()}
+
+
+def _spectral_batch(rng, nk):
+    # unit circle, both imaginary rays out to |k| = 2e4 (clipped dressings,
+    # overflowing growth), and the plane around the pole sector
+    pick = rng.integers(0, 4, nk)
+    ray = 10.0 ** rng.uniform(-1, 4.3, nk)
+    return np.select(
+        [pick == 0, pick == 1, pick == 2],
+        [np.exp(1j * rng.uniform(0, 2 * np.pi, nk)), -1j * ray, 1j * ray],
+        rng.uniform(-3, 3, nk) + 1j * rng.uniform(-3, 3, nk),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(vt.KINDS)),
+    col=st.integers(1, 3),
+    s_rows=st.sampled_from([(), (1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3)]),
+    want_traj=st.booleans(),
+    growth_ok=st.booleans(),
+    data=st.sampled_from(["bounded", "overflow", "nan"]),
+    nk=st.one_of(st.integers(1, 9), st.sampled_from([193, 256])),
+    nx=st.one_of(st.sampled_from([2, 3, 15, 16, 17, 33]), st.integers(2, 120)),
+    block=st.sampled_from([1, 16]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_march_equals_the_stepwise_march(
+    kind, col, s_rows, want_traj, growth_ok, data, nk, nx, block, seed
+):
+    # byte for byte, signed zeros, infinities and NaN included
+    rng = np.random.default_rng(seed)
+    x = np.linspace(-1.0, 1.0, nx) * rng.uniform(1, 10)
+    amp = {"bounded": 1.0, "overflow": 1e200, "nan": 1.0}[data]
+    n1 = amp * rng.normal() * np.exp(-(x**2))
+    n2 = amp * rng.normal() * x * np.exp(-(x**2))
+    if data == "nan":
+        n1[rng.integers(nx)] = np.nan
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vt, "DRESS_BLOCK", block)
+        _, ls, c = _setup(_spectral_batch(rng, nk))
+        args = (x, n1, n2, c, ls, col, kind, want_traj, s_rows, growth_ok)
+        assert _outcome(vt.march_column, args) == _outcome(pi.march_column_stepwise, args)
+
+
 def _exact_path(ls, col, kind, rows, data):
     # the samples a march sends down the per-step exp path for these rows
     delta = (ls - ls[:, col - 1 : col])[:, [r - 1 for r in rows]]
