@@ -33,14 +33,6 @@ EXIT_VALIDATION = 3
 
 _CHECKS = ("pde", "system", "mass", "lax")
 
-#: (file name, ScatteringData contour attribute, sample attribute, parameter)
-_CONTOUR_FILES = (
-    ("r1_ray.csv", "gamma1", "r1_ray", "modulus"),
-    ("r2_ray.csv", "gamma4", "r2_ray", "modulus"),
-    ("r1_circle.csv", "circle", "r1_circle", "angle"),
-    ("r2_circle.csv", "circle", "r2_circle", "angle"),
-)
-
 
 def _finite(text: str) -> float:
     """The type of every float flag: a number, and neither nan nor inf."""
@@ -66,8 +58,7 @@ def _parse_grid(args) -> solitons.Grid:
         raise ValueError("xmax must exceed xmin")
     if not 0.0 < args.hx < np.inf:
         raise ValueError(f"hx must be positive and finite, got {args.hx}")
-    n = int(round((args.xmax - args.xmin) / args.hx)) + 1
-    x = np.linspace(args.xmin, args.xmax, n)
+    x = np.linspace(args.xmin, args.xmax, solitons.point_count(args.xmax - args.xmin, args.hx))
     t = np.array([float(s) for s in args.tvals.split(",")])
     if not (np.all(np.isfinite(t)) and np.unique(t).size == t.size):
         raise ValueError(f"tvals must be finite and distinct, got {args.tvals}")
@@ -100,10 +91,13 @@ def _write_solution(args, fld, command, params):
 
 
 def _write_contours(out_dir, sd, command, params):
+    """One <values>.csv per sample set, parametrized by angle on the circle and
+    by modulus on a ray."""
     os.makedirs(out_dir, exist_ok=True)
-    for name, k_attr, val_attr, param in _CONTOUR_FILES:
-        fileio.write_contour(os.path.join(out_dir, name), getattr(sd, k_attr),
-                             getattr(sd, val_attr), command, params, param)
+    for vals, pts, _ in scattering.SAMPLE_SETS:
+        fileio.write_contour(os.path.join(out_dir, vals + ".csv"), getattr(sd, pts),
+                             getattr(sd, vals), command, params,
+                             "angle" if pts == "circle" else "modulus")
 
 
 def _cmd_soliton(args) -> int:
@@ -165,7 +159,7 @@ def _cmd_scatter(args) -> int:
     sd = scattering.reflection_coefficients(data)
     _write_contours(args.out, sd, "scatter", {"data": os.path.basename(args.data)})
     payload = {
-        "decay_report": sd.decay_report,
+        "decay_report": scattering.decay_report(sd),
         "unit_point_genericity": scattering.unit_point_genericity(data),
         "poles": [],
         "residues": [],
@@ -233,6 +227,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_jumps(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"samples must be at least 1, got {args.samples}")
     rng = np.random.default_rng(args.seed)
     sd = jumps.synthetic_scattering_data(seed=args.seed)
     worst_det = 0.0
@@ -280,15 +276,13 @@ def _cmd_jumps(args) -> int:
 def _cmd_evolve(args) -> int:
     src = args.scatter_dir
     samples = {}
-    for name, k_attr, val_attr, _ in _CONTOUR_FILES:
-        ks, samples[val_attr] = fileio.read_contour(os.path.join(src, name))
-        samples.setdefault(k_attr, ks)  # the circle comes from r1_circle.csv
+    for vals, pts, _ in scattering.SAMPLE_SETS:
+        ks, samples[vals] = fileio.read_contour(os.path.join(src, vals + ".csv"))
+        samples.setdefault(pts, ks)  # the circle comes from r1_circle.csv
     meta = fileio.read_json(os.path.join(src, "scatter.json"))
-    residues = {}
-    for kv, cv in zip(meta.get("poles", []), meta.get("residues", [])):
-        residues[complex(kv[0], kv[1])] = complex(cv["c"][0], cv["c"][1])
-    sd = scattering.ScatteringData(**samples, poles=tuple(residues), residues=residues,
-                                   time=meta.get("time", 0.0))
+    residues = {complex(*kv): complex(*cv["c"])
+                for kv, cv in zip(meta.get("poles", []), meta.get("residues", []))}
+    sd = scattering.ScatteringData(**samples, residues=residues, time=meta.get("time", 0.0))
     out = scattering.evolve_scattering(sd, args.t)
     params = {"t": args.t, "source": os.path.basename(os.path.normpath(src))}
     _write_contours(args.out, out, "evolve", params)

@@ -1,6 +1,7 @@
 """Jump matrices on the nine contour pieces and on the pole-removal circles,
 the scalar arc weight f, and a generator of synthetic admissible reflection
-data for the jump-matrix property battery.
+data for the jump-matrix property battery. The synthetic data is exact: r1
+and r2 are formulas in k, evaluated where a jump needs them.
 
 The nine pieces live on six rays and three unit-circle arc families; the
 circle jumps remove simple poles and extend to the full circle system by the
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from boussinesq_ist.scattering import ScatteringData
 from boussinesq_ist.spectral import (
     MAT_A,
     MAT_B,
@@ -57,6 +57,28 @@ class NearPoleError(ArithmeticError):
     """An entry needs the second reflection coefficient too close to its pole."""
 
 
+@dataclass(frozen=True)
+class ExactReflection:
+    """Reflection coefficients r1, r2 given as functions on arrays of k, read
+    through ScatteringData's ``eval_r1`` / ``eval_r2`` interface: a Python
+    complex at a scalar k, an array shaped like k otherwise."""
+
+    r1: object
+    r2: object
+
+    @staticmethod
+    def _at(fn, k):
+        k = np.asarray(k, dtype=complex)
+        out = np.asarray(fn(k), dtype=complex)
+        return complex(out.reshape(-1)[0]) if k.ndim == 0 else out.reshape(k.shape)
+
+    def eval_r1(self, k):
+        return self._at(self.r1, k)
+
+    def eval_r2(self, k):
+        return self._at(self.r2, k)
+
+
 def sample_segment(j: int, n: int, rng):
     """n points on contour piece j drawn with the generator rng."""
     if j in _RAY_ANGLES:
@@ -75,26 +97,16 @@ def sample_segment(j: int, n: int, rng):
     return np.exp(1j * phi)
 
 
-def segment_of_circle_point(k) -> int:
-    """Which of the three arc families a unit-circle point belongs to."""
-    phi = float(np.angle(k)) % (2 * np.pi)
-    for j, arcs in _ARC_BOUNDS.items():
-        for lo, hi in arcs:
-            if lo <= phi < hi or lo <= phi - 2 * np.pi < hi:
-                return j
-    raise DomainError(f"circle point {k} sits on an arc junction")
-
-
 def _require_r2_ok(args):
     for z in np.atleast_1d(np.asarray(args, dtype=complex)):
         if abs(z - OMEGA**2) < R2_POLE_GAP or abs(z + OMEGA**2) < R2_POLE_GAP:
             raise NearPoleError(f"argument {z} is within {R2_POLE_GAP:g} of an r2 pole")
 
 
-def arc_weight(sd: ScatteringData, k) -> complex:
+def arc_weight(sd, k) -> complex:
     """The scalar weight on the circle arcs: 1 + r1 r2 at k plus the same
-    product at the conjugate-rotated point. Real and nonnegative for genuine
-    data."""
+    product at the conjugate-rotated point, for reflection data sd, sampled
+    or exact. Real and nonnegative for genuine data."""
     k = complex(k)
     if not on_unit_circle(k):
         raise DomainError("arc weight is defined on the unit circle")
@@ -108,8 +120,9 @@ def arc_weight(sd: ScatteringData, k) -> complex:
 # ----------------------------------------------------------------------------
 
 
-def build_v(sd: ScatteringData, x, t, k, segment: int):
-    """Jump matrix on contour piece ``segment`` evaluated at (x, t, k)."""
+def build_v(sd, x, t, k, segment: int):
+    """Jump matrix on contour piece ``segment`` evaluated at (x, t, k) for
+    reflection data sd, sampled or exact."""
     k = complex(k)
     r1, r2 = sd.eval_r1, sd.eval_r2
     w = OMEGA
@@ -304,7 +317,7 @@ def _window(s):
     return np.sin(np.pi * s) ** 2
 
 
-def synthetic_scattering_data(seed: int) -> ScatteringData:
+def synthetic_scattering_data(seed: int) -> ExactReflection:
     """Reflection data satisfying the two admissibility relations exactly.
 
     Free smooth values are drawn on three of the six 60-degree arcs; the
@@ -380,5 +393,5 @@ def synthetic_scattering_data(seed: int) -> ScatteringData:
         k = np.atleast_1d(np.asarray(k, dtype=complex))
         return rtilde(k) * np.conj(r1_fn(1.0 / np.conj(k)))
 
-    return ScatteringData(r1_fn=r1_fn, r2_fn=r2_fn)
+    return ExactReflection(r1_fn, r2_fn)
 

@@ -12,7 +12,7 @@ fits of the column proportionality that defines them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -198,31 +198,6 @@ def _traj(data: InitialData, k, kind, col):
     return _march(data, [k], kind, col, want_traj=True)["traj"][:, 0, :]
 
 
-def scattering_matrices(data: InitialData, k: complex):
-    """Connection matrices (s, sA) with entrywise definedness masks.
-
-    Undefined entries (growing dressing whose integral does not converge in
-    the window) are NaN with mask False.
-    """
-    s = np.full((3, 3), np.nan, dtype=complex)
-    sa = np.full((3, 3), np.nan, dtype=complex)
-    sdef = np.zeros((3, 3), dtype=bool)
-    sadef = np.zeros((3, 3), dtype=bool)
-    _, ls, _ = _plan([k])
-    for col in (1, 2, 3):
-        if vt.column_stability(ls, col, "X")[0]:
-            res = _march(data, [k], "X", col, s_rows=(1, 2, 3))
-            s[:, col - 1] = res["s"][0]
-            sdef[:, col - 1] = res["s_defined"][0]
-        if vt.column_stability(ls, col, "XA")[0]:
-            res = _march(data, [k], "XA", col, s_rows=(1, 2, 3))
-            sa[:, col - 1] = res["s"][0]
-            sadef[:, col - 1] = res["s_defined"][0]
-    s[~sdef] = np.nan
-    sa[~sadef] = np.nan
-    return s, sa, sdef, sadef
-
-
 def _s_entry_batch(data: InitialData, ks, kind: str, col: int, row: int):
     """One connection-matrix entry over a k batch (kind "X" -> s, "XA" -> sA)."""
     res = _march(data, ks, kind, col, s_rows=(row,))
@@ -265,10 +240,15 @@ def ray_moduli(per_decade: int = 64):
     return m[~on_unit_circle(m)]
 
 
+def _on_gamma1(m):
+    """The points of the first ray contour with moduli m: i m inside the unit
+    circle and -i m outside."""
+    return np.where(m < 1.0, 1j * m, -1j * m)
+
+
 def gamma1_samples(per_decade: int = 64):
     """Vertical-ray part of the first sampling contour: i(0,1) and -i(1,oo)."""
-    m = ray_moduli(per_decade)
-    return np.where(m < 1.0, 1j * m, -1j * m)
+    return _on_gamma1(ray_moduli(per_decade))
 
 
 def gamma4_samples(per_decade: int = 64):
@@ -301,28 +281,38 @@ def _lagrange4(y, t):
     return np.sum(w * y, axis=-1)
 
 
+#: (values, points, evolution sign) of each sample set of ScatteringData:
+#: the values are dressed by exp(sign theta_21(0, t, k)) at their points
+SAMPLE_SETS = (
+    ("r1_ray", "gamma1", -1),
+    ("r2_ray", "gamma4", 1),
+    ("r1_circle", "circle", -1),
+    ("r2_circle", "circle", 1),
+)
+
+
 @dataclass
 class ScatteringData:
-    """Reflection-coefficient samples plus the pole spectrum.
+    """Reflection-coefficient samples plus the pole spectrum at a time.
 
-    Values on the two ray contours and on the unit circle are stored on the
-    canonical grids; ``eval_r1`` / ``eval_r2`` interpolate between samples or
-    defer to callable backends (used by synthetic data generators).
+    r1 is sampled on its ray contour ``gamma1`` and r2 on ``gamma4``, and each
+    on the unit ``circle``; ``eval_r1`` / ``eval_r2`` interpolate between the
+    samples. ``residues`` maps each pole to its residue constant.
     """
 
-    gamma1: np.ndarray = None
-    r1_ray: np.ndarray = None
-    gamma4: np.ndarray = None
-    r2_ray: np.ndarray = None
-    circle: np.ndarray = None
-    r1_circle: np.ndarray = None
-    r2_circle: np.ndarray = None
-    poles: tuple = ()
+    gamma1: np.ndarray
+    r1_ray: np.ndarray
+    gamma4: np.ndarray
+    r2_ray: np.ndarray
+    circle: np.ndarray
+    r1_circle: np.ndarray
+    r2_circle: np.ndarray
     residues: dict = field(default_factory=dict)
     time: float = 0.0
-    decay_report: dict = field(default_factory=dict)
-    r1_fn: object = None
-    r2_fn: object = None
+
+    @property
+    def poles(self) -> tuple:
+        return tuple(self.residues)
 
     def _interp_circle(self, vals, k):
         n = self.circle.size
@@ -332,47 +322,37 @@ class ScatteringData:
         frac = phi - base
         return _lagrange4(vals[(base[..., None] + np.arange(-1, 3)) % n], frac)
 
-    def _interp_ray(self, pts, vals, k, expected_args):
+    def _interp_ray(self, pts, vals, k):
         """Segment-aware interpolation in log-modulus.
 
         The two halves of a ray contour are distinct contour pieces with a
         gap at the unit circle, so each is interpolated on its own uniform
-        log grid.
+        log grid; k must lie on the ray of its half.
         """
         r = np.abs(k)
         lo, hi = np.abs(pts[0]), np.abs(pts[-1])
         if np.any((r < lo * 0.999) | (r > hi * 1.001)):
             raise DomainError("sample outside the tabulated ray range")
-        ang = np.angle(k)
-        want = np.where(r < 1.0, expected_args[0], expected_args[1])
+        ang, qin = np.angle(k), r < 1.0
+        want = np.where(qin, np.angle(pts[0]), np.angle(pts[-1]))
         if np.any(np.abs(np.angle(np.exp(1j * (ang - want)))) > 1e-8):
             raise DomainError("point is not on the sampling rays")
 
-        inner_mask = np.abs(pts) < 1.0
+        inner = np.abs(pts) < 1.0
         out = np.empty(r.shape, dtype=complex)
-
-        def piece(sub_pts, sub_vals, rq):
-            lr = np.log(np.abs(sub_pts))
-            n = lr.size
-            step = (lr[-1] - lr[0]) / (n - 1)
-            pos = (np.log(rq) - lr[0]) / step
-            base = np.clip(np.round(pos).astype(int), 1, n - 3)
-            return _lagrange4(sub_vals[base[..., None] + np.arange(-1, 3)], pos - base)
-
-        qin = r < 1.0
-        if np.any(qin):
-            out[qin] = piece(pts[inner_mask], vals[inner_mask], r[qin])
-        if np.any(~qin):
-            out[~qin] = piece(pts[~inner_mask], vals[~inner_mask], r[~qin])
+        for q, half in ((qin, inner), (~qin, ~inner)):
+            if np.any(q):
+                lr = np.log(np.abs(pts[half]))
+                n = lr.size
+                pos = (np.log(r[q]) - lr[0]) / ((lr[-1] - lr[0]) / (n - 1))
+                base = np.clip(np.round(pos).astype(int), 1, n - 3)
+                out[q] = _lagrange4(vals[half][base[..., None] + np.arange(-1, 3)], pos - base)
         return out
 
-    def _eval(self, k, fn, circle_vals, ray_pts, ray_vals, ray_args):
-        """Reflection coefficient at k from the callable backend when set, else
-        interpolated on the circle or on the ray contour (inner, outer args)."""
+    def _eval(self, k, circle_vals, ray_pts, ray_vals):
+        """Reflection coefficient at k, interpolated on the circle or on the
+        ray contour."""
         k = np.asarray(k, dtype=complex)
-        if fn is not None:
-            out = np.asarray(fn(k), dtype=complex)
-            return complex(out.reshape(-1)[0]) if k.ndim == 0 else out.reshape(k.shape)
         scalar = k.ndim == 0
         k = np.atleast_1d(k)
         out = np.empty(k.shape, dtype=complex)
@@ -380,19 +360,30 @@ class ScatteringData:
         if np.any(on_circle):
             out[on_circle] = self._interp_circle(circle_vals, k[on_circle])
         if np.any(~on_circle):
-            out[~on_circle] = self._interp_ray(ray_pts, ray_vals, k[~on_circle], ray_args)
+            out[~on_circle] = self._interp_ray(ray_pts, ray_vals, k[~on_circle])
         return out[0] if scalar else out
 
     def eval_r1(self, k):
-        return self._eval(k, self.r1_fn, self.r1_circle, self.gamma1, self.r1_ray, (np.pi / 2, -np.pi / 2))
+        return self._eval(k, self.r1_circle, self.gamma1, self.r1_ray)
 
     def eval_r2(self, k):
-        return self._eval(k, self.r2_fn, self.r2_circle, self.gamma4, self.r2_ray, (-np.pi / 2, np.pi / 2))
+        return self._eval(k, self.r2_circle, self.gamma4, self.r2_ray)
 
 
 def _theta21_rate(k):
     """theta_21(0, t, k)/t = (z_2 - z_1)(k)."""
     return eval_z(2, k) - eval_z(1, k)
+
+
+def _r_values(data: InitialData, kind: str, ks):
+    """The (1,2) entry over the (1,1) entry of s (kind "X") or sA (kind "XA")
+    at the samples ks; ZeroOnContourError names the first sample where the
+    (1,1) entry vanishes."""
+    den, num = _row1_entries(data, ks, kind)
+    zero = np.abs(den) < 1e-10
+    if np.any(zero):
+        raise ZeroOnContourError(f"(1,1) connection entry vanishes at contour sample {ks[zero][0]}")
+    return num / den
 
 
 def reflection_coefficients(
@@ -403,48 +394,29 @@ def reflection_coefficients(
     """Sample r1 on its ray contour and the circle, r2 likewise.
 
     Raises ZeroOnContourError when the (1,1) entries vanish at a sample and
-    UndefinedEntryError when an entry of the ratio is undefined there, and
-    attaches a rapid-decay report for the ray tails.
+    UndefinedEntryError when an entry of the ratio is undefined there.
     """
-    g1k = gamma1_samples(per_decade)
-    g4k = gamma4_samples(per_decade)
+    g1k, g4k = gamma1_samples(per_decade), gamma4_samples(per_decade)
     ck = circle_samples(circle_n)
+    return ScatteringData(
+        gamma1=g1k, r1_ray=_r_values(data, "X", g1k),
+        gamma4=g4k, r2_ray=_r_values(data, "XA", g4k),
+        circle=ck, r1_circle=_r_values(data, "X", ck), r2_circle=_r_values(data, "XA", ck),
+    )
 
-    # entry ratio: the (1,2) entry over the (1,1) entry of the connection matrix
-    def r_values(kind, ks):
-        den, num = _row1_entries(data, ks, kind)
-        if np.any(np.abs(den) < 1e-10):
-            bad = ks[np.abs(den) < 1e-10][0]
-            raise ZeroOnContourError(
-                f"(1,1) connection entry vanishes at contour sample {bad}"
-            )
-        return num / den
 
-    r1_ray = r_values("X", g1k)
-    r2_ray = r_values("XA", g4k)
-    r1_circle = r_values("X", ck)
-    r2_circle = r_values("XA", ck)
-
+def decay_report(sd: ScatteringData) -> dict:
+    """Rapid-decay report of the ray tails |k| > 10: the largest |r| there and
+    the sup of (1 + |k|)^n |r| for n = 0..4, for r1 and for r2."""
     report = {}
-    for name, ks, vals in (("r1", g1k, r1_ray), ("r2", g4k, r2_ray)):
+    for name, ks, vals in (("r1", sd.gamma1, sd.r1_ray), ("r2", sd.gamma4, sd.r2_ray)):
         outer = np.abs(ks) > 10.0
-        mag = np.abs(vals[outer])
-        kk = np.abs(ks[outer])
-        weighted = {int(nn): float(np.max((1.0 + kk) ** nn * mag)) for nn in range(5)}
+        mag, kk = np.abs(vals[outer]), np.abs(ks[outer])
         report[name] = {
             "tail_max": float(np.max(mag)) if mag.size else 0.0,
-            "weighted_sup": weighted,
+            "weighted_sup": {n: float(np.max((1.0 + kk) ** n * mag)) for n in range(5)},
         }
-    return ScatteringData(
-        gamma1=g1k,
-        r1_ray=r1_ray,
-        gamma4=g4k,
-        r2_ray=r2_ray,
-        circle=ck,
-        r1_circle=r1_circle,
-        r2_circle=r2_circle,
-        decay_report=report,
-    )
+    return report
 
 
 def unit_point_genericity(data: InitialData) -> dict:
@@ -463,12 +435,10 @@ def unit_point_genericity(data: InitialData) -> dict:
 
 
 def reflection_floor(data: InitialData) -> float:
-    """max |r1| over a coarse ray sample; the radiation content indicator."""
+    """max |r1| over a coarse sample of its ray contour; the radiation content
+    indicator. Refuses an undefined ratio as reflection_coefficients does."""
     m = np.logspace(-1.5, 1.5, 50)
-    m = m[~on_unit_circle(m)]
-    ks = np.where(m < 1.0, 1j * m, -1j * m)
-    den, num = _row1_entries(data, ks, "X")
-    return float(np.max(np.abs(num / den)))
+    return float(np.max(np.abs(_r_values(data, "X", _on_gamma1(m[~on_unit_circle(m)])))))
 
 
 # ----------------------------------------------------------------------------
@@ -687,51 +657,26 @@ def evolve_scattering(sd: ScatteringData, t: float) -> ScatteringData:
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
-
-    # The time dressing grows like exp(|k|^2 t / 4) toward the inner tip of
-    # the ray contour (the instability of the equation); saturating at 700
-    # keeps evolved samples ordered and finite instead of inf * 0 = nan.
-    def dress1(k):
-        return vt._clipped_exp(-_theta21_rate(k) * t, EVOLVE_EXP_CLIP)
-
-    def dress2(k):
-        return vt._clipped_exp(_theta21_rate(k) * t, EVOLVE_EXP_CLIP)
-
     new_res = {}
     for k0, c in sd.residues.items():
         # a real pole couples l_1 with l_2, a complex one l_1 with l_3
         rate = eval_z(1, k0) - eval_z(2 if on_real_axis(k0) else 3, k0)
         new_res[k0] = c * np.exp(rate * t)
-
-    kwargs = dict(
-        poles=sd.poles,
-        residues=new_res,
-        time=sd.time + t,
-        decay_report=sd.decay_report,
-    )
-    if sd.r1_fn is not None:
-        old1, old2 = sd.r1_fn, sd.r2_fn
-        kwargs["r1_fn"] = lambda k: old1(k) * dress1(np.asarray(k, dtype=complex))
-        kwargs["r2_fn"] = lambda k: old2(k) * dress2(np.asarray(k, dtype=complex))
-        return ScatteringData(**kwargs)
-    # an already evolved sample can be large enough for the dressing to overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = ScatteringData(
-            gamma1=sd.gamma1,
-            r1_ray=sd.r1_ray * dress1(sd.gamma1),
-            gamma4=sd.gamma4,
-            r2_ray=sd.r2_ray * dress2(sd.gamma4),
-            circle=sd.circle,
-            r1_circle=sd.r1_circle * dress1(sd.circle),
-            r2_circle=sd.r2_circle * dress2(sd.circle),
-            **kwargs,
-        )
-    for ks, r in ((out.gamma1, out.r1_ray), (out.gamma4, out.r2_ray),
-                  (out.circle, out.r1_circle), (out.circle, out.r2_circle)):
+    dressed = {}
+    for vals, pts, sign in SAMPLE_SETS:
+        ks = getattr(sd, pts)
+        rate = _theta21_rate(ks) if sign > 0 else -_theta21_rate(ks)
+        # The time dressing grows like exp(|k|^2 t / 4) toward the inner tip of
+        # the ray contour (the instability of the equation); saturating at 700
+        # keeps evolved samples ordered and finite instead of inf * 0 = nan.
+        # An already evolved sample can still overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = getattr(sd, vals) * vt._clipped_exp(rate * t, EVOLVE_EXP_CLIP)
         bad = ~np.isfinite(r)
         if np.any(bad):
             raise OverflowError(f"evolved reflection sample at k = {ks[bad][0]} overflows")
-    return out
+        dressed[vals] = r
+    return replace(sd, residues=new_res, time=sd.time + t, **dressed)
 
 
 def estimate_T(sd: ScatteringData, zero_floor: float = 1e-12) -> float:
@@ -742,8 +687,6 @@ def estimate_T(sd: ScatteringData, zero_floor: float = 1e-12) -> float:
     4 (-log |r1(1/k)|) / |k|^2, clipped below at 0. A heuristic estimate,
     not a certified bound.
     """
-    if sd.gamma1 is None:
-        raise ValueError("estimate_T needs ray samples")
     inner = np.abs(sd.gamma1) < 1.0
     if float(np.max(np.abs(sd.r1_ray[inner]))) < zero_floor:
         return float("inf")

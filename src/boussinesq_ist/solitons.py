@@ -62,6 +62,15 @@ class NearSingularSystemError(ArithmeticError):
     """Residue linear system is numerically near-singular."""
 
 
+def point_count(extent: float, h: float) -> int:
+    """Points of a uniform grid with step h over an interval of length extent;
+    ValueError when that count is not finite."""
+    steps = extent / h
+    if not np.isfinite(steps):
+        raise ValueError(f"a grid of extent {extent} and step {h} has no finite point count")
+    return int(round(steps)) + 1
+
+
 @dataclass(frozen=True)
 class Grid:
     x: np.ndarray

@@ -92,21 +92,6 @@ def rtilde(k):
     return (OMEGA**2 - k**2) / den
 
 
-def r_matrix(k):
-    """Conjugation matrix R(k) of the complex-conjugation symmetry."""
-    k = np.asarray(k, dtype=complex)
-    k2 = k**2
-    for root in (1.0, -1.0, OMEGA, -OMEGA, OMEGA**2, -(OMEGA**2)):
-        if np.any(np.abs(k - root) < 1e-13):
-            raise DomainError("R(k) is singular at k in {+-1, +-omega, +-omega^2}")
-    out = np.zeros(k.shape + (3, 3), dtype=complex)
-    pre = -4.0 * k2
-    out[..., 0, 1] = pre * OMEGA / ((k2 - 1.0) * (k2 - OMEGA**2))
-    out[..., 1, 0] = pre * OMEGA**2 / ((k2 - 1.0) * (k2 - OMEGA))
-    out[..., 2, 2] = pre / ((k2 - OMEGA) * (k2 - OMEGA**2))
-    return out
-
-
 def dist_to_qhat(k):
     """Distance to the nearest of the six sixth roots of unity or 0."""
     k = np.asarray(k, dtype=complex)

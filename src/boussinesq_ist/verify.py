@@ -272,7 +272,7 @@ def round_trip(spec, lx: float | None = None) -> RoundTripReport:
     spec.require_regular()
     if lx is None:
         lx = _auto_extent(spec)
-    grid = sol.Grid(np.linspace(-lx, lx, int(round(2 * lx / sol.DEFAULT_HX)) + 1), [0.0])
+    grid = sol.Grid(np.linspace(-lx, lx, sol.point_count(2 * lx, sol.DEFAULT_HX)), [0.0])
     fld = sol.n_soliton(spec, grid)
     data = sc.InitialData(grid.x, fld.u[0], fld.v[0])
 

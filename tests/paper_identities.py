@@ -3,9 +3,10 @@
 No command-line path needs these. Each one is an independent reference that
 a test compares the package against: the dense Vandermonde basis behind the
 rank-one march, the conjugated Lax pair, whole eigenfunction matrices and the
-sectionally analytic M2, the compact-support residue shortcut, the march one
-x step at a time, the arc weight and its log-densities, and the pole-removal
-matrices by their names.
+sectionally analytic M2, whole connection matrices, the conjugation matrix
+R(k), the compact-support residue shortcut, the march one x step at a time,
+the arc family of a circle point, the arc weight and its log-densities, and
+the pole-removal matrices by their names.
 """
 
 import math
@@ -73,6 +74,47 @@ def solve_volterra(data: sc.InitialData, k: complex, which: str):
         out[:, :, col - 1] = sc._traj(data, k, which, col)
         mask[col - 1] = True
     return out, mask
+
+
+def scattering_matrices(data: sc.InitialData, k: complex):
+    """Connection matrices (s, sA) with entrywise definedness masks.
+
+    Undefined entries (growing dressing whose integral does not converge in
+    the window) are NaN with mask False.
+    """
+    s = np.full((3, 3), np.nan, dtype=complex)
+    sa = np.full((3, 3), np.nan, dtype=complex)
+    sdef = np.zeros((3, 3), dtype=bool)
+    sadef = np.zeros((3, 3), dtype=bool)
+    _, ls, _ = sc._plan([k])
+    for col in (1, 2, 3):
+        if vt.column_stability(ls, col, "X")[0]:
+            res = sc._march(data, [k], "X", col, s_rows=(1, 2, 3))
+            s[:, col - 1] = res["s"][0]
+            sdef[:, col - 1] = res["s_defined"][0]
+        if vt.column_stability(ls, col, "XA")[0]:
+            res = sc._march(data, [k], "XA", col, s_rows=(1, 2, 3))
+            sa[:, col - 1] = res["s"][0]
+            sadef[:, col - 1] = res["s_defined"][0]
+    s[~sdef] = np.nan
+    sa[~sadef] = np.nan
+    return s, sa, sdef, sadef
+
+
+def r_matrix(k):
+    """Conjugation matrix R(k) of the complex-conjugation symmetry."""
+    w = sp.OMEGA
+    k = np.asarray(k, dtype=complex)
+    k2 = k**2
+    for root in (1.0, -1.0, w, -w, w**2, -(w**2)):
+        if np.any(np.abs(k - root) < 1e-13):
+            raise sp.DomainError("R(k) is singular at k in {+-1, +-omega, +-omega^2}")
+    out = np.zeros(k.shape + (3, 3), dtype=complex)
+    pre = -4.0 * k2
+    out[..., 0, 1] = pre * w / ((k2 - 1.0) * (k2 - w**2))
+    out[..., 1, 0] = pre * w**2 / ((k2 - 1.0) * (k2 - w))
+    out[..., 2, 2] = pre / ((k2 - w) * (k2 - w**2))
+    return out
 
 
 def m2_matrix(data: sc.InitialData, k: complex):
@@ -219,11 +261,21 @@ def march_column_stepwise(x, n1, n2, c, ls, col, kind, want_traj, s_rows, growth
     return out
 
 
+def segment_of_circle_point(k) -> int:
+    """Which of the three arc families a unit-circle point belongs to."""
+    phi = float(np.angle(k)) % (2 * np.pi)
+    for j, arcs in jp._ARC_BOUNDS.items():
+        for lo, hi in arcs:
+            if lo <= phi < hi or lo <= phi - 2 * np.pi < hi:
+                return j
+    raise sp.DomainError(f"circle point {k} sits on an arc junction")
+
+
 class InequalityViolatedError(ArithmeticError):
     """A log-density hit a nonpositive argument."""
 
 
-def f_function(sd: sc.ScatteringData, k) -> float:
+def f_function(sd: jp.ExactReflection, k) -> float:
     """Arc weight as a real number; pure numerical imaginary parts are cut."""
     val = complex(jp.arc_weight(sd, k))
     if abs(val.imag) > 1e-8:
@@ -231,7 +283,7 @@ def f_function(sd: sc.ScatteringData, k) -> float:
     return val.real
 
 
-def nu_functions(sd: sc.ScatteringData, k):
+def nu_functions(sd: jp.ExactReflection, k):
     """The four log-densities and the two sign-definite combinations.
 
     Returns (nu1, nu2, nu3, nu4, nuhat1, nuhat2); raises when a logarithm
@@ -269,7 +321,7 @@ def named_circle_jump(name: str, k0, c, x, t, k):
     if name == "Q5":
         return b @ ai @ inv(jp._removal(3, k0, c, x, t, 1.0 / (w * k))) @ a @ b
     if name == "Q11":
-        r = sp.r_matrix(k)
+        r = r_matrix(k)
         inner = np.conj(inv(named_circle_jump("Q5", k0, c, x, t, np.conj(k))))
         return r @ inner.T @ inv(r)
     if name == "P5":

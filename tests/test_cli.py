@@ -233,9 +233,9 @@ def test_chained_evolve_adds_the_times(tmp_path):
     assert chained["time"] == pytest.approx(0.03, abs=1e-15)
     np.testing.assert_allclose(chained["residues"][0]["c"], single["residues"][0]["c"],
                                rtol=1e-13)
-    for name, *_ in cli._CONTOUR_FILES:
-        np.testing.assert_allclose(fileio.read_contour(str(tmp_path / "ab" / name))[1],
-                                   fileio.read_contour(str(tmp_path / "b" / name))[1],
+    for vals, *_ in sc.SAMPLE_SETS:
+        np.testing.assert_allclose(fileio.read_contour(str(tmp_path / "ab" / f"{vals}.csv"))[1],
+                                   fileio.read_contour(str(tmp_path / "b" / f"{vals}.csv"))[1],
                                    rtol=1e-13)
 
 
@@ -384,6 +384,20 @@ def test_nonfinite_or_nonpositive_numbers_are_config_errors(tmp_path, capsys, ar
     assert run(*argv, "--out", tmp_path / "o") == 1
     err = capsys.readouterr().err
     assert msg in err and "Warning" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["soliton", "--k0", "2", "--xmin=-1e308", "--xmax", "1e308"],
+     "a grid of extent inf and step 0.01 has no finite point count"),
+    (["roundtrip", "--k0", "2", "--lx", "1e308"],
+     "a grid of extent inf and step 0.01 has no finite point count"),
+    (["jumps", "--samples", "0"], "samples must be at least 1, got 0"),
+    (["jumps", "--samples", "-1"], "samples must be at least 1, got -1"),
+], ids=["soliton-extent-inf", "roundtrip-lx-huge", "jumps-samples-0", "jumps-samples-negative"])
+def test_counts_without_a_point_are_config_errors(tmp_path, capsys, argv, msg):
+    assert run(*argv, "--out", tmp_path / "o") == 1
+    assert msg in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -39,7 +39,7 @@ def test_synthetic_data_continuous_at_junctions(sd):
 
 
 def test_zero_data_gives_identity_jumps():
-    sd0 = sc.ScatteringData(r1_fn=np.zeros_like, r2_fn=np.zeros_like)
+    sd0 = jp.ExactReflection(np.zeros_like, np.zeros_like)
     rng = np.random.default_rng(0)
     for seg in range(1, 10):
         k = jp.sample_segment(seg, 1, rng)[0]
@@ -90,9 +90,9 @@ def test_conjugation_symmetry_on_arcs(sd):
             continue
         k = np.exp(1j * phi)
         x, t = rng.uniform(-2, 2), rng.uniform(0, 1)
-        vk = jp.build_v(sd, x, t, k, jp.segment_of_circle_point(k))
-        vkb = jp.build_v(sd, x, t, np.conj(k), jp.segment_of_circle_point(np.conj(k)))
-        r = sp.r_matrix(k)
+        vk = jp.build_v(sd, x, t, k, pi.segment_of_circle_point(k))
+        vkb = jp.build_v(sd, x, t, np.conj(k), pi.segment_of_circle_point(np.conj(k)))
+        r = pi.r_matrix(k)
         worst = max(
             worst,
             np.max(np.abs(np.conj(np.linalg.inv(vkb)).T - np.linalg.inv(r) @ vk @ r)),
@@ -107,9 +107,9 @@ def test_near_pole_guard(sd):
 
 
 def test_nu_log_guard():
-    bad = sc.ScatteringData(
-        r1_fn=lambda k: 2j * np.ones(np.shape(k)),
-        r2_fn=lambda k: 2j * np.ones(np.shape(k)),
+    bad = jp.ExactReflection(
+        lambda k: 2j * np.ones(np.shape(k)),
+        lambda k: 2j * np.ones(np.shape(k)),
     )
     with pytest.raises(pi.InequalityViolatedError):
         pi.nu_functions(bad, np.exp(0.3j))
@@ -206,7 +206,7 @@ def test_conjugation_symmetry_on_circles(circles):
         k = plain.point(rng.uniform(0, 2 * np.pi))
         vk = jp.circle_jump(plain, x, t, k)
         vkb = jp.circle_jump(star, x, t, np.conj(k))
-        r = sp.r_matrix(k)
+        r = pi.r_matrix(k)
         worst = max(
             worst,
             np.max(np.abs(np.conj(np.linalg.inv(vkb)).T - np.linalg.inv(r) @ vk @ r)),
@@ -218,7 +218,7 @@ def test_conjugation_symmetry_on_circles(circles):
         k = real_cir.point(rng.uniform(0, 2 * np.pi))
         vk = jp.circle_jump(real_cir, x, t, k)
         vkb = jp.circle_jump(real_cir, x, t, np.conj(k))
-        r = sp.r_matrix(k)
+        r = pi.r_matrix(k)
         worst = max(
             worst,
             np.max(np.abs(np.conj(np.linalg.inv(vkb)).T - np.linalg.inv(r) @ vk @ r)),

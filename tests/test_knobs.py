@@ -4,8 +4,7 @@ Every parameter with a default value, and every defaulted field of a
 dataclass, is listed below as (module, function or class, name). A default
 that no caller varies is a constant in disguise, so a new one needs a
 deliberate edit here. Likewise every public top-level name must be reached
-from the command line; the few that only the acceptance battery uses are
-listed in ACCEPTANCE_ONLY.
+from the command line.
 """
 
 import ast
@@ -38,22 +37,12 @@ KEPT = {
 }
 
 KEPT_FIELDS = {
-    ("scattering", "ScatteringData", name)
-    for name in ("gamma1", "r1_ray", "gamma4", "r2_ray", "circle", "r1_circle", "r2_circle",
-                 "poles", "residues", "time", "decay_report", "r1_fn", "r2_fn")
-} | {
+    ("scattering", "ScatteringData", "residues"),
+    ("scattering", "ScatteringData", "time"),
     ("solitons", "SolutionField", "v"),
     ("solitons", "SolutionField", "n31"),
     ("solitons", "SolutionField", "meta"),
     ("verify", "RoundTripReport", "details"),
-}
-
-
-#: public names that only tests/test_acceptance.py imports
-ACCEPTANCE_ONLY = {
-    ("scattering", "scattering_matrices"),
-    ("spectral", "r_matrix"),
-    ("jumps", "segment_of_circle_point"),
 }
 
 
@@ -137,5 +126,4 @@ def test_every_public_name_is_reached_from_the_cli():
         reached |= new
         todo.extend(new)
     unreached = {(module, name) for module, name in public if name not in reached}
-    assert sorted(unreached - ACCEPTANCE_ONLY) == [], "no command reaches these: delete them or move them to tests/"
-    assert sorted(ACCEPTANCE_ONLY - unreached) == [], "a listed name is now reached or gone: drop it"
+    assert sorted(unreached) == [], "no command reaches these: delete them or move them to tests/"

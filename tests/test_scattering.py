@@ -79,7 +79,7 @@ def test_zero_data_gives_identity_everywhere():
     traj, mask = pi.solve_volterra(zero, 1.4 + 0.2j, "X")
     assert mask[0]
     assert np.nanmax(np.abs(traj - np.eye(3))) == 0.0
-    s, sa, sdef, sadef = sc.scattering_matrices(zero, np.exp(0.7j))
+    s, sa, sdef, sadef = pi.scattering_matrices(zero, np.exp(0.7j))
     np.testing.assert_allclose(s, np.eye(3), atol=1e-14)
     np.testing.assert_allclose(sa, np.eye(3), atol=1e-14)
 
@@ -132,7 +132,7 @@ def test_eigenfunction_rotation_symmetry(gauss):
 
 def test_connection_determinants_on_circle(gauss):
     for k in (np.exp(0.4j), np.exp(2.2j), np.exp(-1.9j)):
-        s, sa, sdef, sadef = sc.scattering_matrices(gauss, k)
+        s, sa, sdef, sadef = pi.scattering_matrices(gauss, k)
         assert sdef.all() and sadef.all()
         assert abs(np.linalg.det(s) - 1) < 1e-6
         assert abs(np.linalg.det(sa) - 1) < 1e-6
@@ -147,9 +147,9 @@ def test_s11_rotation_symmetry(gauss):
 
 def test_conjugation_symmetry_of_connection(gauss):
     k = np.exp(0.4j)
-    s, _, _, _ = sc.scattering_matrices(gauss, k)
-    _, sa_c, _, _ = sc.scattering_matrices(gauss, np.conj(k))
-    r = sp.r_matrix(k)
+    s, _, _, _ = pi.scattering_matrices(gauss, k)
+    _, sa_c, _, _ = pi.scattering_matrices(gauss, np.conj(k))
+    r = pi.r_matrix(k)
     np.testing.assert_allclose(
         np.conj(sa_c), np.linalg.inv(r) @ s @ r, atol=2e-4
     )
@@ -178,7 +178,7 @@ def test_eigenfunction_bundle(gauss):
         assert mask.all()
     np.testing.assert_allclose(mats["X"][-1], np.eye(3), atol=1e-12)
     np.testing.assert_allclose(mats["Y"][0], np.eye(3), atol=1e-12)
-    _, _, sdef, sadef = sc.scattering_matrices(gauss, k)
+    _, _, sdef, sadef = pi.scattering_matrices(gauss, k)
     assert sdef.all() and sadef.all()
 
 
@@ -193,10 +193,10 @@ def gauss_sd(gauss):
 
 
 def test_reflection_decay_report(gauss_sd):
-    rep = gauss_sd.decay_report["r1"]["weighted_sup"]
+    rep = sc.decay_report(gauss_sd)["r1"]["weighted_sup"]
     assert all(np.isfinite(v) for v in rep.values())
     # the outer tail decays to the quadrature noise floor
-    assert gauss_sd.decay_report["r1"]["tail_max"] < 1e-4
+    assert sc.decay_report(gauss_sd)["r1"]["tail_max"] < 1e-4
 
 
 def test_undefined_ratio_entry_is_a_numeric_error(gauss, monkeypatch):
@@ -214,6 +214,20 @@ def test_undefined_ratio_entry_is_a_numeric_error(gauss, monkeypatch):
     with pytest.raises(sc.UndefinedEntryError, match="s_12 is undefined"):
         sc.reflection_floor(gauss)
     assert issubclass(sc.UndefinedEntryError, ArithmeticError)  # exit 2 in the CLI
+
+    # a vanishing (1,1) entry leaves the ratio undefined just the same
+    def one_zero(data, ks, kind, col, row):
+        val, defined = march(data, ks, kind, col, row)
+        return np.where((np.arange(ks.size) == 3) & (col == 1), 0.0, val), defined
+
+    monkeypatch.setattr(sc, "_s_entry_batch", one_zero)
+    first = re.escape(f"vanishes at contour sample {sc.gamma1_samples(24)[3]}")
+    with pytest.raises(sc.ZeroOnContourError, match=first):
+        sc.reflection_coefficients(gauss, per_decade=24, circle_n=384)
+    first = re.escape(f"vanishes at contour sample {1j * np.logspace(-1.5, 1.5, 50)[3]}")
+    with pytest.raises(sc.ZeroOnContourError, match=first):
+        sc.reflection_floor(gauss)
+    assert issubclass(sc.ZeroOnContourError, ArithmeticError)
 
 
 def test_reflection_interpolation_consistency(gauss, gauss_sd):
@@ -389,9 +403,9 @@ def test_evolution_dressing(gauss_sd):
 
 
 def test_evolution_dresses_residues():
-    sdat = sc.ScatteringData(poles=(2.0,), residues={2.0: 0.5 + 0.1j},
-                             r1_fn=lambda k: np.zeros(np.shape(k)),
-                             r2_fn=lambda k: np.zeros(np.shape(k)))
+    g1, g4, circle = sc.gamma1_samples(2), sc.gamma4_samples(2), sc.circle_samples(6)
+    sdat = sc.ScatteringData(g1, 0 * g1, g4, 0 * g4, circle, 0 * circle, 0 * circle,
+                             residues={2.0: 0.5 + 0.1j})
     out = sc.evolve_scattering(sdat, 1.0)
     rate = sp.eval_z(1, 2.0) - sp.eval_z(2, 2.0)
     assert abs(out.residues[2.0] - (0.5 + 0.1j) * np.exp(rate)) < 1e-14

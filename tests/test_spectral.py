@@ -132,10 +132,10 @@ def test_r_matrix_invertible_off_roots():
     for k in SAMPLES:
         if sp.dist_to_qhat(k) < 0.05:
             continue
-        r = sp.r_matrix(k)
+        r = pi.r_matrix(k)
         assert abs(np.linalg.det(r)) > 1e-12
     with pytest.raises(sp.DomainError):
-        sp.r_matrix(sp.OMEGA)
+        pi.r_matrix(sp.OMEGA)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +262,8 @@ def test_every_layer_shares_the_real_axis_rule(re, frac):
     real_sub = sp.classify(k).subregion in (sp.Subregion.REAL_RIGHT, sp.Subregion.REAL_LEFT)
     assert real_sub == real
     assert len(jp.circle_system([k], {k: c})) == (6 if real else 12)
-    sd = sc.ScatteringData(r1_fn=np.zeros_like, r2_fn=np.zeros_like, poles=(k,), residues={k: 1.0})
+    g1, g4, circle = sc.gamma1_samples(2), sc.gamma4_samples(2), sc.circle_samples(6)
+    sd = sc.ScatteringData(g1, 0 * g1, g4, 0 * g4, circle, 0 * circle, 0 * circle, residues={k: 1.0})
     evolved = sc.evolve_scattering(sd, 1.0).residues[k]
     partner = 2 if real else 3
     assert evolved == np.exp((sp.eval_z(1, k) - sp.eval_z(partner, k)) * 1.0)

@@ -71,7 +71,7 @@ def test_connection_entry_definedness():
     # when the integrand visibly converges inside the window
     x = np.linspace(-10, 10, 801)
     data = sc.InitialData(x, 0.6 * np.exp(-(x**2)), np.zeros_like(x))
-    s, sa, sdef, sadef = sc.scattering_matrices(data, 1.8 + 0.3j)
+    s, sa, sdef, sadef = pi.scattering_matrices(data, 1.8 + 0.3j)
     assert sdef[0, 0]  # diagonal entry of the stable column
     assert not sdef[:, 1].any()  # unstable column entirely masked
     assert np.all(np.isnan(s[:, 1]))
