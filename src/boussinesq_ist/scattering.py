@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from boussinesq_ist import volterra as vt
+from boussinesq_ist.solitons import uniform_step
 from boussinesq_ist.spectral import (
     QHAT_EXCLUSION,
     DomainError,
@@ -57,8 +58,8 @@ class ZeroOnContourError(ArithmeticError):
 
 
 class UndefinedEntryError(ArithmeticError):
-    """A connection entry that a reflection coefficient divides is undefined:
-    its dressing grows across the window, so the integral does not converge."""
+    """A connection entry that the direct map reads is undefined: its
+    dressing grows across the window, so the integral does not converge."""
 
 
 class WindingError(ArithmeticError):
@@ -102,9 +103,7 @@ def _checked_grid(x):
         raise ValueError("need a 1-d grid with at least 9 points")
     if not np.all(np.isfinite(x)):
         raise ValueError("initial data contains non-finite values")
-    steps = np.diff(x)
-    if not steps[0] > 0 or np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
-        raise ValueError("grid must be uniform and increasing")
+    uniform_step(x, "grid")
     return x
 
 
@@ -183,14 +182,12 @@ def _plan(kbatch):
 
 
 def _march(data: InitialData, kbatch, kind, col, want_traj=False, s_rows=()):
-    k, ls, c = _plan(kbatch)
+    _, ls, c = _plan(kbatch)
     n1, n2 = data.potential_scalars
     # trajectories span the whole grid; other results need only the support
     sl = slice(0, data.x.size) if want_traj else data.support_slice()
-    res = vt.march_column(data.x[sl], n1[sl], n2[sl], c, ls, col, kind,
-                          want_traj=want_traj, s_rows=s_rows)
-    res["k"] = k
-    return res
+    return vt.march_column(data.x[sl], n1[sl], n2[sl], c, ls, col, kind,
+                           want_traj=want_traj, s_rows=s_rows)
 
 
 def _traj(data: InitialData, k, kind, col):
@@ -198,30 +195,22 @@ def _traj(data: InitialData, k, kind, col):
     return _march(data, [k], kind, col, want_traj=True)["traj"][:, 0, :]
 
 
-def _s_entry_batch(data: InitialData, ks, kind: str, col: int, row: int):
-    """One connection-matrix entry over a k batch (kind "X" -> s, "XA" -> sA)."""
+def _entry(data: InitialData, ks, kind: str, col: int, row: int):
+    """Connection entry (row, col) of s (kind "X") or sA (kind "XA") over a k
+    batch; UndefinedEntryError names the first sample where it is undefined."""
     res = _march(data, ks, kind, col, s_rows=(row,))
-    return res["s"][:, 0], res["s_defined"][:, 0]
-
-
-def _row1_entries(data: InitialData, ks, kind: str):
-    """The (1,1) and (1,2) entries of s (kind "X") or sA (kind "XA") over a k
-    batch; UndefinedEntryError names the first sample where one is undefined."""
-    out = []
-    for col in (1, 2):
-        val, defined = _s_entry_batch(data, ks, kind, col, 1)
-        if not np.all(defined):
-            name = "s" if kind == "X" else "sA"
-            raise UndefinedEntryError(
-                f"connection entry {name}_1{col} is undefined at sample {ks[~defined][0]}"
-            )
-        out.append(val)
-    return out
+    defined = res["s_defined"][:, 0]
+    if not np.all(defined):
+        name = "s" if kind == "X" else "sA"
+        first = np.asarray(ks)[~defined][0]
+        raise UndefinedEntryError(
+            f"connection entry {name}_{row}{col} is undefined at sample {first}"
+        )
+    return res["s"][:, 0]
 
 
 def s11_batch(data: InitialData, ks):
-    val, _ = _s_entry_batch(data, ks, "X", 1, 1)
-    return val
+    return _entry(data, ks, "X", 1, 1)
 
 
 def _adjugate_cross(data: InitialData, k):
@@ -379,7 +368,7 @@ def _r_values(data: InitialData, kind: str, ks):
     """The (1,2) entry over the (1,1) entry of s (kind "X") or sA (kind "XA")
     at the samples ks; ZeroOnContourError names the first sample where the
     (1,1) entry vanishes."""
-    den, num = _row1_entries(data, ks, kind)
+    den, num = _entry(data, ks, kind, 1, 1), _entry(data, ks, kind, 2, 1)
     zero = np.abs(den) < 1e-10
     if np.any(zero):
         raise ZeroOnContourError(f"(1,1) connection entry vanishes at contour sample {ks[zero][0]}")
@@ -585,7 +574,7 @@ def search_rectangle_around(k0: complex):
 
 
 def _sa22_derivative(data, k):
-    return _richardson(lambda ks: _s_entry_batch(data, ks, "XA", 2, 2)[0], k)
+    return _richardson(lambda ks: _entry(data, ks, "XA", 2, 2), k)
 
 
 def _weighted_ratio(pi_vec, x1_vec, weights):
@@ -622,8 +611,7 @@ def residue_constant(data: InitialData, k0: complex):
         rate = eval_l(1, k0) - eval_l(2, k0)
         pi_vec = y2 * np.exp(-rate * x)[:, None] / dsa22
     else:
-        sa22, _ = _s_entry_batch(data, [k0], "XA", 2, 2)
-        if abs(sa22[0]) <= 1e-8:
+        if abs(_entry(data, [k0], "XA", 2, 2)[0]) <= 1e-8:
             raise FitResidualError(
                 "the adjugate (2,2) connection entry vanishes at the zero; "
                 "the simple-pole normalization breaks down"

@@ -71,6 +71,15 @@ def point_count(extent: float, h: float) -> int:
     return int(round(steps)) + 1
 
 
+def uniform_step(v, what: str) -> float:
+    """Step of the grid v; ValueError naming ``what`` unless v increases with
+    every step within 1e-9 of the first, relative."""
+    steps = np.diff(v)
+    if not steps[0] > 0 or np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
+        raise ValueError(f"{what} must be uniform and increasing")
+    return float(steps[0])
+
+
 @dataclass(frozen=True)
 class Grid:
     x: np.ndarray
@@ -94,11 +103,13 @@ class SolutionField:
 
     @property
     def hx(self) -> float:
-        return float(self.x[1] - self.x[0]) if self.x.size > 1 else 0.0
+        """The x step; ValueError unless the x grid is uniform."""
+        return uniform_step(self.x, "x grid") if self.x.size > 1 else 0.0
 
     @property
     def ht(self) -> float:
-        return float(self.t[1] - self.t[0]) if self.t.size > 1 else 0.0
+        """The t step; ValueError unless the time levels are uniform."""
+        return uniform_step(self.t, "t grid") if self.t.size > 1 else 0.0
 
 
 def _realize(arr, what, grid):

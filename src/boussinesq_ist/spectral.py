@@ -148,7 +148,9 @@ def potential_factor(ls):
     return np.stack([1.0 / (d12 * d13), -1.0 / (d12 * d23), 1.0 / (d13 * d23)], axis=-1)
 
 
-def _l_tilde(k, u, ux, uxx, v, vx):
+def l_tilde(k, u, ux, uxx, v, vx):
+    """Companion-form x-part L~ before conjugation by P(k), of shape
+    ``np.broadcast(u, ux, uxx, v, vx).shape + (3, 3)``."""
     lt = np.zeros(np.broadcast(u, ux, uxx, v, vx).shape + (3, 3), dtype=complex)
     lt[..., 0, 1] = 1.0
     lt[..., 1, 2] = 1.0
@@ -157,7 +159,8 @@ def _l_tilde(k, u, ux, uxx, v, vx):
     return lt
 
 
-def _z_tilde(k, u, ux, uxx, v, vx):
+def z_tilde(k, u, ux, uxx, v, vx):
+    """Companion-form t-part Z~ before conjugation by P(k), shaped as L~."""
     la = lam(k)
     zt = np.zeros(np.broadcast(u, ux, uxx, v, vx).shape + (3, 3), dtype=complex)
     zt[..., 0, 0] = -1j * (1.0 + 2.0 * u) / (2.0 * SQRT3)
@@ -168,12 +171,6 @@ def _z_tilde(k, u, ux, uxx, v, vx):
     zt[..., 2, 1] = -la / 12.0 + 1j * ux / (4.0 * SQRT3) - v / 4.0
     zt[..., 2, 2] = 1j * (1.0 + 2.0 * u) / (4.0 * SQRT3)
     return zt
-
-
-def lax_tilde(k, u, ux, uxx, v, vx):
-    """Companion-form pair (L~, Z~) before conjugation by P(k), each of shape
-    ``np.broadcast(u, ux, uxx, v, vx).shape + (3, 3)``."""
-    return _l_tilde(k, u, ux, uxx, v, vx), _z_tilde(k, u, ux, uxx, v, vx)
 
 
 # ----------------------------------------------------------------------------

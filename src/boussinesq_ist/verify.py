@@ -15,7 +15,7 @@ import numpy as np
 
 from boussinesq_ist import scattering as sc
 from boussinesq_ist import solitons as sol
-from boussinesq_ist.spectral import SQRT3, _l_tilde, _z_tilde, dist_to_qhat, eval_l, lax_tilde
+from boussinesq_ist.spectral import SQRT3, dist_to_qhat, eval_l, l_tilde, z_tilde
 
 
 def fd_weights(order: int, offsets) -> np.ndarray:
@@ -51,41 +51,28 @@ def fd_weights(order: int, offsets) -> np.ndarray:
     return c[:, order]
 
 
-# 4th-order-accurate central stencils in x, 2nd-order in t.
-_STENCILS_X = {
-    1: (fd_weights(1, range(-2, 3)), 2),
-    2: (fd_weights(2, range(-2, 3)), 2),
-    3: (fd_weights(3, range(-3, 4)), 3),
-    4: (fd_weights(4, range(-3, 4)), 3),
+# 4th-order-accurate central stencils in x, 2nd-order in t: (weights, reach)
+_STENCILS = {
+    ("x", 1): (fd_weights(1, range(-2, 3)), 2),
+    ("x", 2): (fd_weights(2, range(-2, 3)), 2),
+    ("x", 3): (fd_weights(3, range(-3, 4)), 3),
+    ("x", 4): (fd_weights(4, range(-3, 4)), 3),
+    ("t", 1): (fd_weights(1, range(-1, 2)), 1),
+    ("t", 2): (fd_weights(2, range(-1, 2)), 1),
 }
-_STENCILS_T = {
-    1: (fd_weights(1, range(-1, 2)), 1),
-    2: (fd_weights(2, range(-1, 2)), 1),
-}
+_AXES = {"t": 0, "x": 1}  # of a (nt, nx) field
 
 
-def deriv_x(arr, order, hx):
-    """Interior x-derivative of a (nt, nx) field; edges are left as zero."""
-    weights, reach = _STENCILS_X[order]
-    out = np.zeros_like(np.asarray(arr, dtype=float))
-    nx = arr.shape[-1]
-    core = slice(reach, nx - reach)
-    for off, wgt in zip(range(-reach, reach + 1), weights):
-        out[..., core] += wgt * arr[..., reach + off : nx - reach + off]
-    out /= hx**order
-    return out, reach
-
-
-def deriv_t(arr, order, ht):
-    """Interior t-derivative of a (nt, nx) field; edges are left as zero."""
-    weights, reach = _STENCILS_T[order]
+def deriv(arr, along, order, h):
+    """Interior derivative of a (nt, nx) field along "t" or "x"; edges are left as zero."""
+    weights, reach = _STENCILS[along, order]
     arr = np.asarray(arr, dtype=float)
     out = np.zeros_like(arr)
-    nt = arr.shape[0]
-    core = slice(reach, nt - reach)
+    src, dst = np.moveaxis(arr, _AXES[along], 0), np.moveaxis(out, _AXES[along], 0)
+    n = src.shape[0]
     for off, wgt in zip(range(-reach, reach + 1), weights):
-        out[core, ...] += wgt * arr[reach + off : nt - reach + off, ...]
-    out /= ht**order
+        dst[reach : n - reach] += wgt * src[reach + off : n - reach + off]
+    out /= h**order
     return out, reach
 
 
@@ -118,10 +105,10 @@ def pde_residual(fld: sol.SolutionField) -> ResidualReport:
     if fld.t.size < 5:
         raise ValueError("need at least 5 time levels")
     u = fld.u
-    utt, rt = deriv_t(u, 2, fld.ht)
-    uxx, rx2 = deriv_x(u, 2, fld.hx)
-    sqxx, _ = deriv_x(u**2, 2, fld.hx)
-    uxxxx, rx4 = deriv_x(u, 4, fld.hx)
+    utt, rt = deriv(u, "t", 2, fld.ht)
+    uxx, rx2 = deriv(u, "x", 2, fld.hx)
+    sqxx, _ = deriv(u**2, "x", 2, fld.hx)
+    uxxxx, rx4 = deriv(u, "x", 4, fld.hx)
     reach_x = max(rx2, rx4)
     core = _interior(fld.t.size, fld.x.size, rt, reach_x)
     res = utt - uxx - sqxx - uxxxx
@@ -147,12 +134,12 @@ def system_residual(fld: sol.SolutionField) -> dict:
     if fld.t.size < 3 or fld.x.size < 7:
         raise ValueError("system check needs at least 3 time levels and 7 x-points")
     u, v = fld.u, fld.v
-    vt, rt = deriv_t(v, 1, fld.ht)
-    ut, _ = deriv_t(u, 1, fld.ht)
-    ux, _ = deriv_x(u, 1, fld.hx)
-    sqx, _ = deriv_x(u**2, 1, fld.hx)
-    uxxx, rx = deriv_x(u, 3, fld.hx)
-    vx, _ = deriv_x(v, 1, fld.hx)
+    vt, rt = deriv(v, "t", 1, fld.ht)
+    ut, _ = deriv(u, "t", 1, fld.ht)
+    ux, _ = deriv(u, "x", 1, fld.hx)
+    sqx, _ = deriv(u**2, "x", 1, fld.hx)
+    uxxx, rx = deriv(u, "x", 3, fld.hx)
+    vx, _ = deriv(v, "x", 1, fld.hx)
     core = _interior(fld.t.size, fld.x.size, rt, rx)
     res1 = vt - ux - sqx - uxxx
     res2 = ut - vx
@@ -174,14 +161,14 @@ def lax_compatibility(fld: sol.SolutionField, ks) -> float:
         raise ValueError("lax check needs at least 3 time levels and 7 x-points")
     u, v = fld.u, fld.v
     hx, ht = fld.hx, fld.ht
-    ux, _ = deriv_x(u, 1, hx)
-    uxx, _ = deriv_x(u, 2, hx)
-    uxxx, rx = deriv_x(u, 3, hx)
-    vx, _ = deriv_x(v, 1, hx)
-    vxx, _ = deriv_x(v, 2, hx)
-    ut, rt = deriv_t(u, 1, ht)
-    uxt, _ = deriv_t(ux, 1, ht)
-    vt, _ = deriv_t(v, 1, ht)
+    ux, _ = deriv(u, "x", 1, hx)
+    uxx, _ = deriv(u, "x", 2, hx)
+    uxxx, rx = deriv(u, "x", 3, hx)
+    vx, _ = deriv(v, "x", 1, hx)
+    vxx, _ = deriv(v, "x", 2, hx)
+    ut, rt = deriv(u, "t", 1, ht)
+    uxt, _ = deriv(ux, "t", 1, ht)
+    vt, _ = deriv(v, "t", 1, ht)
     core = _interior(fld.t.size, fld.x.size, rt, rx)
 
     # L~ and Z~ are affine in the fields, so L~_t = L~(f_t) - L~(0) and
@@ -190,12 +177,13 @@ def lax_compatibility(fld: sol.SolutionField, ks) -> float:
     for k in np.atleast_1d(ks):
         if dist_to_qhat(k) < 1e-3:
             raise ValueError("k too close to a sixth root of unity")
-        l0, z0 = lax_tilde(k, 0.0, 0.0, 0.0, 0.0, 0.0)
+        l0, z0 = l_tilde(k, 0.0, 0.0, 0.0, 0.0, 0.0), z_tilde(k, 0.0, 0.0, 0.0, 0.0, 0.0)
         for n in range(fld.t.size)[core[0]]:
             xs = core[1]
-            lt, zt = lax_tilde(k, u[n, xs], ux[n, xs], uxx[n, xs], v[n, xs], vx[n, xs])
-            lt_t = _l_tilde(k, ut[n, xs], uxt[n, xs], 0.0, vt[n, xs], 0.0) - l0
-            zt_x = _z_tilde(k, ux[n, xs], uxx[n, xs], uxxx[n, xs], vx[n, xs], vxx[n, xs]) - z0
+            fields = (u[n, xs], ux[n, xs], uxx[n, xs], v[n, xs], vx[n, xs])
+            lt, zt = l_tilde(k, *fields), z_tilde(k, *fields)
+            lt_t = l_tilde(k, ut[n, xs], uxt[n, xs], 0.0, vt[n, xs], 0.0) - l0
+            zt_x = z_tilde(k, ux[n, xs], uxx[n, xs], uxxx[n, xs], vx[n, xs], vxx[n, xs]) - z0
             res = lt_t - zt_x + lt @ zt - zt @ lt
             worst = max(worst, float(np.max(np.abs(res))))
     return worst

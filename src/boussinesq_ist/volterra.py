@@ -74,7 +74,6 @@ def march_column(
     kind,
     want_traj=False,
     s_rows=(),
-    growth_ok=False,
 ):
     """March one eigenfunction column over a uniform x grid.
 
@@ -91,9 +90,9 @@ def march_column(
     s_rows : consecutive connection rows (1..3) to integrate; () for none
 
     The state is held component-major, (3, nk).  Returns a dict with keys
-    ``final`` (nk, 3), optional ``traj`` (nx, nk, 3), ``s`` and ``s_defined``
-    (nk, len(s_rows)) when rows are requested, and ``stable`` (nk,) the
-    stability mask that was applied.
+    ``final`` (nk, 3), optional ``traj`` (nx, nk, 3), and ``s`` and
+    ``s_defined`` (nk, len(s_rows)) when rows are requested.  A column whose
+    dressing grows at any sample is refused with UnboundedExponentialError.
     """
     sign, d, side, transpose = KINDS[kind]
     x = np.asarray(x, dtype=float)
@@ -102,8 +101,7 @@ def march_column(
     nk = ls.shape[0]
     j = col - 1
 
-    stable = column_stability(ls, col, kind)
-    if not growth_ok and not np.all(stable):
+    if not np.all(column_stability(ls, col, kind)):
         rows = unstable_entries(ls, col, kind)
         raise UnboundedExponentialError(
             f"column {col} of {kind} has growing dressing entries "
@@ -194,10 +192,10 @@ def march_column(
             np.maximum(max_integrand, np.abs(f[1 : nb + 1]).max(axis=0), out=max_integrand)
             f[0] = f[nb]
 
-    if not np.all(np.isfinite(phi[:, stable])):
+    if not np.all(np.isfinite(phi)):
         raise UnboundedExponentialError(f"march for column {col} of {kind} overflowed")
 
-    out = {"final": phi.T.copy(), "stable": stable}
+    out = {"final": phi.T.copy()}
     if want_traj:
         out["traj"] = traj
     if s_rows:

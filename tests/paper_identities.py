@@ -52,7 +52,7 @@ def lax_residues(k, u, ux, uxx, v, vx):
     k = complex(k)
     p = vandermonde(k)
     pinv = vandermonde_inv(k)
-    lt, zt = sp.lax_tilde(k, u, ux, uxx, v, vx)
+    lt, zt = sp.l_tilde(k, u, ux, uxx, v, vx), sp.z_tilde(k, u, ux, uxx, v, vx)
     cal_l = np.diag([sp.eval_l(j, k) for j in (1, 2, 3)])
     cal_z = np.diag([sp.eval_z(j, k) for j in (1, 2, 3)])
     return pinv @ lt @ p - cal_l, pinv @ zt @ p - cal_z
@@ -124,7 +124,7 @@ def m2_matrix(data: sc.InitialData, k: complex):
     y2 = sc._traj(data, k, "Y", 2)
     w = sc._adjugate_cross(data, k)
     s11 = sc.s11_batch(data, [k])[0]
-    sa22, _ = sc._s_entry_batch(data, [k], "XA", 2, 2)
+    sa22 = sc._entry(data, [k], "XA", 2, 2)
     out = np.empty((data.x.size, 3, 3), dtype=complex)
     out[:, :, 0] = x1
     out[:, :, 1] = y2 / sa22[0]
@@ -135,24 +135,27 @@ def m2_matrix(data: sc.InitialData, k: complex):
 def residue_constant_compact(data: sc.InitialData, k0: complex):
     """Compact-support shortcut -s_12/sdot_11 (real k0) or -s_13/sdot_11.
 
-    The column's dressing grows, so the entry is marched with growth allowed;
-    it is exact only when the data vanish outside a bounded window."""
+    The column's dressing grows, so the entry is marched step by step with
+    growth allowed; it is exact only when the data vanish outside a bounded
+    window."""
     k0 = complex(k0)
     ds11 = sc._s11_derivative(data, k0)
     _, ls, c = sc._plan([k0])
     n1, n2 = data.potential_scalars
     sl = data.support_slice()
     col = 2 if sp.on_real_axis(k0) else 3
-    res = vt.march_column(data.x[sl], n1[sl], n2[sl], c, ls, col, "X", s_rows=(1,), growth_ok=True)
+    res = march_column_stepwise(data.x[sl], n1[sl], n2[sl], c, ls, col, "X", False, (1,), True)
     return -res["s"][0, 0] / ds11
 
 
-def march_column_stepwise(x, n1, n2, c, ls, col, kind, want_traj, s_rows, growth_ok):
+def march_column_stepwise(x, n1, n2, c, ls, col, kind, want_traj, s_rows, growth_ok=False):
     """:func:`volterra.march_column` one x step at a time.
 
     Every step forms its own potential row, connection dressing, integrand
     and trapezoid term, where the package forms them once per block of
-    DRESS_BLOCK steps; both give the same bits."""
+    DRESS_BLOCK steps; both give the same bits.  With ``growth_ok`` a column
+    that grows at some samples is marched rather than refused, and only the
+    stable samples must stay finite."""
     sign, d, side, transpose = vt.KINDS[kind]
     x = np.asarray(x, dtype=float)
     nx = x.size
@@ -247,7 +250,7 @@ def march_column_stepwise(x, n1, n2, c, ls, col, kind, want_traj, s_rows, growth
     if not np.all(np.isfinite(phi[:, stable])):
         raise vt.UnboundedExponentialError(f"march for column {col} of {kind} overflowed")
 
-    out = {"final": phi.T.copy(), "stable": stable}
+    out = {"final": phi.T.copy()}
     if want_traj:
         out["traj"] = traj
     if s_rows:

@@ -254,10 +254,7 @@ def test_criterion_8_time_evolution_consistency():
     ks = np.where(m < 1.0, 1j * m, -1j * m)
 
     def r1_of(u, v):
-        d = sc.InitialData(grid.x, u, v)
-        den, _ = sc._s_entry_batch(d, ks, "X", 1, 1)
-        num, _ = sc._s_entry_batch(d, ks, "X", 2, 1)
-        return num / den
+        return sc._r_values(sc.InitialData(grid.x, u, v), "X", ks)
 
     r1_t1 = r1_of(fld.u[1], fld.v[1])
     r1_t0 = r1_of(fld.u[0], fld.v[0])

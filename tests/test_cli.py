@@ -150,6 +150,33 @@ def test_verify_system_check_on_two_levels_names_its_minimum(tmp_path, capsys):
     assert "system check needs at least 3 time levels and 7 x-points" in capsys.readouterr().err
 
 
+def test_verify_refuses_nonuniform_time_levels(tmp_path, capsys):
+    # the same wave on uniform levels passes; the FD stencils assume equal steps
+    levels = {"uniform": "0,0.01,0.02,0.03,0.04,0.05", "skipped": "0,0.01,0.02,0.04,0.05,0.06"}
+    for name, tvals in levels.items():
+        run("soliton", "--k0", 2, "--xmin", -20, "--xmax", 20, "--hx", 0.05, "--tvals", tvals,
+            "--out", tmp_path / name)
+    assert run("verify", "--field", tmp_path / "uniform" / "solution.csv",
+               "--out", tmp_path / "v-uniform") == 0
+    capsys.readouterr()
+    assert run("verify", "--field", tmp_path / "skipped" / "solution.csv",
+               "--out", tmp_path / "v-skipped") == 1
+    assert "t grid must be uniform and increasing" in capsys.readouterr().err
+    assert not (tmp_path / "v-skipped").exists()
+
+
+@pytest.mark.parametrize("check", ["pde", "system", "mass", "lax"])
+def test_verify_refuses_a_nonuniform_x_grid(tmp_path, capsys, check):
+    x = np.linspace(-4.0, 4.0, 41)
+    x[20] += 0.01
+    zeros = np.zeros((5, x.size))
+    fld = sol.SolutionField(x, np.linspace(0.0, 0.04, 5), zeros, zeros)
+    fileio.write_field(str(tmp_path / "f.csv"), fld, "test", {})
+    assert run("verify", "--field", tmp_path / "f.csv", "--checks", check,
+               "--out", tmp_path / "v") == 1
+    assert "x grid must be uniform and increasing" in capsys.readouterr().err
+
+
 def test_jumps_command(tmp_path):
     out = tmp_path / "j"
     assert run("jumps", "--samples", 5, "--out", out) == 0

@@ -33,7 +33,6 @@ KEPT = {
     ("volterra", "_clipped_exp", "limit"),
     ("volterra", "march_column", "want_traj"),
     ("volterra", "march_column", "s_rows"),
-    ("volterra", "march_column", "growth_ok"),
 }
 
 KEPT_FIELDS = {

@@ -201,13 +201,15 @@ def test_reflection_decay_report(gauss_sd):
 
 def test_undefined_ratio_entry_is_a_numeric_error(gauss, monkeypatch):
     # an undefined (1,2) entry at one sample must not pass into r1 or the floor
-    march = sc._s_entry_batch
+    march = sc._march
 
-    def one_undefined(data, ks, kind, col, row):
-        val, defined = march(data, ks, kind, col, row)
-        return val, defined & ((np.arange(ks.size) != 3) | (col == 1))
+    def one_undefined(data, ks, kind, col, want_traj=False, s_rows=()):
+        res = march(data, ks, kind, col, want_traj, s_rows)
+        if col != 1:
+            res["s_defined"][3] = False
+        return res
 
-    monkeypatch.setattr(sc, "_s_entry_batch", one_undefined)
+    monkeypatch.setattr(sc, "_march", one_undefined)
     first = re.escape(f"s_12 is undefined at sample {sc.gamma1_samples(24)[3]}")
     with pytest.raises(sc.UndefinedEntryError, match=first):
         sc.reflection_coefficients(gauss, per_decade=24, circle_n=384)
@@ -216,11 +218,13 @@ def test_undefined_ratio_entry_is_a_numeric_error(gauss, monkeypatch):
     assert issubclass(sc.UndefinedEntryError, ArithmeticError)  # exit 2 in the CLI
 
     # a vanishing (1,1) entry leaves the ratio undefined just the same
-    def one_zero(data, ks, kind, col, row):
-        val, defined = march(data, ks, kind, col, row)
-        return np.where((np.arange(ks.size) == 3) & (col == 1), 0.0, val), defined
+    def one_zero(data, ks, kind, col, want_traj=False, s_rows=()):
+        res = march(data, ks, kind, col, want_traj, s_rows)
+        if col == 1:
+            res["s"][3] = 0.0
+        return res
 
-    monkeypatch.setattr(sc, "_s_entry_batch", one_zero)
+    monkeypatch.setattr(sc, "_march", one_zero)
     first = re.escape(f"vanishes at contour sample {sc.gamma1_samples(24)[3]}")
     with pytest.raises(sc.ZeroOnContourError, match=first):
         sc.reflection_coefficients(gauss, per_decade=24, circle_n=384)
@@ -230,13 +234,35 @@ def test_undefined_ratio_entry_is_a_numeric_error(gauss, monkeypatch):
     assert issubclass(sc.ZeroOnContourError, ArithmeticError)
 
 
+def test_undefined_diagonal_entry_is_a_numeric_error(gauss, monkeypatch):
+    # s11 (pole search) and sA22 (residue normalisation) pass the same check
+    # as the entries of r1 and r2: an undefined sample is named, not used
+    march = sc._march
+    marked = []
+
+    def last_undefined(data, ks, kind, col, want_traj=False, s_rows=()):
+        res = march(data, ks, kind, col, want_traj, s_rows)
+        if s_rows == (col,):  # a diagonal entry
+            res["s_defined"][-1] = False
+            marked.append(np.atleast_1d(ks)[-1])
+        return res
+
+    monkeypatch.setattr(sc, "_march", last_undefined)
+    with pytest.raises(sc.UndefinedEntryError) as err:
+        sc.find_poles(gauss)
+    assert str(err.value) == f"connection entry s_11 is undefined at sample {marked[-1]}"
+    for k0 in (2.0, 1.8 + 0.3j):  # the real and the complex residue path
+        with pytest.raises(sc.UndefinedEntryError) as err:
+            sc.residue_constant(gauss, k0)
+        assert str(err.value) == f"connection entry sA_22 is undefined at sample {marked[-1]}"
+
+
 def test_reflection_interpolation_consistency(gauss, gauss_sd):
     # interpolated samples reproduce directly computed values
     k = np.exp(1j * (np.angle(gauss_sd.circle[7]) + 0.3 * 2 * np.pi / 384))
-    direct_den, _ = sc._s_entry_batch(gauss, np.array([k]), "X", 1, 1)
-    direct_num, _ = sc._s_entry_batch(gauss, np.array([k]), "X", 2, 1)
+    direct = sc._r_values(gauss, "X", np.array([k]))[0]
     # fourth-order interpolation error on the deliberately coarse test grid
-    assert abs(gauss_sd.eval_r1(k) - direct_num[0] / direct_den[0]) < 1e-4
+    assert abs(gauss_sd.eval_r1(k) - direct) < 1e-4
     # exact at a sample point
     k7 = gauss_sd.circle[7]
     assert abs(gauss_sd.eval_r1(k7) - gauss_sd.r1_circle[7]) < 1e-14
