@@ -24,6 +24,7 @@ from boussinesq_ist.spectral import (
     eval_theta,
     on_real_axis,
     on_unit_circle,
+    pole_partner,
     rtilde,
 )
 
@@ -290,14 +291,13 @@ def circle_jump(circle: Circle, x, t, k):
     """
     k = complex(k)
     k0, c = circle.k0, circle.c
-    is_real = on_real_axis(k0)
 
     def eval_at(rot, kind, kk):
         if rot != 0:
             # kk lies on w^rot * (base); w*kk lies on w^(rot+1) * base
             return _A @ eval_at((rot + 1) % 3, kind, OMEGA * kk) @ _AI
         if kind == "plain":
-            return _removal(2 if is_real else 3, k0, c, x, t, kk)
+            return _removal(pole_partner(k0), k0, c, x, t, kk)
         if kind == "star":
             return _q7(k0, c, x, t, kk)
         base_kind = {"inv": "plain", "invstar": "star"}[kind]

@@ -25,11 +25,11 @@ from boussinesq_ist.spectral import (
     classify,
     dist_to_gamma,
     dist_to_qhat,
-    eval_l,
     eval_l_all,
     eval_z,
     on_real_axis,
     on_unit_circle,
+    pole_rates,
     potential_entries,
     potential_factor,
 )
@@ -606,20 +606,17 @@ def residue_constant(data: InitialData, k0: complex):
 
     if on_real_axis(k0):
         k0 = complex(k0.real, 0.0)
-        y2 = _traj(data, k0, "Y", 2)
-        dsa22 = _sa22_derivative(data, k0)
-        rate = eval_l(1, k0) - eval_l(2, k0)
-        pi_vec = y2 * np.exp(-rate * x)[:, None] / dsa22
+        vec = _traj(data, k0, "Y", 2)
+        deriv = _sa22_derivative(data, k0)
     else:
         if abs(_entry(data, [k0], "XA", 2, 2)[0]) <= 1e-8:
             raise FitResidualError(
                 "the adjugate (2,2) connection entry vanishes at the zero; "
                 "the simple-pole normalization breaks down"
             )
-        w = _adjugate_cross(data, k0)
-        ds11 = _s11_derivative(data, k0)
-        rate = eval_l(1, k0) - eval_l(3, k0)
-        pi_vec = w * np.exp(-rate * x)[:, None] / ds11
+        vec = _adjugate_cross(data, k0)
+        deriv = _s11_derivative(data, k0)
+    pi_vec = vec * np.exp(-pole_rates(k0)[0] * x)[:, None] / deriv
 
     weights = np.where(window & (np.abs(x1[:, 0]) > 0.1), np.abs(x1[:, 0]) ** 2, 0.0)
     if not np.any(weights > 0):
@@ -647,9 +644,7 @@ def evolve_scattering(sd: ScatteringData, t: float) -> ScatteringData:
         raise ValueError("time must be nonnegative")
     new_res = {}
     for k0, c in sd.residues.items():
-        # a real pole couples l_1 with l_2, a complex one l_1 with l_3
-        rate = eval_z(1, k0) - eval_z(2 if on_real_axis(k0) else 3, k0)
-        new_res[k0] = c * np.exp(rate * t)
+        new_res[k0] = c * np.exp(pole_rates(k0)[1] * t)
     dressed = {}
     for vals, pts, sign in SAMPLE_SETS:
         ks = getattr(sd, pts)
@@ -667,7 +662,7 @@ def evolve_scattering(sd: ScatteringData, t: float) -> ScatteringData:
     return replace(sd, residues=new_res, time=sd.time + t, **dressed)
 
 
-def estimate_T(sd: ScatteringData, zero_floor: float = 1e-12) -> float:
+def estimate_T(sd: ScatteringData, zero_floor: float) -> float:
     """Existence-horizon estimate from the decay of r1 along its outer ray.
 
     Returns +inf when r1 vanishes (below ``zero_floor``) on the inner

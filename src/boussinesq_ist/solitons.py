@@ -21,6 +21,7 @@ from boussinesq_ist.spectral import (
     eval_l,
     eval_z,
     on_real_axis,
+    pole_rates,
 )
 
 #: default synthesis grid: x in [-DEFAULT_LX, DEFAULT_LX] with step DEFAULT_HX
@@ -40,6 +41,15 @@ _BREATHER_SUBREGIONS = {
     Subregion.SING_R: ("right", "singular"),
     Subregion.SING_L: ("left", "singular"),
 }
+
+
+def _complex_subregion(k0) -> Subregion:
+    """The complex subregion of D2 holding the pole k0; DomainError when it
+    lies in none of the four."""
+    sub = classify(k0).subregion
+    if sub not in _BREATHER_SUBREGIONS:
+        raise DomainError(f"pole {k0} lies outside the complex subregions of the pole sector")
+    return sub
 
 
 class SingularSolitonError(ArithmeticError):
@@ -179,10 +189,7 @@ class SolitonSpec:
                 side = "right" if k0r > 1.0 else "left"
                 out.append(PoleData(complex(k0r), c, "soliton", side, reg))
             else:
-                sub = classify(k0).subregion
-                if sub not in _BREATHER_SUBREGIONS:
-                    raise DomainError(f"complex pole {k0} lies outside the pole sector")
-                side, reg = _BREATHER_SUBREGIONS[sub]
+                side, reg = _BREATHER_SUBREGIONS[_complex_subregion(k0)]
                 out.append(PoleData(k0, c, "breather", side, "zero" if c == 0 else reg))
         return SolitonSpec(tuple(out))
 
@@ -227,6 +234,14 @@ def residue_constant_from_position(k0: float, x0: float) -> complex:
     return complex(f2 * SQRT3 * k0 * (k0**2 - 1.0) / (1j * OMEGA**2 * (k0**2 - OMEGA**2)))
 
 
+def _soliton_centre(k0: float, c: complex):
+    """(f, w, x0) of a regular one-soliton: its shape factor f, the rate w of
+    its sech^2 argument w (x - speed t - x0), and its position x0 at t = 0."""
+    f = abs(soliton_shape_factor(k0, c).real)  # f^2 >= 0 here; the sign of f is immaterial
+    w = (k0**2 - 1.0) / (4.0 * k0)
+    return f, w, float(np.log(f) / w)
+
+
 def one_soliton(k0: float, c: complex, grid: Grid) -> SolutionField:
     """sech^2 traveling wave generated by a single real pole.
 
@@ -254,11 +269,7 @@ def one_soliton(k0: float, c: complex, grid: Grid) -> SolutionField:
         zero = np.zeros((nt, nx))
         return SolutionField(grid.x, grid.t, zero, v=zero.copy(), meta=meta)
 
-    f = soliton_shape_factor(k0, c)
-    f = abs(f.real)  # f^2 >= 0 here; the sign of f is immaterial
-    w = (k0**2 - 1.0) / (4.0 * k0)
-    x0 = float(np.log(f) / w)
-    meta["x0"] = x0
+    f, w, meta["x0"] = _soliton_centre(k0, c)
 
     xi = grid.x[None, :] - speed * grid.t[:, None]
     y = w * xi
@@ -279,21 +290,16 @@ def _breather_constants(k0: complex, c: complex):
     d = derived_conjugate_constant(k0, c)
     ct = 1j * (k0**2 - 1.0) / (2.0 * SQRT3 * k0**2) * c
     dt = 1j * (kb**2 - OMEGA**2) / (2.0 * SQRT3 * kb**2) * OMEGA**2 * d
+    rate_x, rate_t = pole_rates(k0)
+    mu = np.array([rate_x, eval_l(3, kb) - eval_l(2, kb)])
+    nu = np.array([rate_t, eval_z(3, kb) - eval_z(2, kb)])
     a0 = np.array(
         [
-            [
-                1.0 / (eval_l(1, k0) - eval_l(3, k0)),
-                1.0 / (eval_l(1, k0) - eval_l(2, kb)),
-            ],
-            [
-                1.0 / (eval_l(3, kb) - eval_l(3, k0)),
-                1.0 / (eval_l(3, kb) - eval_l(2, kb)),
-            ],
+            [1.0 / mu[0], 1.0 / (eval_l(1, k0) - eval_l(2, kb))],
+            [1.0 / (eval_l(3, kb) - eval_l(3, k0)), 1.0 / mu[1]],
         ],
         dtype=complex,
     )
-    mu = np.array([eval_l(1, k0) - eval_l(3, k0), eval_l(3, kb) - eval_l(2, kb)])
-    nu = np.array([eval_z(1, k0) - eval_z(3, k0), eval_z(3, kb) - eval_z(2, kb)])
     lam_x = np.array([eval_l(1, k0), eval_l(3, kb)])
     lam_t = np.array([eval_z(1, k0), eval_z(3, kb)])
     return ct, dt, a0, mu, nu, lam_x, lam_t
@@ -319,10 +325,7 @@ def h_indicator(k0: complex) -> float:
     ones, which is exactly what separates smooth breathers from blow-up.
     """
     k0 = complex(k0)
-    if classify(k0).subregion not in _BREATHER_SUBREGIONS:
-        raise DomainError(
-            "indicator defined only off the real axis inside the pole sector"
-        )
+    _complex_subregion(k0)
     kr, ki = k0.real, k0.imag
     r2 = abs(k0) ** 2
     den = 2.0 * ki * (SQRT3 * kr - ki) * (r2 - 1.0) ** 2
@@ -339,19 +342,23 @@ def det_i_minus_a(k0: complex, c: complex, x, t):
     return 1.0 - 2.0 * a11.real + h * np.abs(a11) ** 2
 
 
-def breather_envelope_rate(k0: complex) -> float:
-    """One-sided exponential decay rate of the breather envelope in x."""
-    return abs((eval_l(1, k0) - eval_l(3, k0)).real)
-
-
 def breather_constant_for_position(k0: complex, x0: float = 0.0, phase: float = 0.0) -> complex:
     """Residue constant placing the breather envelope center near x0 at t=0."""
     k0 = complex(k0)
-    rate = (eval_l(1, k0) - eval_l(3, k0)).real
-    scale = abs(eval_l(1, k0) - eval_l(3, k0)) * 2.0 * SQRT3 * abs(k0) ** 2 / abs(
-        k0**2 - 1.0
-    )
-    return scale * np.exp(-rate * x0) * np.exp(1j * phase)
+    rate = pole_rates(k0)[0]
+    scale = abs(rate) * 2.0 * SQRT3 * abs(k0) ** 2 / abs(k0**2 - 1.0)
+    return scale * np.exp(-rate.real * x0) * np.exp(1j * phase)
+
+
+def pole_envelope(p: PoleData):
+    """(decay rate, |centre|) of the x-envelope that the regular pole p
+    generates at t = 0: the wave decays like exp(-rate |x - centre|)."""
+    if p.kind == "soliton":
+        _, w, x0 = _soliton_centre(p.k0.real, p.c)
+        return 2.0 * w, abs(x0)  # sech^2(w (x - x0)) decays like exp(-2 w |x - x0|)
+    ct, _, _, mu, _, _, _ = _breather_constants(p.k0, p.c)
+    rate = abs(mu[0].real)
+    return rate, abs(np.log(abs(ct) / abs(mu[0])) / rate)
 
 
 def breather(k0: complex, c: complex, grid: Grid) -> SolutionField:
@@ -362,9 +369,7 @@ def breather(k0: complex, c: complex, grid: Grid) -> SolutionField:
     2x2 determinant crosses zero.
     """
     k0 = complex(k0)
-    sub = classify(k0).subregion
-    if sub not in _BREATHER_SUBREGIONS:
-        raise DomainError(f"pole {k0} lies outside the complex pole sector")
+    sub = _complex_subregion(k0)
     meta = {"constructor": "breather", "k0": k0, "c": complex(c), "subregion": sub.value}
     nt, nx = grid.t.size, grid.x.size
     if c == 0:
@@ -446,17 +451,13 @@ def _expand_pole_system(spec: SolitonSpec):
     for p in spec.poles:
         if p.regularity == "zero":
             continue
-        # (base, residue constant, rate indices a, b of l_a - l_b, image table)
-        k0 = p.k0
-        if p.kind == "soliton":
-            groups = [(k0, p.c, 1, 2, _E_TABLE)]
-        else:
-            kb = np.conj(k0)
-            groups = [(k0, p.c, 1, 3, _C_TABLE),
-                      (kb, derived_conjugate_constant(k0, p.c), 3, 2, _D_TABLE)]
-        for base, const, a, b, table in groups:
-            rx = eval_l(a, base) - eval_l(b, base)
-            rt = eval_z(a, base) - eval_z(b, base)
+        # (base, residue constant, x-rate, t-rate, image table)
+        groups = [(p.k0, p.c, *pole_rates(p.k0), _E_TABLE if p.kind == "soliton" else _C_TABLE)]
+        if p.kind == "breather":
+            kb = np.conj(p.k0)
+            groups.append((kb, derived_conjugate_constant(p.k0, p.c),
+                           eval_l(3, kb) - eval_l(2, kb), eval_z(3, kb) - eval_z(2, kb), _D_TABLE))
+        for base, const, rx, rt, table in groups:
             for rot, inv, col, src in table:
                 pt = OMEGA**rot * (1.0 / base if inv else base)
                 mult = OMEGA**rot * -(base**-2) if inv else OMEGA**rot
@@ -547,15 +548,15 @@ def _solve_residues(entries, x, t):
     return tuple(out.reshape((3,) + shape))  # n31, n31_x, n31_t
 
 
-def n_soliton(spec: SolitonSpec, grid: Grid) -> SolutionField:
-    """General multi-pole solution via the dense residue linear system.
+def n_soliton(pairs, grid: Grid) -> SolutionField:
+    """General multi-pole solution via the dense residue linear system, from
+    (pole, residue constant) pairs.
 
     Matches the closed-form one-soliton and breather constructors for a
     single pole; arbitrary mixtures of distinct regular poles are assembled
     from the same residue table blockwise.
     """
-    if isinstance(spec, (list, tuple)):
-        spec = SolitonSpec.from_pairs(spec)
+    spec = SolitonSpec.from_pairs(pairs)
     spec.require_regular()
     meta = {
         "constructor": "n_soliton",

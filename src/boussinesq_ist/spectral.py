@@ -105,6 +105,19 @@ def on_real_axis(k) -> bool:
     return abs(k.imag) < TOL_CONTOUR * max(1.0, abs(k))
 
 
+def pole_partner(k0) -> int:
+    """The index j whose rates a pole's residue couples with l_1 and z_1: 2
+    for a real pole (a soliton), 3 for a complex one (a breather)."""
+    return 2 if on_real_axis(k0) else 3
+
+
+def pole_rates(k0):
+    """(l_1 - l_j, z_1 - z_j) at the pole k0, with j = pole_partner(k0): the
+    x- and t-rates of its residue's exponential dressing."""
+    j = pole_partner(k0)
+    return eval_l(1, k0) - eval_l(j, k0), eval_z(1, k0) - eval_z(j, k0)
+
+
 def on_unit_circle(k):
     """Elementwise ||k| - 1| < TOL_CONTOUR."""
     return np.abs(np.abs(k) - 1.0) < TOL_CONTOUR

@@ -9,13 +9,13 @@ machinery used to build the fields: derivatives come from FD stencils
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from boussinesq_ist import scattering as sc
 from boussinesq_ist import solitons as sol
-from boussinesq_ist.spectral import SQRT3, dist_to_qhat, eval_l, l_tilde, z_tilde
+from boussinesq_ist.spectral import dist_to_qhat, l_tilde, z_tilde
 
 
 def fd_weights(order: int, offsets) -> np.ndarray:
@@ -85,13 +85,7 @@ class ResidualReport:
     term_max: dict
 
     def to_dict(self):
-        return {
-            "max_abs_residual": self.max_abs_residual,
-            "hx": self.hx,
-            "ht": self.ht,
-            "stencil_orders": self.stencil_orders,
-            "term_max": self.term_max,
-        }
+        return asdict(self)
 
 
 def _interior(nt, nx, reach_t, reach_x):
@@ -235,33 +229,22 @@ def _auto_extent(spec: sol.SolitonSpec) -> float:
     """Domain half-width that buries the slowest pole tail below ~1e-6."""
     lx = 35.0
     for p in spec.poles:
-        if p.regularity == "zero":
-            continue
-        if p.kind == "soliton":
-            k0 = p.k0.real
-            rate = (k0**2 - 1.0) / (2.0 * k0)
-            w = (k0**2 - 1.0) / (4.0 * k0)
-            f = abs(sol.soliton_shape_factor(k0, p.c))
-            center = abs(np.log(f) / w)
-        else:
-            rate = sol.breather_envelope_rate(p.k0)
-            ct = abs(1j * (p.k0**2 - 1.0) / (2.0 * SQRT3 * p.k0**2) * p.c)
-            center = abs(np.log(ct / abs(eval_l(1, p.k0) - eval_l(3, p.k0))) / rate)
-        lx = max(lx, 14.0 / rate + center + 5.0)
+        if p.regularity != "zero":
+            rate, centre = sol.pole_envelope(p)
+            lx = max(lx, 14.0 / rate + centre + 5.0)
     return min(lx, 120.0)
 
 
-def round_trip(spec, lx: float | None = None) -> RoundTripReport:
+def round_trip(pairs, lx: float | None = None) -> RoundTripReport:
     """Synthesize u(.,0), v(.,0) on [-lx, lx] with step DEFAULT_HX from the
-    spectral data, rescatter, compare."""
+    (pole, residue constant) pairs, rescatter, compare."""
     pole_tol, residue_tol, floor_tol = 1e-3, 1e-2, 1e-3
-    if isinstance(spec, (list, tuple)):
-        spec = sol.SolitonSpec.from_pairs(spec)
+    spec = sol.SolitonSpec.from_pairs(pairs)
     spec.require_regular()
     if lx is None:
         lx = _auto_extent(spec)
     grid = sol.Grid(np.linspace(-lx, lx, sol.point_count(2 * lx, sol.DEFAULT_HX)), [0.0])
-    fld = sol.n_soliton(spec, grid)
+    fld = sol.n_soliton(pairs, grid)
     data = sc.InitialData(grid.x, fld.u[0], fld.v[0])
 
     regions = list(sc.DEFAULT_REGIONS)

@@ -330,6 +330,11 @@ def test_readme_commands_run_as_written(tmp_path, monkeypatch, capsys):
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
         assert "warning:" not in capsys.readouterr().err, line
+    # the breather example's grid holds its wave: scattering its t = 0 edges
+    # would not warn
+    br = fileio.read_field("br/solution.csv")
+    assert np.max(np.abs(br.u[0, [0, -1]])) < sc.DECAY_TOL
+    assert np.max(np.abs(br.v[0, [0, -1]])) < sc.DECAY_TOL
 
 
 def test_help_exits_clean():

@@ -25,7 +25,6 @@ KEPT = {
     ("scattering", "reflection_coefficients", "per_decade"),
     ("scattering", "reflection_coefficients", "circle_n"),
     ("scattering", "find_poles", "regions"),
-    ("scattering", "estimate_T", "zero_floor"),
     ("solitons", "SingularBreatherError.__init__", "witness"),
     ("solitons", "breather_constant_for_position", "x0"),
     ("solitons", "breather_constant_for_position", "phase"),

@@ -449,12 +449,12 @@ def test_estimate_T_synthetic():
         gamma1=g1, r1_ray=r1, gamma4=sc.gamma4_samples(), r2_ray=0 * r1,
         circle=sc.circle_samples(), r1_circle=zeros, r2_circle=zeros,
     )
-    assert sc.estimate_T(sdat) == pytest.approx(4.0, abs=1e-9)
+    assert sc.estimate_T(sdat, zero_floor=1e-12) == pytest.approx(4.0, abs=1e-9)
     sdz = sc.ScatteringData(
         gamma1=g1, r1_ray=0 * r1, gamma4=sc.gamma4_samples(), r2_ray=0 * r1,
         circle=sc.circle_samples(), r1_circle=zeros, r2_circle=zeros,
     )
-    assert sc.estimate_T(sdz) == np.inf
+    assert sc.estimate_T(sdz, zero_floor=1e-12) == np.inf
 
 
 def test_estimate_T_reflectionless_with_noise_floor(soliton_data):
