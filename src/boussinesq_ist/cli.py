@@ -157,7 +157,6 @@ def _cmd_scatter(args) -> int:
     for w in data.warnings:
         print(f"warning: {w}", file=sys.stderr)
     sd = scattering.reflection_coefficients(data)
-    _write_contours(args.out, sd, "scatter", {"data": os.path.basename(args.data)})
     payload = {
         "decay_report": scattering.decay_report(sd),
         "unit_point_genericity": scattering.unit_point_genericity(data),
@@ -174,6 +173,7 @@ def _cmd_scatter(args) -> int:
         payload["residues"] = residues
         t_hat = scattering.estimate_T(sd, zero_floor=args.zero_floor)
         payload["T_estimate"] = t_hat if np.isfinite(t_hat) else "inf"
+    _write_contours(args.out, sd, "scatter", {"data": os.path.basename(args.data)})
     fileio.write_json(os.path.join(args.out, "scatter.json"), payload)
     return EXIT_OK
 
@@ -188,8 +188,8 @@ def _cmd_roundtrip(args) -> int:
     rep = verify.round_trip(pairs, lx=args.lx)
     os.makedirs(args.out, exist_ok=True)
     fileio.write_json(os.path.join(args.out, "roundtrip.json"),
-                      dict(rep.to_dict(), command="roundtrip"))
-    return EXIT_OK if rep.passed else EXIT_VALIDATION
+                      dict(rep, command="roundtrip"))
+    return EXIT_OK if rep["passed"] else EXIT_VALIDATION
 
 
 def _cmd_verify(args) -> int:
@@ -202,8 +202,8 @@ def _cmd_verify(args) -> int:
     failed = False
     if "pde" in checks:
         rep = verify.pde_residual(fld)
-        ok = rep.max_abs_residual < args.tol_pde
-        report["checks"]["pde"] = dict(rep.to_dict(), passed=ok, tol=args.tol_pde)
+        ok = rep["max_abs_residual"] < args.tol_pde
+        report["checks"]["pde"] = dict(rep, passed=ok, tol=args.tol_pde)
         failed |= not ok
     if "system" in checks:
         res = verify.system_residual(fld)
@@ -212,8 +212,8 @@ def _cmd_verify(args) -> int:
         failed |= not ok
     if "mass" in checks:
         rep = verify.mass_conservation(fld)
-        ok = rep.max_deviation < args.tol_mass
-        report["checks"]["mass"] = dict(rep.to_dict(), passed=ok, tol=args.tol_mass)
+        ok = rep["max_deviation"] < args.tol_mass
+        report["checks"]["mass"] = dict(rep, passed=ok, tol=args.tol_mass)
         failed |= not ok
     if "lax" in checks:
         ks = [complex(1.3, 0.4), complex(0.7, -0.2), complex(2.2, 0.1)]

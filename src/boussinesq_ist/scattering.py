@@ -223,7 +223,7 @@ def _adjugate_cross(data: InitialData, k):
 # ----------------------------------------------------------------------------
 
 
-def ray_moduli(per_decade: int = 64):
+def ray_moduli(per_decade: int):
     lo, hi = RAY_DECADES
     m = np.logspace(lo, hi, per_decade * (hi - lo) + 1)
     return m[~on_unit_circle(m)]

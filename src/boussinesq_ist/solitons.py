@@ -342,7 +342,7 @@ def det_i_minus_a(k0: complex, c: complex, x, t):
     return 1.0 - 2.0 * a11.real + h * np.abs(a11) ** 2
 
 
-def breather_constant_for_position(k0: complex, x0: float = 0.0, phase: float = 0.0) -> complex:
+def breather_constant_for_position(k0: complex, x0: float, phase: float) -> complex:
     """Residue constant placing the breather envelope center near x0 at t=0."""
     k0 = complex(k0)
     rate = pole_rates(k0)[0]

@@ -9,8 +9,6 @@ machinery used to build the fields: derivatives come from FD stencils
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-
 import numpy as np
 
 from boussinesq_ist import scattering as sc
@@ -76,23 +74,11 @@ def deriv(arr, along, order, h):
     return out, reach
 
 
-@dataclass
-class ResidualReport:
-    max_abs_residual: float
-    hx: float
-    ht: float
-    stencil_orders: dict
-    term_max: dict
-
-    def to_dict(self):
-        return asdict(self)
-
-
 def _interior(nt, nx, reach_t, reach_x):
     return (slice(reach_t, nt - reach_t), slice(reach_x, nx - reach_x))
 
 
-def pde_residual(fld: sol.SolutionField) -> ResidualReport:
+def pde_residual(fld: sol.SolutionField) -> dict:
     """Residual of u_tt = u_xx + (u^2)_xx + u_xxxx on interior points."""
     if fld.x.size < 9:
         raise ValueError("grid too coarse: need at least 9 x-points")
@@ -112,13 +98,13 @@ def pde_residual(fld: sol.SolutionField) -> ResidualReport:
         "(u^2)_xx": float(np.max(np.abs(sqxx[core]))),
         "u_xxxx": float(np.max(np.abs(uxxxx[core]))),
     }
-    return ResidualReport(
-        float(np.max(np.abs(res[core]))),
-        fld.hx,
-        fld.ht,
-        {"x": 4, "t": 2},
-        terms,
-    )
+    return {
+        "max_abs_residual": float(np.max(np.abs(res[core]))),
+        "hx": fld.hx,
+        "ht": fld.ht,
+        "stencil_orders": {"x": 4, "t": 2},
+        "term_max": terms,
+    }
 
 
 def system_residual(fld: sol.SolutionField) -> dict:
@@ -183,46 +169,12 @@ def lax_compatibility(fld: sol.SolutionField, ks) -> float:
     return worst
 
 
-@dataclass
-class MassReport:
-    integrals: np.ndarray
-    max_deviation: float
-    decaying: bool
-
-    def to_dict(self):
-        return {
-            "integrals": [float(v) for v in self.integrals],
-            "max_deviation": self.max_deviation,
-            "decaying": self.decaying,
-        }
-
-
-def mass_conservation(fld: sol.SolutionField) -> MassReport:
+def mass_conservation(fld: sol.SolutionField) -> dict:
     """Trapezoid mass per time level; flags fields with |u| >= 1e-8 at an x-edge."""
     edges = max(float(np.max(np.abs(fld.u[:, 0]))), float(np.max(np.abs(fld.u[:, -1]))))
     masses = np.trapezoid(fld.u, dx=fld.hx, axis=1)
     dev = float(np.max(np.abs(masses - masses[0]))) if masses.size else 0.0
-    return MassReport(masses, dev, bool(edges < 1e-8))
-
-
-@dataclass
-class RoundTripReport:
-    pole_errors: dict
-    residue_errors: dict
-    reflection_floor: float
-    tolerances: dict
-    passed: bool
-    details: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "pole_errors": {str(k): v for k, v in self.pole_errors.items()},
-            "residue_errors": {str(k): v for k, v in self.residue_errors.items()},
-            "reflection_floor": self.reflection_floor,
-            "tolerances": self.tolerances,
-            "passed": self.passed,
-            "details": {str(k): str(v) for k, v in self.details.items()},
-        }
+    return {"integrals": masses.tolist(), "max_deviation": dev, "decaying": bool(edges < 1e-8)}
 
 
 def _auto_extent(spec: sol.SolitonSpec) -> float:
@@ -235,9 +187,10 @@ def _auto_extent(spec: sol.SolitonSpec) -> float:
     return min(lx, 120.0)
 
 
-def round_trip(pairs, lx: float | None = None) -> RoundTripReport:
+def round_trip(pairs, lx: float | None = None) -> dict:
     """Synthesize u(.,0), v(.,0) on [-lx, lx] with step DEFAULT_HX from the
-    (pole, residue constant) pairs, rescatter, compare."""
+    (pole, residue constant) pairs, rescatter, compare. The per-pole entries
+    are keyed by str(pole)."""
     pole_tol, residue_tol, floor_tol = 1e-3, 1e-2, 1e-3
     spec = sol.SolitonSpec.from_pairs(pairs)
     spec.require_regular()
@@ -264,38 +217,39 @@ def round_trip(pairs, lx: float | None = None) -> RoundTripReport:
     for p in spec.poles:
         if p.regularity == "zero":
             continue
+        key = str(p.k0)
         if not found:
             ok = False
-            details[p.k0] = "no pole recovered"
+            details[key] = "no pole recovered"
             continue
         nearest = min(found, key=lambda z: abs(z - p.k0))
         err = abs(nearest - p.k0)
-        pole_errors[p.k0] = float(err)
+        pole_errors[key] = float(err)
         if err > pole_tol:
             ok = False
-            details[p.k0] = f"pole error {err:.3e}"
+            details[key] = f"pole error {err:.3e}"
             continue
         chat, fit_res = sc.residue_constant(data, nearest)
         rerr = abs(chat - p.c) / abs(p.c)
-        residue_errors[p.k0] = float(rerr)
-        details[p.k0] = f"fit residual {fit_res:.3e}"
+        residue_errors[key] = float(rerr)
+        details[key] = f"fit residual {fit_res:.3e}"
         if rerr > residue_tol:
             ok = False
     extras = [z for z in found if all(abs(z - p.k0) > 0.05 for p in spec.poles)]
     if extras:
         ok = False
-        details["spurious"] = extras
+        details["spurious"] = str(extras)
 
     floor = sc.reflection_floor(data)
     if floor > floor_tol:
         ok = False
     if not spec.poles and found:
         ok = False
-    return RoundTripReport(
-        pole_errors,
-        residue_errors,
-        float(floor),
-        {"pole": pole_tol, "residue": residue_tol, "floor": floor_tol},
-        ok,
-        details,
-    )
+    return {
+        "pole_errors": pole_errors,
+        "residue_errors": residue_errors,
+        "reflection_floor": float(floor),
+        "tolerances": {"pole": pole_tol, "residue": residue_tol, "floor": floor_tol},
+        "passed": ok,
+        "details": details,
+    }

@@ -113,6 +113,20 @@ def test_scatter_and_evolve_files(tmp_path):
     np.testing.assert_allclose(k1e, k1, atol=0)
 
 
+def test_failed_scatter_leaves_no_output(tmp_path, monkeypatch, capsys):
+    src = tmp_path / "sol"
+    run("soliton", "--k0", 2, "--xmin", -16, "--xmax", 16, "--hx", 0.04,
+        "--out", src, "--emit-initial")
+
+    def fail(*args, **kwargs):
+        raise sc.WindingError("winding count did not settle")
+
+    monkeypatch.setattr(sc, "find_poles", fail)
+    assert run("scatter", "--data", src / "initial.csv", "--poles", "--out", tmp_path / "s") == 2
+    assert "winding count did not settle" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_scatter_zero_data(tmp_path):
     x = np.linspace(-10, 10, 2001)
     rows = "\n".join(f"{xx},0,0" for xx in x)
@@ -305,6 +319,70 @@ def test_roundtrip_command(tmp_path):
     rep = json.loads((out / "roundtrip.json").read_text())
     assert rep["passed"]
     assert min(float(v) for v in rep["pole_errors"].values()) < 1e-3
+
+
+#: dicts keyed by poles or messages: their keys are data, not schema
+DATA_KEYED = {"pole_errors", "residue_errors", "details"}
+
+#: the key paths of every JSON report: a/b is key b of dict a, a[] the dicts
+#: in list a, and a/* the values of a data-keyed dict
+REPORT_KEYS = {
+    "s/meta.json": "amplitude c speed x0",
+    "sc/scatter.json": """
+        T_estimate poles residues[]/c residues[]/fit_residual
+        decay_report/r1/tail_max decay_report/r1/weighted_sup/0 decay_report/r1/weighted_sup/1
+        decay_report/r1/weighted_sup/2 decay_report/r1/weighted_sup/3 decay_report/r1/weighted_sup/4
+        decay_report/r2/tail_max decay_report/r2/weighted_sup/0 decay_report/r2/weighted_sup/1
+        decay_report/r2/weighted_sup/2 decay_report/r2/weighted_sup/3 decay_report/r2/weighted_sup/4
+        unit_point_genericity/-1.0/generic unit_point_genericity/-1.0/min_weighted_entry
+        unit_point_genericity/1.0/generic unit_point_genericity/1.0/min_weighted_entry
+    """,
+    "ev/scatter.json": "poles residues[]/c time",
+    "v/verify.json": """
+        field
+        checks/pde/max_abs_residual checks/pde/hx checks/pde/ht checks/pde/passed checks/pde/tol
+        checks/pde/stencil_orders/x checks/pde/stencil_orders/t
+        checks/pde/term_max/u_tt checks/pde/term_max/u_xx checks/pde/term_max/(u^2)_xx
+        checks/pde/term_max/u_xxxx
+        checks/system/first_equation checks/system/second_equation checks/system/passed
+        checks/system/tol
+        checks/mass/integrals checks/mass/max_deviation checks/mass/decaying checks/mass/passed
+        checks/mass/tol
+        checks/lax/max_residual checks/lax/passed checks/lax/tol
+    """,
+    "rt/roundtrip.json": """
+        command passed pole_errors/* residue_errors/* details/* reflection_floor
+        tolerances/pole tolerances/residue tolerances/floor
+    """,
+    "j/jumps.json": """
+        max_abs_det_minus_1 max_cyclic_residual max_unipotency_residual passed seed
+    """,
+}
+
+
+def _key_paths(obj, path=""):
+    if isinstance(obj, list) and obj and all(isinstance(v, dict) for v in obj):
+        return set().union(*(_key_paths(v, path + "[]") for v in obj))
+    if not isinstance(obj, dict):
+        return {path}
+    if path.rsplit("/", 1)[-1] in DATA_KEYED:
+        return {path + "/*"}
+    return set().union(*(_key_paths(v, f"{path}/{k}" if path else k) for k, v in obj.items()))
+
+
+def test_report_keys_are_pinned(tmp_path):
+    # every JSON report the commands write, from one small soliton
+    assert run("soliton", "--k0", 2, "--xmin", -16, "--xmax", 16, "--hx", 0.04,
+               "--tvals", "0,0.01,0.02,0.03,0.04", "--emit-initial", "--out", tmp_path / "s") == 0
+    assert run("scatter", "--data", tmp_path / "s" / "initial.csv", "--poles",
+               "--out", tmp_path / "sc") == 0
+    assert run("evolve", "--scatter-dir", tmp_path / "sc", "--t", 0.1, "--out", tmp_path / "ev") == 0
+    assert run("verify", "--field", tmp_path / "s" / "solution.csv", "--out", tmp_path / "v") == 0
+    assert run("roundtrip", "--k0", 2, "--lx", 18, "--out", tmp_path / "rt") == 0
+    assert run("jumps", "--samples", 3, "--out", tmp_path / "j") == 0
+    for name, keys in REPORT_KEYS.items():
+        report = json.loads((tmp_path / name).read_text())
+        assert sorted(_key_paths(report)) == sorted(keys.split()), name
 
 
 def test_console_entry_point(tmp_path):

@@ -18,7 +18,6 @@ KEPT = {
     ("cli", "main", "argv"),
     ("scattering", "_march", "want_traj"),
     ("scattering", "_march", "s_rows"),
-    ("scattering", "ray_moduli", "per_decade"),
     ("scattering", "gamma1_samples", "per_decade"),
     ("scattering", "gamma4_samples", "per_decade"),
     ("scattering", "circle_samples", "n"),
@@ -26,8 +25,6 @@ KEPT = {
     ("scattering", "reflection_coefficients", "circle_n"),
     ("scattering", "find_poles", "regions"),
     ("solitons", "SingularBreatherError.__init__", "witness"),
-    ("solitons", "breather_constant_for_position", "x0"),
-    ("solitons", "breather_constant_for_position", "phase"),
     ("verify", "round_trip", "lx"),
     ("volterra", "_clipped_exp", "limit"),
     ("volterra", "march_column", "want_traj"),
@@ -40,7 +37,6 @@ KEPT_FIELDS = {
     ("solitons", "SolutionField", "v"),
     ("solitons", "SolutionField", "n31"),
     ("solitons", "SolutionField", "meta"),
-    ("verify", "RoundTripReport", "details"),
 }
 
 

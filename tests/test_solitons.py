@@ -340,7 +340,7 @@ def test_condition_guard_covers_every_point(monkeypatch):
 
 def test_imaginary_part_refusal_names_its_point(monkeypatch):
     k0 = 1.93185 + 0.51764j
-    c = sol.breather_constant_for_position(k0, 0.0)
+    c = sol.breather_constant_for_position(k0, 0.0, 0.0)
     grid = sol.Grid(np.linspace(-10, 10, 201), [0.0, 0.1, 0.2])
     monkeypatch.setattr(sol, "IM_U_TOL", 0.0)
     with pytest.raises(ArithmeticError, match=r"n_soliton u has imaginary part .* at \(x, t\) = ") as err:
@@ -363,7 +363,7 @@ def test_exactly_singular_system_is_near_singular_error():
 def test_blocked_residue_solve_is_bit_identical(monkeypatch):
     k0 = 1.93185 + 0.51764j
     pairs = [(2.0, sol.residue_constant_from_position(2.0, 1.0)),
-             (k0, sol.breather_constant_for_position(k0, -2.0))]
+             (k0, sol.breather_constant_for_position(k0, -2.0, 0.0))]
     grid = sol.Grid(np.linspace(-10, 10, 201), [0.0, 0.3])
     whole = sol.n_soliton(pairs, grid)
     npol = 18

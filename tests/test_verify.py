@@ -45,7 +45,7 @@ def test_pde_residual_zero_field():
         np.linspace(-5, 5, 101), np.linspace(0, 0.04, 5), np.zeros((5, 101))
     )
     rep = vf.pde_residual(zero)
-    assert rep.max_abs_residual == 0.0
+    assert rep["max_abs_residual"] == 0.0
 
 
 def test_pde_residual_grid_guards():
@@ -59,8 +59,8 @@ def test_pde_residual_grid_guards():
 
 def test_pde_residual_exact_soliton(soliton_field):
     rep = vf.pde_residual(soliton_field)
-    assert rep.max_abs_residual < 1e-4
-    assert set(rep.term_max) == {"u_tt", "u_xx", "(u^2)_xx", "u_xxxx"}
+    assert rep["max_abs_residual"] < 1e-4
+    assert set(rep["term_max"]) == {"u_tt", "u_xx", "(u^2)_xx", "u_xxxx"}
 
 
 def test_pde_negative_control(soliton_field):
@@ -72,7 +72,7 @@ def test_pde_negative_control(soliton_field):
         v=soliton_field.v,
     )
     rep_bad = vf.pde_residual(bad)
-    assert rep_bad.max_abs_residual > 100 * rep_good.max_abs_residual
+    assert rep_bad["max_abs_residual"] > 100 * rep_good["max_abs_residual"]
 
 
 def test_system_residual_exact_soliton(soliton_field):
@@ -120,31 +120,31 @@ def test_mass_conservation():
     grid = sol.Grid(np.linspace(-30, 30, 6001), np.linspace(0, 1, 5))
     fld = sol.one_soliton(2.0, c, grid)
     rep = vf.mass_conservation(fld)
-    assert rep.decaying
-    assert rep.max_deviation < 1e-6
+    assert rep["decaying"]
+    assert rep["max_deviation"] < 1e-6
     # sech^2 mass in closed form: 2 sqrt(6 A)
-    assert rep.integrals[0] == pytest.approx(2 * np.sqrt(6 * 27 / 32), rel=1e-6)
+    assert rep["integrals"][0] == pytest.approx(2 * np.sqrt(6 * 27 / 32), rel=1e-6)
 
 
 def test_mass_flags_nondecaying():
     x = np.linspace(-5, 5, 201)
     fld = sol.SolutionField(x, np.array([0.0]), np.ones((1, 201)))
-    assert not vf.mass_conservation(fld).decaying
+    assert not vf.mass_conservation(fld)["decaying"]
 
 
 def test_round_trip_soliton():
     c = sol.residue_constant_from_position(2.0, -3.0)
     rep = vf.round_trip([(2.0, c)])
-    assert rep.passed
-    assert min(rep.pole_errors.values()) < 1e-3
-    assert min(rep.residue_errors.values()) < 1e-2
-    assert rep.reflection_floor < 1e-3
+    assert rep["passed"]
+    assert min(rep["pole_errors"].values()) < 1e-3
+    assert min(rep["residue_errors"].values()) < 1e-2
+    assert rep["reflection_floor"] < 1e-3
 
 
 def test_round_trip_empty():
     rep = vf.round_trip([])
-    assert rep.passed
-    assert rep.reflection_floor < 1e-10
+    assert rep["passed"]
+    assert rep["reflection_floor"] < 1e-10
 
 
 def test_round_trip_left_breather_uses_adaptive_region():
@@ -153,5 +153,5 @@ def test_round_trip_left_breather_uses_adaptive_region():
     k0 = 0.5 * np.exp(1j * 13 * np.pi / 12)
     c = sol.breather_constant_for_position(k0, 0.0, 0.4)
     rep = vf.round_trip([(k0, c)])
-    assert rep.passed
-    assert min(rep.pole_errors.values()) < 1e-3
+    assert rep["passed"]
+    assert min(rep["pole_errors"].values()) < 1e-3
