@@ -8,7 +8,8 @@ Exit codes: 0 success, 1 configuration/IO problem, 2 numerical failure,
 3 a validation check ran and failed. The exception's base class alone picks
 the code: an ArithmeticError is a numerical failure (2); a ValueError or
 OSError is a configuration/IO problem (1). Outputs carry no timestamps, so
-a repeated run with the same arguments is byte-identical.
+a repeated run with the same arguments on the same host and CPU dispatch is
+byte-identical; the OpenBLAS kernel and numpy's SIMD paths move last bits.
 """
 
 from __future__ import annotations

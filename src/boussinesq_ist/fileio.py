@@ -9,7 +9,6 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import json
-import os
 import warnings
 
 import numpy as np
@@ -73,7 +72,7 @@ def read_field(path: str) -> SolutionField:
     v = None
     if "v" in cols:
         v = rows[order, cols.index("v")].reshape(nt, nx)
-    return SolutionField(xs, ts, u, v=v, meta={"source": os.path.basename(path)})
+    return SolutionField(xs, ts, u, v=v)
 
 
 def write_contour(path: str, ks, values, command: str, params: dict, param_name: str):

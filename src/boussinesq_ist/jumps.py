@@ -231,7 +231,6 @@ class Circle:
 
     center: complex
     radius: float
-    ccw: bool
     k0: complex
     c: complex
     rot: int  # rotation power applied to the base disk
@@ -268,8 +267,8 @@ def circle_system(poles, residues):
             inv_kind = "inv" if kind == "plain" else "invstar"
             ic, ir = _inverted_circle(base, eps)
             for j in range(3):
-                out.append(Circle(OMEGA**j * base, eps, True, k0, residues[k0], j, kind))
-                out.append(Circle(OMEGA**j * ic, ir, False, k0, residues[k0], j, inv_kind))
+                out.append(Circle(OMEGA**j * base, eps, k0, residues[k0], j, kind))
+                out.append(Circle(OMEGA**j * ic, ir, k0, residues[k0], j, inv_kind))
         return out
 
     for _ in range(40):

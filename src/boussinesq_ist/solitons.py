@@ -34,12 +34,12 @@ BLOCK_ENTRIES = 1 << 18
 IM_U_TOL = 1e-9
 
 
-#: (side, regularity) of a breather pole in each complex subregion of D2
+#: whether a breather pole in each complex subregion of D2 generates a singular wave
 _BREATHER_SUBREGIONS = {
-    Subregion.REG_R: ("right", "regular"),
-    Subregion.REG_L: ("left", "regular"),
-    Subregion.SING_R: ("right", "singular"),
-    Subregion.SING_L: ("left", "singular"),
+    Subregion.REG_R: False,
+    Subregion.REG_L: False,
+    Subregion.SING_R: True,
+    Subregion.SING_L: True,
 }
 
 
@@ -57,11 +57,7 @@ class SingularSolitonError(ArithmeticError):
 
 
 class SingularBreatherError(ArithmeticError):
-    """det(I - B) vanishes somewhere on the requested grid."""
-
-    def __init__(self, msg, witness=None):
-        super().__init__(msg)
-        self.witness = witness
+    """Complex pole in a singular subregion: det(I - B) vanishes somewhere."""
 
 
 class NonRealComboError(ArithmeticError):
@@ -167,42 +163,31 @@ class PoleData:
     k0: complex
     c: complex
     kind: str  # "soliton" | "breather"
-    side: str  # "right" | "left"
-    regularity: str  # "regular" | "singular" | "zero"
 
 
-@dataclass(frozen=True)
-class SolitonSpec:
-    """A list of (pole, residue constant) pairs with per-pole classification."""
+def wave_poles(pairs) -> tuple[PoleData, ...]:
+    """The poles of (pole, residue constant) pairs that add a wave.
 
-    poles: tuple
-
-    @staticmethod
-    def from_pairs(pairs) -> "SolitonSpec":
-        out = []
-        for k0, c in pairs:
-            k0 = complex(k0)
-            c = complex(c)
-            if on_real_axis(k0):
-                k0r = k0.real
-                reg = classify_one_soliton(k0r, c)
-                side = "right" if k0r > 1.0 else "left"
-                out.append(PoleData(complex(k0r), c, "soliton", side, reg))
-            else:
-                side, reg = _BREATHER_SUBREGIONS[_complex_subregion(k0)]
-                out.append(PoleData(k0, c, "breather", side, "zero" if c == 0 else reg))
-        return SolitonSpec(tuple(out))
-
-    def require_regular(self):
-        for p in self.poles:
-            if p.regularity == "singular":
-                if p.kind == "soliton":
-                    raise SingularSolitonError(
-                        f"pole {p.k0.real} with c = {p.c} generates a singular wave"
-                    )
-                raise SingularBreatherError(
-                    f"pole {p.k0} lies in the singular subregion"
-                )
+    Every pair is classified before any is refused, so a pole outside the
+    pole sector or a non-real soliton combination is reported first; then
+    the first singular pair is refused, and pairs with a zero constant,
+    which add no wave, are dropped.
+    """
+    classified = []
+    for k0, c in pairs:
+        k0, c = complex(k0), complex(c)
+        if on_real_axis(k0):
+            singular = classify_one_soliton(k0.real, c) == "singular"
+            classified.append((PoleData(complex(k0.real), c, "soliton"), singular))
+        else:
+            singular = _BREATHER_SUBREGIONS[_complex_subregion(k0)] and c != 0
+            classified.append((PoleData(k0, c, "breather"), singular))
+    for p, singular in classified:
+        if singular and p.kind == "soliton":
+            raise SingularSolitonError(f"pole {p.k0.real} with c = {p.c} generates a singular wave")
+        if singular:
+            raise SingularBreatherError(f"pole {p.k0} lies in the singular subregion")
+    return tuple(p for p, _ in classified if p.c != 0)
 
 
 def derived_conjugate_constant(k0: complex, c: complex) -> complex:
@@ -252,13 +237,7 @@ def one_soliton(k0: float, c: complex, grid: Grid) -> SolutionField:
     reg = classify_one_soliton(k0, c)
     amp = 0.375 * (k0 - 1.0 / k0) ** 2
     speed = 0.5 * (k0 + 1.0 / k0)
-    meta = {
-        "constructor": "one_soliton",
-        "k0": k0,
-        "c": complex(c),
-        "amplitude": amp,
-        "speed": speed,
-    }
+    meta = {"amplitude": amp, "speed": speed}
     if reg == "singular":
         raise SingularSolitonError(
             f"i(w^2 k0^2 - w) c = {positivity_combo(k0, c).real:.6e} < 0"
@@ -365,16 +344,14 @@ def breather(k0: complex, c: complex, grid: Grid) -> SolutionField:
     """Localized oscillating two-parameter wave from a single complex pole.
 
     Guaranteed smooth and real for poles in the regular subregions; poles in
-    the singular subregions are refused with an (x, t) witness where the
-    2x2 determinant crosses zero.
+    the singular subregions are refused, naming an (x, t) where the 2x2
+    determinant crosses zero when the grid holds one.
     """
     k0 = complex(k0)
-    sub = _complex_subregion(k0)
-    meta = {"constructor": "breather", "k0": k0, "c": complex(c), "subregion": sub.value}
-    nt, nx = grid.t.size, grid.x.size
+    _complex_subregion(k0)
     if c == 0:
-        zero = np.zeros((nt, nx))
-        return SolutionField(grid.x, grid.t, zero, v=zero.copy(), n31=zero.astype(complex), meta=meta)
+        zero = np.zeros((grid.t.size, grid.x.size))
+        return SolutionField(grid.x, grid.t, zero, v=zero.copy(), n31=zero.astype(complex))
 
     xg = grid.x[None, :]
     tg = grid.t[:, None]
@@ -383,9 +360,9 @@ def breather(k0: complex, c: complex, grid: Grid) -> SolutionField:
     if np.any(bad):
         it, ix = np.argwhere(bad)[0]
         raise SingularBreatherError(
-            f"det(I - A) <= 0 at (x, t) = ({grid.x[ix]:.6g}, {grid.t[it]:.6g})",
-            witness=(float(grid.x[ix]), float(grid.t[it])),
+            f"det(I - A) <= 0 at (x, t) = ({grid.x[ix]:.6g}, {grid.t[it]:.6g})"
         )
+    wave_poles([(k0, c)])  # a singular-subregion pole whose blow-up lies off the grid
 
     ct, dt_, a0, mu, nu, lam_x, lam_t = _breather_constants(k0, c)
     a = _breather_a_matrix(k0, c, xg, tg)
@@ -417,7 +394,7 @@ def breather(k0: complex, c: complex, grid: Grid) -> SolutionField:
     )
     u = _realize(-6.0 * tx, "breather u", grid)
     v = _realize(-6.0 * tt, "breather v", grid)
-    return SolutionField(grid.x, grid.t, u, v=v, n31=n31, meta=meta)
+    return SolutionField(grid.x, grid.t, u, v=v, n31=n31)
 
 
 # ----------------------------------------------------------------------------
@@ -445,12 +422,10 @@ class _PoleEntry:
     rate_t: complex
 
 
-def _expand_pole_system(spec: SolitonSpec):
+def _expand_pole_system(poles):
     """All simple poles of the reconstruction with their residue couplings."""
     entries = []
-    for p in spec.poles:
-        if p.regularity == "zero":
-            continue
+    for p in poles:
         # (base, residue constant, x-rate, t-rate, image table)
         groups = [(p.k0, p.c, *pole_rates(p.k0), _E_TABLE if p.kind == "soliton" else _C_TABLE)]
         if p.kind == "breather":
@@ -556,21 +531,14 @@ def n_soliton(pairs, grid: Grid) -> SolutionField:
     single pole; arbitrary mixtures of distinct regular poles are assembled
     from the same residue table blockwise.
     """
-    spec = SolitonSpec.from_pairs(pairs)
-    spec.require_regular()
-    meta = {
-        "constructor": "n_soliton",
-        "poles": [(p.k0, p.c, p.kind, p.side, p.regularity) for p in spec.poles],
-    }
-    nt, nx = grid.t.size, grid.x.size
-    entries = _expand_pole_system(spec)
+    entries = _expand_pole_system(wave_poles(pairs))
     if not entries:
-        zero = np.zeros((nt, nx))
-        return SolutionField(grid.x, grid.t, zero, v=zero.copy(), n31=zero.astype(complex), meta=meta)
+        zero = np.zeros((grid.t.size, grid.x.size))
+        return SolutionField(grid.x, grid.t, zero, v=zero.copy(), n31=zero.astype(complex))
 
     xg = grid.x[None, :]
     tg = grid.t[:, None]
     n31, n31_x, n31_t = _solve_residues(entries, xg, tg)
     u = _realize(-1j * SQRT3 * n31_x, "n_soliton u", grid)
     v = _realize(-1j * SQRT3 * n31_t, "n_soliton v", grid)
-    return SolutionField(grid.x, grid.t, u, v=v, n31=n31, meta=meta)
+    return SolutionField(grid.x, grid.t, u, v=v, n31=n31)

@@ -218,9 +218,8 @@ _OUT_SECTOR = (2, 3, 4, 5, 6, 1)
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """A point of the spectral plane with its cached classification."""
+    """The classification of a point of the spectral plane."""
 
-    k: complex
     sector: Sector
     subregion: Subregion
 
@@ -235,7 +234,7 @@ def classify(k) -> SpectralPoint:
     if k == 0:
         raise DomainError("cannot classify k = 0")
     if dist_to_gamma(k) < TOL_CONTOUR:
-        return SpectralPoint(k, Sector.ON_CONTOUR, Subregion.NONE)
+        return SpectralPoint(Sector.ON_CONTOUR, Subregion.NONE)
 
     r = abs(k)
     phi = math.atan2(k.imag, k.real)
@@ -253,5 +252,5 @@ def classify(k) -> SpectralPoint:
             sub = Subregion.REG_R if k.imag > 0 else Subregion.SING_R
         else:
             sub = Subregion.REG_L if k.imag < 0 else Subregion.SING_L
-    return SpectralPoint(k, sector, sub)
+    return SpectralPoint(sector, sub)
 

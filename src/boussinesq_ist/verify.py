@@ -19,8 +19,10 @@ from boussinesq_ist.spectral import dist_to_qhat, l_tilde, z_tilde
 def fd_weights(order: int, offsets) -> np.ndarray:
     """Finite-difference weights for d^order/dx^order at 0 on given offsets.
 
-    Fornberg recursion; exact in floating point for the small integer
-    stencils used here.
+    Fornberg recursion. For the small integer stencils used here every
+    weight lies within one ulp of its rational value, but not always on
+    the nearest double: the second-derivative weight at offset +1 is
+    4/3 + 1 ulp, while its mirror at -1 is the double nearest 4/3.
     """
     x = np.asarray(offsets, dtype=float)
     n = x.size
@@ -177,13 +179,12 @@ def mass_conservation(fld: sol.SolutionField) -> dict:
     return {"integrals": masses.tolist(), "max_deviation": dev, "decaying": bool(edges < 1e-8)}
 
 
-def _auto_extent(spec: sol.SolitonSpec) -> float:
+def _auto_extent(poles) -> float:
     """Domain half-width that buries the slowest pole tail below ~1e-6."""
     lx = 35.0
-    for p in spec.poles:
-        if p.regularity != "zero":
-            rate, centre = sol.pole_envelope(p)
-            lx = max(lx, 14.0 / rate + centre + 5.0)
+    for p in poles:
+        rate, centre = sol.pole_envelope(p)
+        lx = max(lx, 14.0 / rate + centre + 5.0)
     return min(lx, 120.0)
 
 
@@ -192,18 +193,15 @@ def round_trip(pairs, lx: float | None = None) -> dict:
     (pole, residue constant) pairs, rescatter, compare. The per-pole entries
     are keyed by str(pole)."""
     pole_tol, residue_tol, floor_tol = 1e-3, 1e-2, 1e-3
-    spec = sol.SolitonSpec.from_pairs(pairs)
-    spec.require_regular()
+    poles = sol.wave_poles(pairs)
     if lx is None:
-        lx = _auto_extent(spec)
+        lx = _auto_extent(poles)
     grid = sol.Grid(np.linspace(-lx, lx, sol.point_count(2 * lx, sol.DEFAULT_HX)), [0.0])
     fld = sol.n_soliton(pairs, grid)
     data = sc.InitialData(grid.x, fld.u[0], fld.v[0])
 
     regions = list(sc.DEFAULT_REGIONS)
-    for p in spec.poles:
-        if p.regularity == "zero":
-            continue
+    for p in poles:
         covered = any(
             r[0] <= p.k0.real <= r[1] and r[2] <= p.k0.imag <= r[3] for r in regions
         )
@@ -214,9 +212,7 @@ def round_trip(pairs, lx: float | None = None) -> dict:
     found = sc.find_poles(data, regions=regions)
     pole_errors, residue_errors, details = {}, {}, {}
     ok = True
-    for p in spec.poles:
-        if p.regularity == "zero":
-            continue
+    for p in poles:
         key = str(p.k0)
         if not found:
             ok = False
@@ -235,15 +231,13 @@ def round_trip(pairs, lx: float | None = None) -> dict:
         details[key] = f"fit residual {fit_res:.3e}"
         if rerr > residue_tol:
             ok = False
-    extras = [z for z in found if all(abs(z - p.k0) > 0.05 for p in spec.poles)]
+    extras = [z for z in found if all(abs(z - p.k0) > 0.05 for p in poles)]
     if extras:
         ok = False
         details["spurious"] = str(extras)
 
     floor = sc.reflection_floor(data)
     if floor > floor_tol:
-        ok = False
-    if not spec.poles and found:
         ok = False
     return {
         "pole_errors": pole_errors,

@@ -226,6 +226,16 @@ def test_exit_code_numeric_errors(tmp_path):
                "--out", tmp_path / "b") == 2
 
 
+def test_breather_off_grid_singular_pole_is_a_numeric_error(tmp_path, capsys):
+    # the singular subregion's blow-up sits near x = -2.48, off this grid
+    out = tmp_path / "b"
+    assert run("breather", "--k0-re", 1.9318516525781366, "--k0-im", -0.5176380902050415,
+               "--c-re", 0.3, "--c-im", 0.2, "--xmin", 20, "--xmax", 30, "--hx", 0.1,
+               "--out", out) == 2
+    assert "lies in the singular subregion" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_every_package_error_is_numerical_or_a_file_format_error():
     assert len(PACKAGE_ERRORS) > 1
     config = [cls for cls in PACKAGE_ERRORS if not issubclass(cls, ArithmeticError)]

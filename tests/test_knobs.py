@@ -1,10 +1,12 @@
-"""Inventory of the defaulted parameters and of the public names in the package.
+"""Inventory of the defaulted parameters, the public names and the dataclass
+fields in the package.
 
 Every parameter with a default value, and every defaulted field of a
 dataclass, is listed below as (module, function or class, name). A default
 that no caller varies is a constant in disguise, so a new one needs a
 deliberate edit here. Likewise every public top-level name must be reached
-from the command line.
+from the command line, and every dataclass field must be read somewhere in
+the package.
 """
 
 import ast
@@ -24,7 +26,6 @@ KEPT = {
     ("scattering", "reflection_coefficients", "per_decade"),
     ("scattering", "reflection_coefficients", "circle_n"),
     ("scattering", "find_poles", "regions"),
-    ("solitons", "SingularBreatherError.__init__", "witness"),
     ("verify", "round_trip", "lx"),
     ("volterra", "_clipped_exp", "limit"),
     ("volterra", "march_column", "want_traj"),
@@ -38,6 +39,9 @@ KEPT_FIELDS = {
     ("solitons", "SolutionField", "n31"),
     ("solitons", "SolutionField", "meta"),
 }
+
+#: fields that only the tests read: they check u = -i sqrt(3) d/dx n31
+TEST_READ_FIELDS = {("solitons", "SolutionField", "n31")}
 
 
 def _is_dataclass(node):
@@ -121,3 +125,20 @@ def test_every_public_name_is_reached_from_the_cli():
         todo.extend(new)
     unreached = {(module, name) for module, name in public if name not in reached}
     assert sorted(unreached) == [], "no command reaches these: delete them or move them to tests/"
+
+
+def test_every_dataclass_field_has_a_reader():
+    # Attributes are matched by name alone, whatever object they are read
+    # from, which can only over-report readers.
+    fields, read = set(), set()
+    for path in sorted(Path(boussinesq_ist.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+        fields |= {
+            (path.stem, node.name, st.target.id)
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+            for st in node.body if isinstance(st, ast.AnnAssign)
+        }
+    unread = {f for f in fields if f[2] not in read}
+    assert sorted(unread - TEST_READ_FIELDS) == [], "no code in the package reads these fields: delete them"
+    assert sorted(TEST_READ_FIELDS - unread) == [], "the package reads these now: drop them from TEST_READ_FIELDS"

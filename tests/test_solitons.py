@@ -164,12 +164,20 @@ def test_breather_singular_pole_detected():
     grid = sol.Grid(np.linspace(-60, 60, 1201), [0.0])
     with pytest.raises(sol.SingularBreatherError) as err:
         sol.breather(k0, 0.3 + 0.2j, grid)
-    assert err.value.witness is not None
+    assert err.match(r"det\(I - A\) <= 0 at \(x, t\) = ")
     # determinant changes sign along x for each fixed t
     x = np.linspace(-80, 80, 4001)
     for t in (0.0, 1.0, 2.0):
         det = sol.det_i_minus_a(k0, 0.3 + 0.2j, x, t)
         assert det.min() < 0 < det.max()
+
+
+def test_breather_refuses_a_singular_pole_whose_blow_up_lies_off_the_grid():
+    k0, c = 2 * np.exp(-1j * np.pi / 12), 0.3 + 0.2j
+    grid = sol.Grid(np.linspace(20, 30, 101), [0.0])
+    assert sol.det_i_minus_a(k0, c, grid.x, 0.0).min() > 0  # det changes sign near x = -2.48
+    with pytest.raises(sol.SingularBreatherError, match="lies in the singular subregion"):
+        sol.breather(k0, c, grid)
 
 
 def test_breather_rejects_points_outside_sector():
@@ -279,7 +287,7 @@ def test_n_soliton_single_real_pole_matches_six_by_six_display():
     proj = np.array([[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]], dtype=complex)
     b6 = proj @ np.linalg.inv(np.eye(6) - a6.T)
     n31_display = W**2 * e * np.sum(b6[:, 2]) - W * k0**-2 * e * np.sum(b6[:, 1])
-    entries = sol._expand_pole_system(sol.SolitonSpec.from_pairs([(k0, c)]))
+    entries = sol._expand_pole_system(sol.wave_poles([(k0, c)]))
     n31, _, _ = sol._solve_residues(entries, np.array([x]), np.array([t]))
     assert abs(n31_display - n31[0]) < 1e-12
 
@@ -320,6 +328,34 @@ def test_n_soliton_rejects_singular_spec():
         sol.n_soliton([(2 * np.exp(-1j * np.pi / 12), 0.2 + 0.1j)], grid)
 
 
+#: zero-constant pairs, which add no wave: a real pole, and a complex pole in
+#: the singular subregion SING_R
+ZERO_PAIRS = [(1.5, 0.0), (2 * np.exp(-1j * np.pi / 12), 0.0)]
+
+
+@pytest.mark.parametrize("zero", ZERO_PAIRS, ids=["real", "sing-r"])
+def test_a_zero_constant_pair_adds_nothing_to_n_soliton(zero):
+    k0 = 2 * np.exp(1j * np.pi / 12)
+    pairs = [(2.0, sol.residue_constant_from_position(2.0, 1.0)),
+             (k0, sol.breather_constant_for_position(k0, -2.0, 0.0))]
+    grid = sol.Grid(np.linspace(-10, 10, 201), [0.0, 0.3])
+    assert sol.wave_poles(pairs + [zero]) == sol.wave_poles(pairs)
+    whole, more = sol.n_soliton(pairs, grid), sol.n_soliton(pairs + [zero], grid)
+    assert more.u.tobytes() == whole.u.tobytes()
+    assert more.v.tobytes() == whole.v.tobytes()
+
+
+@pytest.mark.parametrize("singular", [(2.0, -sol.residue_constant_from_position(2.0, 0.0)),
+                                      (2 * np.exp(-1j * np.pi / 12), 0.3 + 0.2j)],
+                         ids=["soliton", "breather"])
+def test_a_pole_outside_the_sector_is_refused_before_a_singular_one(singular):
+    # every pair is classified before the first singular pair is refused
+    with pytest.raises(sp.DomainError):
+        sol.wave_poles([singular, (0.5, 1.0)])
+    with pytest.raises(sp.DomainError):
+        sol.n_soliton([singular, (0.5, 1.0)], sol.Grid(np.linspace(-5, 5, 51), [0.0]))
+
+
 def _guard_grid(x1):
     # every point sits at x = 30 (condition <= 2) except index 1
     x = np.full(170_001, 30.0)
@@ -345,7 +381,7 @@ def test_imaginary_part_refusal_names_its_point(monkeypatch):
     monkeypatch.setattr(sol, "IM_U_TOL", 0.0)
     with pytest.raises(ArithmeticError, match=r"n_soliton u has imaginary part .* at \(x, t\) = ") as err:
         sol.n_soliton([(k0, c)], grid)
-    entries = sol._expand_pole_system(sol.SolitonSpec.from_pairs([(k0, c)]))
+    entries = sol._expand_pole_system(sol.wave_poles([(k0, c)]))
     _, n31_x, _ = sol._solve_residues(entries, grid.x[None, :], grid.t[:, None])
     it, ix = np.unravel_index(np.argmax(np.abs((-1j * sp.SQRT3 * n31_x).imag)), n31_x.shape)
     assert str(err.value).endswith(f"at (x, t) = ({grid.x[ix]:.6g}, {grid.t[it]:.6g})")
@@ -393,8 +429,7 @@ def test_n_soliton_memory_is_bounded():
 @given(st.one_of(st.floats(1.1, 6.0), st.floats(-0.9, -0.15)), st.floats(-20.0, 20.0))
 def test_soliton_envelope_and_rates_match_the_closed_form(k0, x0):
     c = sol.residue_constant_from_position(k0, x0)
-    pole = sol.SolitonSpec.from_pairs([(k0, c)]).poles[0]
-    assert pole.regularity == "regular"
+    pole = sol.wave_poles([(k0, c)])[0]
     rate, centre = sol.pole_envelope(pole)
     assert centre == pytest.approx(abs(x0), rel=0, abs=1e-12)
     rate_x, rate_t = sp.pole_rates(pole.k0)
@@ -415,15 +450,15 @@ def test_breather_envelope_centre_is_the_requested_position(r, angle, inside, x0
     # a regular pole: RegR outside the unit disk, or its RegL image inside
     k0 = np.exp(1j * (np.pi + angle)) / r if inside else r * np.exp(1j * angle)
     c = sol.breather_constant_for_position(k0, x0, phase)
-    pole = sol.SolitonSpec.from_pairs([(k0, c)]).poles[0]
-    assert (pole.kind, pole.regularity) == ("breather", "regular")
+    pole = sol.wave_poles([(k0, c)])[0]
+    assert pole.kind == "breather"
     rate, centre = sol.pole_envelope(pole)
     assert centre == pytest.approx(abs(x0), rel=0, abs=1e-12)
     assert rate == abs(sp.pole_rates(k0)[0].real)
 
 
 def test_spec_classification():
-    spec = sol.SolitonSpec.from_pairs(
+    poles = sol.wave_poles(
         [
             (2.0, sol.residue_constant_from_position(2.0, 0.0)),
             (-0.5, sol.residue_constant_from_position(-0.5, 0.0)),
@@ -431,13 +466,7 @@ def test_spec_classification():
             (0.5 * np.exp(1j * 13 * np.pi / 12), 0.1),
         ]
     )
-    kinds = [(p.kind, p.side, p.regularity) for p in spec.poles]
-    assert kinds == [
-        ("soliton", "right", "regular"),
-        ("soliton", "left", "regular"),
-        ("breather", "right", "regular"),
-        ("breather", "left", "regular"),
-    ]
+    assert [p.kind for p in poles] == ["soliton", "soliton", "breather", "breather"]
 
 
 def test_dressed_residue_positivity():

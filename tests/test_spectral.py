@@ -259,7 +259,11 @@ def test_every_layer_shares_the_real_axis_rule(re, frac):
     k = complex(re, frac * 1e-9 * max(1.0, abs(re)))
     real = sp.on_real_axis(k)
     c = sol.residue_constant_from_position(re, 0.0)
-    assert (sol.SolitonSpec.from_pairs([(k, c)]).poles[0].kind == "soliton") == real
+    try:
+        kind = sol.wave_poles([(k, c)])[0].kind
+    except sol.SingularBreatherError:  # a breather pole in a singular subregion
+        kind = "breather"
+    assert (kind == "soliton") == real
     real_sub = sp.classify(k).subregion in (sp.Subregion.REAL_RIGHT, sp.Subregion.REAL_LEFT)
     assert real_sub == real
     assert len(jp.circle_system([k], {k: c})) == (6 if real else 12)

@@ -1,4 +1,6 @@
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +33,30 @@ def test_fd_convergence_order():
         errs.append(abs(approx - 1.3**4 * np.sin(0.0)))
     # fourth derivative of sin at 0 is 0; error should drop ~16x
     assert errs[1] < errs[0] / 8
+
+
+def _rational_weights(order, offsets):
+    """The stencil's weights in exact arithmetic: sum_j w_j x_j^m = order!
+    when m = order and 0 otherwise, solved by Gauss-Jordan elimination."""
+    n = len(offsets)
+    rows = [[Fraction(x) ** m for x in offsets] + [Fraction(math.factorial(order) * (m == order))]
+            for m in range(n)]
+    for i in range(n):
+        piv = next(r for r in range(i, n) if rows[r][i] != 0)
+        rows[i], rows[piv] = rows[piv], rows[i]
+        rows[i] = [v / rows[i][i] for v in rows[i]]
+        for r in range(n):
+            if r != i:
+                rows[r] = [a - rows[r][i] * b for a, b in zip(rows[r], rows[i])]
+    return [row[-1] for row in rows]
+
+
+def test_stencil_weights_lie_within_one_ulp_of_their_rational_values():
+    # within one ulp, not exact: the ("x", 2) weight at +1 is 4/3 + 1 ulp
+    for (_, order), (weights, reach) in vf._STENCILS.items():
+        exact = _rational_weights(order, range(-reach, reach + 1))
+        for w, q in zip(weights, exact):
+            assert abs(Fraction(float(w)) - q) <= Fraction(float(np.spacing(abs(float(q))))), (order, w, q)
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +165,20 @@ def test_round_trip_soliton():
     assert min(rep["pole_errors"].values()) < 1e-3
     assert min(rep["residue_errors"].values()) < 1e-2
     assert rep["reflection_floor"] < 1e-3
+
+
+@pytest.fixture(scope="module")
+def soliton_round_trip():
+    pairs = [(2.0, sol.residue_constant_from_position(2.0, -3.0))]
+    return pairs, vf.round_trip(pairs)
+
+
+@pytest.mark.parametrize("zero", [(1.5, 0.0), (2 * np.exp(-1j * np.pi / 12), 0.0)],
+                         ids=["real", "sing-r"])
+def test_a_zero_constant_pair_leaves_the_round_trip_unchanged(soliton_round_trip, zero):
+    # a real pole, and a complex pole in the singular subregion SING_R
+    pairs, rep = soliton_round_trip
+    assert vf.round_trip(pairs + [zero]) == rep
 
 
 def test_round_trip_empty():
