@@ -63,6 +63,8 @@ def _parse_grid(args) -> solitons.Grid:
     t = np.array([float(s) for s in args.tvals.split(",")])
     if not (np.all(np.isfinite(t)) and np.unique(t).size == t.size):
         raise ValueError(f"tvals must be finite and distinct, got {args.tvals}")
+    if args.emit_initial and not np.any(t == 0):
+        raise ValueError(f"--emit-initial needs t = 0 among the levels, got {args.tvals}")
     return solitons.Grid(x, t)
 
 
@@ -87,7 +89,7 @@ def _write_solution(args, fld, command, params):
     if args.emit_initial:
         fileio.write_initial_csv(
             os.path.join(args.out, "initial.csv"),
-            fld.x, fld.u[0], fld.v[0], command, params,
+            fld.x, fld.u[fld.t == 0][0], fld.v[fld.t == 0][0], command, params,
         )
 
 

@@ -137,20 +137,15 @@ def _realize(arr, what, grid):
 # ----------------------------------------------------------------------------
 
 
-def positivity_combo(k0: complex, c: complex) -> complex:
-    """The combination i(w^2 k0^2 - w) c whose sign separates regular from
-    singular real-pole solitons."""
-    return 1j * (OMEGA**2 * k0**2 - OMEGA) * c
-
-
 def classify_one_soliton(k0: float, c: complex) -> str:
-    """'zero' | 'regular' | 'singular' for a real pole in (-1,0) u (1,inf)."""
+    """'zero' | 'regular' | 'singular' for a real pole in (-1,0) u (1,inf):
+    the sign of i(w^2 k0^2 - w) c separates regular from singular."""
     k0 = float(k0)
     if not (-1.0 < k0 < 0.0 or k0 > 1.0):
         raise DomainError("real pole must lie in (-1, 0) or (1, oo)")
     if c == 0:
         return "zero"
-    combo = positivity_combo(k0, c)
+    combo = 1j * (OMEGA**2 * k0**2 - OMEGA) * c
     if abs(combo.imag) > NONREAL_COMBO_TOL * max(1.0, abs(combo)):
         raise NonRealComboError(
             f"i(w^2 k0^2 - w) c = {combo:.6e} is not real for k0 = {k0}"
@@ -196,6 +191,13 @@ def derived_conjugate_constant(k0: complex, c: complex) -> complex:
     return (kb**2 - 1.0) / (OMEGA**2 * (OMEGA**2 - kb**2)) * np.conj(c)
 
 
+def _partner_rates(k0: complex):
+    """(l_3 - l_2, z_3 - z_2) at conj(k0): the x- and t-rates of the residue
+    at the conjugate partner of the complex pole k0."""
+    kb = np.conj(k0)
+    return eval_l(3, kb) - eval_l(2, kb), eval_z(3, kb) - eval_z(2, kb)
+
+
 # ----------------------------------------------------------------------------
 # one-soliton
 # ----------------------------------------------------------------------------
@@ -234,18 +236,13 @@ def one_soliton(k0: float, c: complex, grid: Grid) -> SolutionField:
     metadata together with the position x0 encoded by the residue constant.
     """
     k0 = float(k0)
-    reg = classify_one_soliton(k0, c)
+    waves = wave_poles([(k0, c)])
     amp = 0.375 * (k0 - 1.0 / k0) ** 2
     speed = 0.5 * (k0 + 1.0 / k0)
     meta = {"amplitude": amp, "speed": speed}
-    if reg == "singular":
-        raise SingularSolitonError(
-            f"i(w^2 k0^2 - w) c = {positivity_combo(k0, c).real:.6e} < 0"
-        )
-    nt, nx = grid.t.size, grid.x.size
-    if reg == "zero":
+    if not waves:
         meta["x0"] = None
-        zero = np.zeros((nt, nx))
+        zero = np.zeros((grid.t.size, grid.x.size))
         return SolutionField(grid.x, grid.t, zero, v=zero.copy(), meta=meta)
 
     f, w, meta["x0"] = _soliton_centre(k0, c)
@@ -269,9 +266,9 @@ def _breather_constants(k0: complex, c: complex):
     d = derived_conjugate_constant(k0, c)
     ct = 1j * (k0**2 - 1.0) / (2.0 * SQRT3 * k0**2) * c
     dt = 1j * (kb**2 - OMEGA**2) / (2.0 * SQRT3 * kb**2) * OMEGA**2 * d
-    rate_x, rate_t = pole_rates(k0)
-    mu = np.array([rate_x, eval_l(3, kb) - eval_l(2, kb)])
-    nu = np.array([rate_t, eval_z(3, kb) - eval_z(2, kb)])
+    (rate_x, rate_t), (partner_x, partner_t) = pole_rates(k0), _partner_rates(k0)
+    mu = np.array([rate_x, partner_x])
+    nu = np.array([rate_t, partner_t])
     a0 = np.array(
         [
             [1.0 / mu[0], 1.0 / (eval_l(1, k0) - eval_l(2, kb))],
@@ -429,14 +426,14 @@ def _expand_pole_system(poles):
         # (base, residue constant, x-rate, t-rate, image table)
         groups = [(p.k0, p.c, *pole_rates(p.k0), _E_TABLE if p.kind == "soliton" else _C_TABLE)]
         if p.kind == "breather":
-            kb = np.conj(p.k0)
-            groups.append((kb, derived_conjugate_constant(p.k0, p.c),
-                           eval_l(3, kb) - eval_l(2, kb), eval_z(3, kb) - eval_z(2, kb), _D_TABLE))
-        for base, const, rx, rt, table in groups:
+            groups.append((np.conj(p.k0), derived_conjugate_constant(p.k0, p.c),
+                           *_partner_rates(p.k0), _D_TABLE))
+        for base, const, rate_x, rate_t, table in groups:
             for rot, inv, col, src in table:
                 pt = OMEGA**rot * (1.0 / base if inv else base)
                 mult = OMEGA**rot * -(base**-2) if inv else OMEGA**rot
-                entries.append(_PoleEntry(complex(pt), col, src, complex(mult * const), rx, rt))
+                entries.append(_PoleEntry(complex(pt), col, src, complex(mult * const),
+                                          rate_x, rate_t))
     pts = [e.point for e in entries]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):

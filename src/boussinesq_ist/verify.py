@@ -3,8 +3,8 @@
 Finite-difference residuals of the wave equation and its first-order system,
 Lax-pair compatibility, mass conservation, and the synthesize -> scatter ->
 recover round trip. Everything here deliberately avoids the analytic
-machinery used to build the fields: derivatives come from FD stencils
-(4th order in x, 2nd order in t) generated by the Fornberg recursion.
+machinery used to build the fields: derivatives come from fixed central FD
+stencils (4th order in x, 2nd order in t) with exact rational weights.
 """
 
 from __future__ import annotations
@@ -16,56 +16,24 @@ from boussinesq_ist import solitons as sol
 from boussinesq_ist.spectral import dist_to_qhat, l_tilde, z_tilde
 
 
-def fd_weights(order: int, offsets) -> np.ndarray:
-    """Finite-difference weights for d^order/dx^order at 0 on given offsets.
-
-    Fornberg recursion. For the small integer stencils used here every
-    weight lies within one ulp of its rational value, but not always on
-    the nearest double: the second-derivative weight at offset +1 is
-    4/3 + 1 ulp, while its mirror at -1 is the double nearest 4/3.
-    """
-    x = np.asarray(offsets, dtype=float)
-    n = x.size
-    if order >= n:
-        raise ValueError("stencil too short for requested derivative order")
-    c = np.zeros((n, order + 1))
-    c1 = 1.0
-    c4 = x[0]
-    c[0, 0] = 1.0
-    for i in range(1, n):
-        mn = min(i, order)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i]
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for v in range(mn, 0, -1):
-                    c[i, v] = c1 * (v * c[i - 1, v - 1] - c5 * c[i - 1, v]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for v in range(mn, 0, -1):
-                c[j, v] = (c4 * c[j, v] - v * c[j, v - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, order]
-
-
-# 4th-order-accurate central stencils in x, 2nd-order in t: (weights, reach)
+# 4th-order-accurate central stencils in x, 2nd-order in t, on the offsets
+# -reach..reach with reach = size // 2; each weight is the double nearest its
+# rational value, so every stencil is exactly symmetric or antisymmetric
 _STENCILS = {
-    ("x", 1): (fd_weights(1, range(-2, 3)), 2),
-    ("x", 2): (fd_weights(2, range(-2, 3)), 2),
-    ("x", 3): (fd_weights(3, range(-3, 4)), 3),
-    ("x", 4): (fd_weights(4, range(-3, 4)), 3),
-    ("t", 1): (fd_weights(1, range(-1, 2)), 1),
-    ("t", 2): (fd_weights(2, range(-1, 2)), 1),
+    ("x", 1): np.array([1, -8, 0, 8, -1]) / 12,
+    ("x", 2): np.array([-1, 16, -30, 16, -1]) / 12,
+    ("x", 3): np.array([1, -8, 13, 0, -13, 8, -1]) / 8,
+    ("x", 4): np.array([-1, 12, -39, 56, -39, 12, -1]) / 6,
+    ("t", 1): np.array([-1, 0, 1]) / 2,
+    ("t", 2): np.array([1.0, -2.0, 1.0]),
 }
 _AXES = {"t": 0, "x": 1}  # of a (nt, nx) field
 
 
 def deriv(arr, along, order, h):
     """Interior derivative of a (nt, nx) field along "t" or "x"; edges are left as zero."""
-    weights, reach = _STENCILS[along, order]
+    weights = _STENCILS[along, order]
+    reach = weights.size // 2
     arr = np.asarray(arr, dtype=float)
     out = np.zeros_like(arr)
     src, dst = np.moveaxis(arr, _AXES[along], 0), np.moveaxis(out, _AXES[along], 0)
@@ -73,11 +41,18 @@ def deriv(arr, along, order, h):
     for off, wgt in zip(range(-reach, reach + 1), weights):
         dst[reach : n - reach] += wgt * src[reach + off : n - reach + off]
     out /= h**order
-    return out, reach
+    return out
 
 
-def _interior(nt, nx, reach_t, reach_x):
-    return (slice(reach_t, nt - reach_t), slice(reach_x, nx - reach_x))
+def _interior(fld: sol.SolutionField, what: str):
+    """The (t, x) slices of the points where the widest stencil on each axis
+    fits; ValueError naming the ``what`` check when the field has none."""
+    reach = {along: max(w.size // 2 for (a, _), w in _STENCILS.items() if a == along)
+             for along in _AXES}
+    if fld.t.size <= 2 * reach["t"] or fld.x.size <= 2 * reach["x"]:
+        raise ValueError(f"{what} check needs at least {2 * reach['t'] + 1} time levels"
+                         f" and {2 * reach['x'] + 1} x-points")
+    return slice(reach["t"], fld.t.size - reach["t"]), slice(reach["x"], fld.x.size - reach["x"])
 
 
 def pde_residual(fld: sol.SolutionField) -> dict:
@@ -86,13 +61,12 @@ def pde_residual(fld: sol.SolutionField) -> dict:
         raise ValueError("grid too coarse: need at least 9 x-points")
     if fld.t.size < 5:
         raise ValueError("need at least 5 time levels")
+    core = _interior(fld, "pde")
     u = fld.u
-    utt, rt = deriv(u, "t", 2, fld.ht)
-    uxx, rx2 = deriv(u, "x", 2, fld.hx)
-    sqxx, _ = deriv(u**2, "x", 2, fld.hx)
-    uxxxx, rx4 = deriv(u, "x", 4, fld.hx)
-    reach_x = max(rx2, rx4)
-    core = _interior(fld.t.size, fld.x.size, rt, reach_x)
+    utt = deriv(u, "t", 2, fld.ht)
+    uxx = deriv(u, "x", 2, fld.hx)
+    sqxx = deriv(u**2, "x", 2, fld.hx)
+    uxxxx = deriv(u, "x", 4, fld.hx)
     res = utt - uxx - sqxx - uxxxx
     terms = {
         "u_tt": float(np.max(np.abs(utt[core]))),
@@ -113,16 +87,14 @@ def system_residual(fld: sol.SolutionField) -> dict:
     """Residuals of v_t = u_x + (u^2)_x + u_xxx and u_t = v_x."""
     if fld.v is None:
         raise ValueError("field carries no v samples")
-    if fld.t.size < 3 or fld.x.size < 7:
-        raise ValueError("system check needs at least 3 time levels and 7 x-points")
+    core = _interior(fld, "system")
     u, v = fld.u, fld.v
-    vt, rt = deriv(v, "t", 1, fld.ht)
-    ut, _ = deriv(u, "t", 1, fld.ht)
-    ux, _ = deriv(u, "x", 1, fld.hx)
-    sqx, _ = deriv(u**2, "x", 1, fld.hx)
-    uxxx, rx = deriv(u, "x", 3, fld.hx)
-    vx, _ = deriv(v, "x", 1, fld.hx)
-    core = _interior(fld.t.size, fld.x.size, rt, rx)
+    vt = deriv(v, "t", 1, fld.ht)
+    ut = deriv(u, "t", 1, fld.ht)
+    ux = deriv(u, "x", 1, fld.hx)
+    sqx = deriv(u**2, "x", 1, fld.hx)
+    uxxx = deriv(u, "x", 3, fld.hx)
+    vx = deriv(v, "x", 1, fld.hx)
     res1 = vt - ux - sqx - uxxx
     res2 = ut - vx
     return {
@@ -139,19 +111,17 @@ def lax_compatibility(fld: sol.SolutionField, ks) -> float:
     """
     if fld.v is None:
         raise ValueError("field carries no v samples")
-    if fld.t.size < 3 or fld.x.size < 7:
-        raise ValueError("lax check needs at least 3 time levels and 7 x-points")
+    core = _interior(fld, "lax")
     u, v = fld.u, fld.v
     hx, ht = fld.hx, fld.ht
-    ux, _ = deriv(u, "x", 1, hx)
-    uxx, _ = deriv(u, "x", 2, hx)
-    uxxx, rx = deriv(u, "x", 3, hx)
-    vx, _ = deriv(v, "x", 1, hx)
-    vxx, _ = deriv(v, "x", 2, hx)
-    ut, rt = deriv(u, "t", 1, ht)
-    uxt, _ = deriv(ux, "t", 1, ht)
-    vt, _ = deriv(v, "t", 1, ht)
-    core = _interior(fld.t.size, fld.x.size, rt, rx)
+    ux = deriv(u, "x", 1, hx)
+    uxx = deriv(u, "x", 2, hx)
+    uxxx = deriv(u, "x", 3, hx)
+    vx = deriv(v, "x", 1, hx)
+    vxx = deriv(v, "x", 2, hx)
+    ut = deriv(u, "t", 1, ht)
+    uxt = deriv(ux, "t", 1, ht)
+    vt = deriv(v, "t", 1, ht)
 
     # L~ and Z~ are affine in the fields, so L~_t = L~(f_t) - L~(0) and
     # Z~_x = Z~(f_x) - Z~(0); one time level at a time bounds the memory

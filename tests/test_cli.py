@@ -236,6 +236,34 @@ def test_breather_off_grid_singular_pole_is_a_numeric_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_soliton_and_nsoliton_refuse_a_singular_constant_alike(tmp_path, capsys):
+    c = -sol.residue_constant_from_position(2.0, 0.0)
+    errs = []
+    for argv in (("soliton", "--k0", 2, "--c-re", c.real, "--c-im", c.imag),
+                 ("nsoliton", f"--pole=2,0,{c.real!r},{c.imag!r}")):
+        assert run(*argv, "--out", tmp_path / argv[0]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == f"numerical error: pole 2.0 with c = {c} generates a singular wave\n"
+
+
+def test_emit_initial_writes_the_t0_level(tmp_path):
+    out = tmp_path / "s"
+    assert run("soliton", "--k0", 2, "--tvals", "0.5,0", "--xmin", -5, "--xmax", 5, "--hx", 0.5,
+               "--emit-initial", "--out", out) == 0
+    x, u0, v0, _ = fileio.read_initial_csv(str(out / "initial.csv"))
+    fld = fileio.read_field(str(out / "solution.csv"))
+    np.testing.assert_array_equal(u0, fld.u[fld.t == 0][0])
+    np.testing.assert_array_equal(v0, fld.v[fld.t == 0][0])
+
+
+def test_emit_initial_without_a_t0_level_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert run("soliton", "--k0", 2, "--tvals", "0.5,1", "--xmin", -5, "--xmax", 5, "--hx", 0.5,
+               "--emit-initial", "--out", out) == 1
+    assert "--emit-initial needs t = 0 among the levels" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_every_package_error_is_numerical_or_a_file_format_error():
     assert len(PACKAGE_ERRORS) > 1
     config = [cls for cls in PACKAGE_ERRORS if not issubclass(cls, ArithmeticError)]
