@@ -15,6 +15,7 @@ byte-identical; the OpenBLAS kernel and numpy's SIMD paths move last bits.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 
@@ -33,6 +34,10 @@ EXIT_NUMERIC = 2
 EXIT_VALIDATION = 3
 
 _CHECKS = ("pde", "system", "mass", "lax")
+
+#: glibc's malloc_trim, which hands freed heap back to the system; a no-op elsewhere
+_LIBC = ctypes.CDLL(None) if os.name == "posix" else None
+_MALLOC_TRIM = getattr(_LIBC, "malloc_trim", lambda pad: 0)
 
 
 def _finite(text: str) -> float:
@@ -97,7 +102,7 @@ def _write_contours(out_dir, sd, command, params):
     """One <values>.csv per sample set, parametrized by angle on the circle and
     by modulus on a ray."""
     os.makedirs(out_dir, exist_ok=True)
-    for vals, pts, _ in scattering.SAMPLE_SETS:
+    for vals, pts in scattering.SAMPLE_SETS:
         fileio.write_contour(os.path.join(out_dir, vals + ".csv"), getattr(sd, pts),
                              getattr(sd, vals), command, params,
                              "angle" if pts == "circle" else "modulus")
@@ -276,15 +281,31 @@ def _cmd_jumps(args) -> int:
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
+def _pair(path, value, what):
+    """complex(a, b) from the JSON pair [a, b] of finite numbers."""
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(v, (int, float)) and np.isfinite(v) for v in value)):
+        raise fileio.FileFormatError(f"{path}: {what} {value!r} is not a pair of finite numbers")
+    return complex(*value)
+
+
 def _cmd_evolve(args) -> int:
     src = args.scatter_dir
     samples = {}
-    for vals, pts, _ in scattering.SAMPLE_SETS:
-        ks, samples[vals] = fileio.read_contour(os.path.join(src, vals + ".csv"))
-        samples.setdefault(pts, ks)  # the circle comes from r1_circle.csv
-    meta = fileio.read_json(os.path.join(src, "scatter.json"))
-    residues = {complex(*kv): complex(*cv["c"])
-                for kv, cv in zip(meta.get("poles", []), meta.get("residues", []))}
+    for vals, pts in scattering.SAMPLE_SETS:
+        path = os.path.join(src, vals + ".csv")
+        ks, samples[vals] = fileio.read_contour(path)
+        if not np.array_equal(samples.setdefault(pts, ks), ks):
+            raise fileio.FileFormatError(f"{path}: its points differ from the other {pts} file's")
+    path = os.path.join(src, "scatter.json")
+    meta = fileio.read_json(path)
+    poles = meta.get("poles", [])
+    constants = [cv.get("c") if isinstance(cv, dict) else cv for cv in meta.get("residues", [])]
+    residues = {_pair(path, kv, "pole"): _pair(path, c, "residue constant")
+                for kv, c in zip(poles, constants)}
+    if not len(poles) == len(residues) == len(constants):
+        raise fileio.FileFormatError(f"{path}: needs one residue per distinct pole, got"
+                                     f" {len(poles)} poles and {len(constants)} residues")
     sd = scattering.ScatteringData(**samples, residues=residues, time=meta.get("time", 0.0))
     out = scattering.evolve_scattering(sd, args.t)
     params = {"t": args.t, "source": os.path.basename(os.path.normpath(src))}
@@ -384,9 +405,11 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    # Huge pages under large arrays that are freed and reused made the peak
-    # resident size depend on what the host could spare: 171 or 199 MB for
-    # nsoliton on 6001 x 101 points. Plain pages make it the same every run.
+    # Peak resident size should follow the live data, not the host or the
+    # allocation history: huge pages under arrays that are freed and reused
+    # put nsoliton on 6001 x 101 points at 171 or 199 MB, and heap that a
+    # command freed but glibc kept (its trim threshold grows after large
+    # frees) added up to 18 MB to the next command's peak.
     _set_madvise_hugepage(False)
     try:
         return args.func(args)
@@ -396,6 +419,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        _MALLOC_TRIM(ctypes.c_size_t(0))
 
 
 if __name__ == "__main__":

@@ -87,6 +87,8 @@ def write_contour(path: str, ks, values, command: str, params: dict, param_name:
 
 def read_contour(path: str):
     rows, cols = _read_csv(path)
+    if not {"k_re", "k_im", "value_re", "value_im"}.issubset(cols):
+        raise FileFormatError(f"{path}: needs columns k_re,k_im,value_re,value_im, got {cols}")
     k = rows[:, cols.index("k_re")] + 1j * rows[:, cols.index("k_im")]
     v = rows[:, cols.index("value_re")] + 1j * rows[:, cols.index("value_im")]
     return k, v

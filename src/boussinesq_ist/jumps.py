@@ -60,9 +60,9 @@ class NearPoleError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ExactReflection:
-    """Reflection coefficients r1, r2 given as functions on arrays of k, read
-    through ScatteringData's ``eval_r1`` / ``eval_r2`` interface: a Python
-    complex at a scalar k, an array shaped like k otherwise."""
+    """Reflection coefficients r1, r2 as functions on arrays of k, the only
+    reflection data ``build_v`` and ``arc_weight`` read: ``eval_r1`` / ``eval_r2``
+    give a Python complex at a scalar k, an array shaped like k otherwise."""
 
     r1: object
     r2: object
@@ -106,8 +106,8 @@ def _require_r2_ok(args):
 
 def arc_weight(sd, k) -> complex:
     """The scalar weight on the circle arcs: 1 + r1 r2 at k plus the same
-    product at the conjugate-rotated point, for reflection data sd, sampled
-    or exact. Real and nonnegative for genuine data."""
+    product at the conjugate-rotated point, for exact reflection data sd.
+    Real and nonnegative for genuine data."""
     k = complex(k)
     if not on_unit_circle(k):
         raise DomainError("arc weight is defined on the unit circle")
@@ -123,7 +123,7 @@ def arc_weight(sd, k) -> complex:
 
 def build_v(sd, x, t, k, segment: int):
     """Jump matrix on contour piece ``segment`` evaluated at (x, t, k) for
-    reflection data sd, sampled or exact."""
+    exact reflection data sd."""
     k = complex(k)
     r1, r2 = sd.eval_r1, sd.eval_r2
     w = OMEGA

@@ -255,28 +255,12 @@ def circle_samples(n: int = 1536):
     return np.exp(1j * phi)
 
 
-def _lagrange4(y, t):
-    """4-point Lagrange interpolation on a uniform grid: y holds the samples
-    at offsets -1, 0, 1, 2 along its last axis, t is the offset of the point."""
-    w = np.stack(
-        [
-            -t * (t - 1) * (t - 2) / 6,
-            (t + 1) * (t - 1) * (t - 2) / 2,
-            -(t + 1) * t * (t - 2) / 2,
-            (t + 1) * t * (t - 1) / 6,
-        ],
-        axis=-1,
-    )
-    return np.sum(w * y, axis=-1)
-
-
-#: (values, points, evolution sign) of each sample set of ScatteringData:
-#: the values are dressed by exp(sign theta_21(0, t, k)) at their points
+#: (values, points) of each sample set of ScatteringData, named as its file
 SAMPLE_SETS = (
-    ("r1_ray", "gamma1", -1),
-    ("r2_ray", "gamma4", 1),
-    ("r1_circle", "circle", -1),
-    ("r2_circle", "circle", 1),
+    ("r1_ray", "gamma1"),
+    ("r2_ray", "gamma4"),
+    ("r1_circle", "circle"),
+    ("r2_circle", "circle"),
 )
 
 
@@ -285,8 +269,8 @@ class ScatteringData:
     """Reflection-coefficient samples plus the pole spectrum at a time.
 
     r1 is sampled on its ray contour ``gamma1`` and r2 on ``gamma4``, and each
-    on the unit ``circle``; ``eval_r1`` / ``eval_r2`` interpolate between the
-    samples. ``residues`` maps each pole to its residue constant.
+    on the unit ``circle``; every reader takes the values at these samples.
+    ``residues`` maps each pole to its residue constant.
     """
 
     gamma1: np.ndarray
@@ -302,61 +286,6 @@ class ScatteringData:
     @property
     def poles(self) -> tuple:
         return tuple(self.residues)
-
-    def _interp_circle(self, vals, k):
-        n = self.circle.size
-        step = 2 * np.pi / n
-        phi = np.mod(np.angle(k) - 0.5 * step, 2 * np.pi) / step
-        base = np.floor(phi).astype(int)
-        frac = phi - base
-        return _lagrange4(vals[(base[..., None] + np.arange(-1, 3)) % n], frac)
-
-    def _interp_ray(self, pts, vals, k):
-        """Segment-aware interpolation in log-modulus.
-
-        The two halves of a ray contour are distinct contour pieces with a
-        gap at the unit circle, so each is interpolated on its own uniform
-        log grid; k must lie on the ray of its half.
-        """
-        r = np.abs(k)
-        lo, hi = np.abs(pts[0]), np.abs(pts[-1])
-        if np.any((r < lo * 0.999) | (r > hi * 1.001)):
-            raise DomainError("sample outside the tabulated ray range")
-        ang, qin = np.angle(k), r < 1.0
-        want = np.where(qin, np.angle(pts[0]), np.angle(pts[-1]))
-        if np.any(np.abs(np.angle(np.exp(1j * (ang - want)))) > 1e-8):
-            raise DomainError("point is not on the sampling rays")
-
-        inner = np.abs(pts) < 1.0
-        out = np.empty(r.shape, dtype=complex)
-        for q, half in ((qin, inner), (~qin, ~inner)):
-            if np.any(q):
-                lr = np.log(np.abs(pts[half]))
-                n = lr.size
-                pos = (np.log(r[q]) - lr[0]) / ((lr[-1] - lr[0]) / (n - 1))
-                base = np.clip(np.round(pos).astype(int), 1, n - 3)
-                out[q] = _lagrange4(vals[half][base[..., None] + np.arange(-1, 3)], pos - base)
-        return out
-
-    def _eval(self, k, circle_vals, ray_pts, ray_vals):
-        """Reflection coefficient at k, interpolated on the circle or on the
-        ray contour."""
-        k = np.asarray(k, dtype=complex)
-        scalar = k.ndim == 0
-        k = np.atleast_1d(k)
-        out = np.empty(k.shape, dtype=complex)
-        on_circle = on_unit_circle(k)
-        if np.any(on_circle):
-            out[on_circle] = self._interp_circle(circle_vals, k[on_circle])
-        if np.any(~on_circle):
-            out[~on_circle] = self._interp_ray(ray_pts, ray_vals, k[~on_circle])
-        return out[0] if scalar else out
-
-    def eval_r1(self, k):
-        return self._eval(k, self.r1_circle, self.gamma1, self.r1_ray)
-
-    def eval_r2(self, k):
-        return self._eval(k, self.r2_circle, self.gamma4, self.r2_ray)
 
 
 def _theta21_rate(k):
@@ -637,48 +566,47 @@ def residue_constant(data: InitialData, k0: complex):
 def evolve_scattering(sd: ScatteringData, t: float) -> ScatteringData:
     """Dress the scattering data with its explicit time evolution.
 
-    Reflection samples pick up exp(-+theta_21(0,t,k)); the pole set is
-    invariant; residue constants are dressed by their own phase rates.
+    r1 samples pick up exp(-theta_21(0,t,k)) and r2 samples exp(+theta_21(0,t,k));
+    the pole set is invariant; residue constants are dressed by their own
+    phase rates.
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
-    new_res = {}
-    for k0, c in sd.residues.items():
-        new_res[k0] = c * np.exp(pole_rates(k0)[1] * t)
-    dressed = {}
-    for vals, pts, sign in SAMPLE_SETS:
-        ks = getattr(sd, pts)
+    new_res = {k0: c * np.exp(pole_rates(k0)[1] * t) for k0, c in sd.residues.items()}
+
+    def dress(vals, ks, sign):
         rate = _theta21_rate(ks) if sign > 0 else -_theta21_rate(ks)
         # The time dressing grows like exp(|k|^2 t / 4) toward the inner tip of
         # the ray contour (the instability of the equation); saturating at 700
         # keeps evolved samples ordered and finite instead of inf * 0 = nan.
         # An already evolved sample can still overflow.
         with np.errstate(over="ignore", invalid="ignore"):
-            r = getattr(sd, vals) * vt._clipped_exp(rate * t, EVOLVE_EXP_CLIP)
+            r = vals * vt._clipped_exp(rate * t, EVOLVE_EXP_CLIP)
         bad = ~np.isfinite(r)
         if np.any(bad):
             raise OverflowError(f"evolved reflection sample at k = {ks[bad][0]} overflows")
-        dressed[vals] = r
-    return replace(sd, residues=new_res, time=sd.time + t, **dressed)
+        return r
+
+    return replace(sd, residues=new_res, time=sd.time + t,
+                   r1_ray=dress(sd.r1_ray, sd.gamma1, -1), r2_ray=dress(sd.r2_ray, sd.gamma4, 1),
+                   r1_circle=dress(sd.r1_circle, sd.circle, -1),
+                   r2_circle=dress(sd.r2_circle, sd.circle, 1))
 
 
 def estimate_T(sd: ScatteringData, zero_floor: float) -> float:
-    """Existence-horizon estimate from the decay of r1 along its outer ray.
+    """Existence-horizon estimate from the decay of r1 toward 0 along its ray.
 
     Returns +inf when r1 vanishes (below ``zero_floor``) on the inner
-    segment; otherwise the infimum over outer samples k of
-    4 (-log |r1(1/k)|) / |k|^2, clipped below at 0. A heuristic estimate,
-    not a certified bound.
+    segment; otherwise the infimum over inner samples k of
+    4 |k|^2 (-log |r1(k)|), clipped below at 0. A heuristic estimate, not a
+    certified bound.
     """
     inner = np.abs(sd.gamma1) < 1.0
-    if float(np.max(np.abs(sd.r1_ray[inner]))) < zero_floor:
+    mag = np.abs(sd.r1_ray[inner])
+    if float(np.max(mag)) < zero_floor:
         return float("inf")
-    outer = ~inner
-    kk = sd.gamma1[outer]
-    vals = sd.eval_r1(1.0 / kk)
-    mag = np.abs(vals)
     with np.errstate(divide="ignore"):
-        terms = 4.0 * (-np.log(mag)) / np.abs(kk) ** 2
+        terms = 4.0 * np.abs(sd.gamma1[inner]) ** 2 * (-np.log(mag))
     terms = np.where(mag >= 1.0, 0.0, terms)
     terms = np.where(mag < zero_floor, np.inf, terms)
     return float(np.clip(np.min(terms), 0.0, np.inf))

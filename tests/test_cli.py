@@ -330,6 +330,68 @@ def test_chained_evolve_overflow_is_a_numeric_error(tmp_path, capsys):
     assert not (tmp_path / "e2").exists()
 
 
+def _r2_circle_at(path, ks):
+    fileio.write_contour(str(path / "r2_circle.csv"), ks, np.full(ks.shape, 1e-3, dtype=complex),
+                         "scatter", {}, "angle")
+
+
+def _scatter_json(path, poles, n_residues):
+    c = sol.residue_constant_from_position(2.0, 0.0)
+    fileio.write_json(str(path / "scatter.json"),
+                      {"poles": poles, "residues": [{"c": [c.real, c.imag]}] * n_residues})
+
+
+_CIRCLE = sc.circle_samples()
+
+#: a damaged file of a scatter directory, and what evolve says about it
+DAMAGED_SCATTER_DIRS = {
+    "three-number pole": (
+        "scatter.json", lambda p: _scatter_json(p, [[2.0, 0.0, 1.0]], 1),
+        "pole [2.0, 0.0, 1.0] is not a pair of finite numbers"),
+    "two poles, one residue": (
+        "scatter.json", lambda p: _scatter_json(p, [[2.0, 0.0], [3.0, 0.0]], 1),
+        "needs one residue per distinct pole, got 2 poles and 1 residues"),
+    "repeated pole": (
+        "scatter.json", lambda p: _scatter_json(p, [[2.0, 0.0], [2.0, 0.0]], 2),
+        "needs one residue per distinct pole, got 2 poles and 2 residues"),
+    "r2 circle rotated by half a step": (
+        "r2_circle.csv", lambda p: _r2_circle_at(p, _CIRCLE * np.exp(1j * np.pi / _CIRCLE.size)),
+        "its points differ from the other circle file's"),
+    "r2 circle 5 rows short": (
+        "r2_circle.csv", lambda p: _r2_circle_at(p, _CIRCLE[:-5]),
+        "its points differ from the other circle file's"),
+    "no k_re column": (
+        "r1_ray.csv", lambda p: (p / "r1_ray.csv").write_text("k_im,value_re,value_im\n0.5,0,0\n"),
+        "needs columns k_re,k_im,value_re,value_im, got ['k_im', 'value_re', 'value_im']"),
+}
+
+
+@pytest.mark.parametrize("name, damage, msg", DAMAGED_SCATTER_DIRS.values(),
+                         ids=list(DAMAGED_SCATTER_DIRS))
+def test_evolve_refuses_a_damaged_scatter_dir(tmp_path, capsys, name, damage, msg):
+    src = tmp_path / "scat"
+    _flat_scatter_dir(src, 1e-3)
+    damage(src)
+    assert run("evolve", "--scatter-dir", src, "--t", 0.1, "--out", tmp_path / "e") == 1
+    assert capsys.readouterr().err == f"configuration error: {src / name}: {msg}\n"
+    assert not (tmp_path / "e").exists()
+
+
+def test_scatter_horizon_is_read_from_the_written_inner_ray(tmp_path):
+    x = np.linspace(-8, 8, 801)
+    fileio.write_initial_csv(str(tmp_path / "g.csv"), x, np.exp(-(x**2)), np.zeros_like(x),
+                             "test", {})
+    assert run("scatter", "--data", tmp_path / "g.csv", "--poles", "--out", tmp_path / "s") == 0
+    t_hat = json.loads((tmp_path / "s" / "scatter.json").read_text())["T_estimate"]
+    k, r1 = fileio.read_contour(str(tmp_path / "s" / "r1_ray.csv"))
+    inner = np.abs(k) < 1.0
+    mag = np.abs(r1[inner])
+    assert np.max(mag) < 1.0  # so the clip rules do not bind; --zero-floor is 1e-4
+    terms = np.where(mag < 1e-4, np.inf, 4.0 * np.abs(k[inner]) ** 2 * (-np.log(mag)))
+    assert 0.0 < t_hat < np.inf
+    assert t_hat == float(np.min(terms))
+
+
 def test_commands_run_without_numpy_huge_pages(tmp_path):
     was = cli._set_madvise_hugepage(True)
     try:
@@ -337,6 +399,15 @@ def test_commands_run_without_numpy_huge_pages(tmp_path):
         assert cli._set_madvise_hugepage(True) is False
     finally:
         cli._set_madvise_hugepage(was)
+
+
+def test_every_command_hands_its_freed_heap_back(tmp_path, monkeypatch):
+    # also when the command fails, so the next command's peak does not carry it
+    pads = []
+    monkeypatch.setattr(cli, "_MALLOC_TRIM", lambda pad: pads.append(pad.value))
+    assert run("jumps", "--samples", 3, "--out", tmp_path / "j") == 0
+    assert run("jumps", "--samples", 0, "--out", tmp_path / "k") == 1
+    assert pads == [0, 0]
 
 
 def test_ingest_with_u1(tmp_path):

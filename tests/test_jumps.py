@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from boussinesq_ist import jumps as jp
-from boussinesq_ist import scattering as sc
 from boussinesq_ist import solitons as sol
 from boussinesq_ist import spectral as sp
 
@@ -238,17 +237,3 @@ def test_circle_residue_integral(circles):
     integral = np.sum(vals * dk) / (2j * np.pi)
     expected = cc * np.exp(-sp.eval_theta(3, 1, x, t, k0c))
     assert abs(-integral - expected) < 1e-8
-
-
-def test_genuine_arc_weight_properties():
-    # with honestly scattered data the arc weight is real, nonnegative, and
-    # nearly vanishes at the four distinguished circle points
-    x = np.linspace(-12, 12, 2401)
-    gauss = sc.InitialData(x, 0.8 * np.exp(-(x**2)), np.zeros_like(x))
-    sdg = sc.reflection_coefficients(gauss, per_decade=16, circle_n=384)
-    vals = np.array([jp.arc_weight(sdg, k) for k in sdg.circle[::4]])
-    assert np.max(np.abs(vals.imag)) < 1e-6
-    assert np.min(vals.real) > -1e-6
-    for target in (1.0, -1.0, W, -W):
-        sel = np.abs(sdg.circle[::4] - target) < 0.12
-        assert np.min(vals.real[sel]) < 1e-2
