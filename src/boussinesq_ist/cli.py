@@ -281,10 +281,14 @@ def _cmd_jumps(args) -> int:
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
+def _is_finite_number(value) -> bool:
+    """Whether a JSON value is a number, and neither NaN nor infinite."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and np.isfinite(value)
+
+
 def _pair(path, value, what):
     """complex(a, b) from the JSON pair [a, b] of finite numbers."""
-    if not (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) and np.isfinite(v) for v in value)):
+    if not (isinstance(value, list) and len(value) == 2 and all(map(_is_finite_number, value))):
         raise fileio.FileFormatError(f"{path}: {what} {value!r} is not a pair of finite numbers")
     return complex(*value)
 
@@ -299,14 +303,21 @@ def _cmd_evolve(args) -> int:
             raise fileio.FileFormatError(f"{path}: its points differ from the other {pts} file's")
     path = os.path.join(src, "scatter.json")
     meta = fileio.read_json(path)
-    poles = meta.get("poles", [])
-    constants = [cv.get("c") if isinstance(cv, dict) else cv for cv in meta.get("residues", [])]
+    if not isinstance(meta, dict):
+        raise fileio.FileFormatError(f"{path}: needs a JSON object, got a {type(meta).__name__}")
+    poles, stored, time = meta.get("poles", []), meta.get("residues", []), meta.get("time", 0.0)
+    for key, value in (("poles", poles), ("residues", stored)):
+        if not isinstance(value, list):
+            raise fileio.FileFormatError(f"{path}: {key} {value!r} is not a list")
+    if not _is_finite_number(time):
+        raise fileio.FileFormatError(f"{path}: time {time!r} is not a finite number")
+    constants = [cv.get("c") if isinstance(cv, dict) else cv for cv in stored]
     residues = {_pair(path, kv, "pole"): _pair(path, c, "residue constant")
                 for kv, c in zip(poles, constants)}
     if not len(poles) == len(residues) == len(constants):
         raise fileio.FileFormatError(f"{path}: needs one residue per distinct pole, got"
                                      f" {len(poles)} poles and {len(constants)} residues")
-    sd = scattering.ScatteringData(**samples, residues=residues, time=meta.get("time", 0.0))
+    sd = scattering.ScatteringData(**samples, residues=residues, time=time)
     out = scattering.evolve_scattering(sd, args.t)
     params = {"t": args.t, "source": os.path.basename(os.path.normpath(src))}
     _write_contours(args.out, out, "evolve", params)

@@ -598,8 +598,8 @@ def estimate_T(sd: ScatteringData, zero_floor: float) -> float:
 
     Returns +inf when r1 vanishes (below ``zero_floor``) on the inner
     segment; otherwise the infimum over inner samples k of
-    4 |k|^2 (-log |r1(k)|), clipped below at 0. A heuristic estimate, not a
-    certified bound.
+    4 |k|^2 (-log |r1(k)|), a term taken as 0 where |r1| >= 1 and as +inf
+    where |r1| < zero_floor. A heuristic estimate, not a certified bound.
     """
     inner = np.abs(sd.gamma1) < 1.0
     mag = np.abs(sd.r1_ray[inner])
@@ -609,4 +609,4 @@ def estimate_T(sd: ScatteringData, zero_floor: float) -> float:
         terms = 4.0 * np.abs(sd.gamma1[inner]) ** 2 * (-np.log(mag))
     terms = np.where(mag >= 1.0, 0.0, terms)
     terms = np.where(mag < zero_floor, np.inf, terms)
-    return float(np.clip(np.min(terms), 0.0, np.inf))
+    return float(np.min(terms))

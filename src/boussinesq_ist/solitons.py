@@ -1,9 +1,10 @@
 """Exact solution synthesis from spectral data.
 
-Closed-form one-solitons (sech^2 traveling waves), single breathers via a
-2x2 trace formula, and general N-pole solutions obtained by solving the
-residue conditions of the pole-only reconstruction problem as a small dense
-linear system per grid point.
+Closed-form one-solitons (sech^2 traveling waves), single breathers as
+log-derivatives of their Hirota tau-function f = det(I - A), and general
+N-pole solutions obtained by solving the residue conditions of the
+pole-only reconstruction problem as a small dense linear system per grid
+point.
 """
 
 from __future__ import annotations
@@ -34,20 +35,11 @@ BLOCK_ENTRIES = 1 << 18
 IM_U_TOL = 1e-9
 
 
-#: whether a breather pole in each complex subregion of D2 generates a singular wave
-_BREATHER_SUBREGIONS = {
-    Subregion.REG_R: False,
-    Subregion.REG_L: False,
-    Subregion.SING_R: True,
-    Subregion.SING_L: True,
-}
-
-
 def _complex_subregion(k0) -> Subregion:
     """The complex subregion of D2 holding the pole k0; DomainError when it
     lies in none of the four."""
     sub = classify(k0).subregion
-    if sub not in _BREATHER_SUBREGIONS:
+    if sub not in (Subregion.REG_R, Subregion.REG_L, Subregion.SING_R, Subregion.SING_L):
         raise DomainError(f"pole {k0} lies outside the complex subregions of the pole sector")
     return sub
 
@@ -57,7 +49,7 @@ class SingularSolitonError(ArithmeticError):
 
 
 class SingularBreatherError(ArithmeticError):
-    """Complex pole in a singular subregion: det(I - B) vanishes somewhere."""
+    """Complex pole in a singular subregion: det(I - A) vanishes somewhere."""
 
 
 class NonRealComboError(ArithmeticError):
@@ -175,7 +167,7 @@ def wave_poles(pairs) -> tuple[PoleData, ...]:
             singular = classify_one_soliton(k0.real, c) == "singular"
             classified.append((PoleData(complex(k0.real), c, "soliton"), singular))
         else:
-            singular = _BREATHER_SUBREGIONS[_complex_subregion(k0)] and c != 0
+            singular = h_indicator(k0) <= 1.0 and c != 0  # f > 0 everywhere iff h > 1
             classified.append((PoleData(k0, c, "breather"), singular))
     for p, singular in classified:
         if singular and p.kind == "soliton":
@@ -262,43 +254,38 @@ def one_soliton(k0: float, c: complex, grid: Grid) -> SolutionField:
 
 
 def _breather_constants(k0: complex, c: complex):
-    kb = np.conj(k0)
-    d = derived_conjugate_constant(k0, c)
-    ct = 1j * (k0**2 - 1.0) / (2.0 * SQRT3 * k0**2) * c
-    dt = 1j * (kb**2 - OMEGA**2) / (2.0 * SQRT3 * kb**2) * OMEGA**2 * d
-    (rate_x, rate_t), (partner_x, partner_t) = pole_rates(k0), _partner_rates(k0)
-    mu = np.array([rate_x, partner_x])
-    nu = np.array([rate_t, partner_t])
-    a0 = np.array(
-        [
-            [1.0 / mu[0], 1.0 / (eval_l(1, k0) - eval_l(2, kb))],
-            [1.0 / (eval_l(3, kb) - eval_l(3, k0)), 1.0 / mu[1]],
-        ],
-        dtype=complex,
-    )
-    lam_x = np.array([eval_l(1, k0), eval_l(3, kb)])
-    lam_t = np.array([eval_z(1, k0), eval_z(3, kb)])
-    return ct, dt, a0, mu, nu, lam_x, lam_t
+    """(ct, mu, nu): the (1, 1) entry of the breather's residue matrix A is
+    A11 = ct e^(mu x + nu t) / mu, with (mu, nu) the pole's rates."""
+    return (1j * (k0**2 - 1.0) / (2.0 * SQRT3 * k0**2) * c, *pole_rates(k0))
 
 
-def _breather_a_matrix(k0, c, x, t):
-    """Bounded gauge of the 2x2 residue matrix on a broadcast (x, t) grid."""
-    ct, dt, a0, mu, nu, _, _ = _breather_constants(k0, c)
-    e1 = ct * np.exp(mu[0] * x + nu[0] * t)
-    e2 = dt * np.exp(mu[1] * x + nu[1] * t)
-    a = np.empty(np.broadcast(x, t).shape + (2, 2), dtype=complex)
-    a[..., 0, 0] = a0[0, 0] * e1
-    a[..., 0, 1] = a0[0, 1] * e2
-    a[..., 1, 0] = a0[1, 0] * e1
-    a[..., 1, 1] = a0[1, 1] * e2
-    return a
+def _breather_tau(k0: complex, c: complex, x, t):
+    """(f, f_x, f_xx, f_t, f_xt) of the breather's tau-function
+    f = det(I - A) = 1 - 2 Re A11 + h |A11|^2 on a broadcast (x, t) grid.
+
+    Every term at a point is divided by that point's largest one,
+    e^max(0, 2 Re log A11), so nothing overflows on any grid.
+    """
+    ct, mu, nu = _breather_constants(k0, c)
+    h = h_indicator(k0)
+    log_a = np.log(ct / mu) + mu * x + nu * t
+    scale = np.maximum(0.0, 2.0 * log_a.real)
+    a = np.exp(log_a - scale)
+    q = h * np.exp(2.0 * log_a.real - scale)
+    f = np.exp(-scale) - 2.0 * a.real + q
+    f_x = -2.0 * (mu * a).real + 2.0 * mu.real * q
+    f_xx = -2.0 * (mu**2 * a).real + 4.0 * mu.real**2 * q
+    f_t = -2.0 * (nu * a).real + 2.0 * nu.real * q
+    f_xt = -2.0 * (mu * nu * a).real + 4.0 * mu.real * nu.real * q
+    return f, f_x, f_xx, f_t, f_xt
 
 
 def h_indicator(k0: complex) -> float:
-    """Regularity indicator of the quadratic det(I-A) form.
+    """Hirota's coupling h in the breather's f = 1 - 2 Re A11 + h |A11|^2.
 
-    Exceeds 4 on the regular subregions and stays below -1/2 on the singular
-    ones, which is exactly what separates smooth breathers from blow-up.
+    f > 0 for every A11 exactly when h > 1. h exceeds 4 on the regular
+    subregions and stays below -1/2 on the singular ones, which is what
+    separates smooth breathers from blow-up.
     """
     k0 = complex(k0)
     _complex_subregion(k0)
@@ -308,14 +295,6 @@ def h_indicator(k0: complex) -> float:
     if abs(den) < 1e-300:
         raise DomainError("indicator has poles on |k0| = 1 and the sector boundary")
     return (ki + SQRT3 * kr) ** 2 * (1.0 + r2 + r2**2) / den
-
-
-def det_i_minus_a(k0: complex, c: complex, x, t):
-    """det(I - A) on a broadcast grid, via 1 - 2 Re A11 + h |A11|^2."""
-    ct, _, a0, mu, nu, _, _ = _breather_constants(k0, c)
-    a11 = a0[0, 0] * ct * np.exp(mu[0] * np.asarray(x) + nu[0] * np.asarray(t))
-    h = h_indicator(k0)
-    return 1.0 - 2.0 * a11.real + h * np.abs(a11) ** 2
 
 
 def breather_constant_for_position(k0: complex, x0: float, phase: float) -> complex:
@@ -332,17 +311,19 @@ def pole_envelope(p: PoleData):
     if p.kind == "soliton":
         _, w, x0 = _soliton_centre(p.k0.real, p.c)
         return 2.0 * w, abs(x0)  # sech^2(w (x - x0)) decays like exp(-2 w |x - x0|)
-    ct, _, _, mu, _, _, _ = _breather_constants(p.k0, p.c)
-    rate = abs(mu[0].real)
-    return rate, abs(np.log(abs(ct) / abs(mu[0])) / rate)
+    ct, mu, _ = _breather_constants(p.k0, p.c)
+    rate = abs(mu.real)
+    return rate, abs(np.log(abs(ct) / abs(mu)) / rate)
 
 
 def breather(k0: complex, c: complex, grid: Grid) -> SolutionField:
     """Localized oscillating two-parameter wave from a single complex pole.
 
-    Guaranteed smooth and real for poles in the regular subregions; poles in
-    the singular subregions are refused, naming an (x, t) where the 2x2
-    determinant crosses zero when the grid holds one.
+    With f its tau-function, u = 6 (log f)_xx, v = 6 (log f)_xt and
+    n31 = 2i sqrt(3) (log f)_x, which are real and smooth exactly when f > 0
+    everywhere, that is when h > 1: for poles in the regular subregions.
+    Poles in the singular subregions are refused, naming an (x, t) where f
+    crosses zero when the grid holds one.
     """
     k0 = complex(k0)
     _complex_subregion(k0)
@@ -350,10 +331,8 @@ def breather(k0: complex, c: complex, grid: Grid) -> SolutionField:
         zero = np.zeros((grid.t.size, grid.x.size))
         return SolutionField(grid.x, grid.t, zero, v=zero.copy(), n31=zero.astype(complex))
 
-    xg = grid.x[None, :]
-    tg = grid.t[:, None]
-    det = det_i_minus_a(k0, c, xg, tg)
-    bad = det <= 0.0
+    f, f_x, f_xx, f_t, f_xt = _breather_tau(k0, c, grid.x[None, :], grid.t[:, None])
+    bad = f <= 0.0
     if np.any(bad):
         it, ix = np.argwhere(bad)[0]
         raise SingularBreatherError(
@@ -361,37 +340,9 @@ def breather(k0: complex, c: complex, grid: Grid) -> SolutionField:
         )
     wave_poles([(k0, c)])  # a singular-subregion pole whose blow-up lies off the grid
 
-    ct, dt_, a0, mu, nu, lam_x, lam_t = _breather_constants(k0, c)
-    a = _breather_a_matrix(k0, c, xg, tg)
-
-    def brak(lam_diag, m):
-        # [diag(lam), m]
-        out = np.empty_like(m)
-        out[..., 0, 0] = 0.0
-        out[..., 1, 1] = 0.0
-        out[..., 0, 1] = (lam_diag[0] - lam_diag[1]) * m[..., 0, 1]
-        out[..., 1, 0] = (lam_diag[1] - lam_diag[0]) * m[..., 1, 0]
-        return out
-
-    a_mu = a * mu[None, None, None, :]
-    a_nu = a * nu[None, None, None, :]
-    w = a_mu + brak(lam_x, a)
-    wt = a_nu + brak(lam_t, a)
-    w_x = a_mu * mu[None, None, None, :] + brak(lam_x, a_mu)
-    w_t = a_nu * mu[None, None, None, :] + brak(lam_x, a_nu)
-
-    kinv = np.linalg.inv(np.eye(2) - a)
-    kw = kinv @ w
-    n31 = -2j * SQRT3 * np.trace(kw, axis1=-2, axis2=-1)
-    tx = np.trace(kw @ kw, axis1=-2, axis2=-1) + np.trace(
-        kinv @ (w_x + brak(lam_x, w)), axis1=-2, axis2=-1
-    )
-    tt = np.trace((kinv @ wt) @ kw, axis1=-2, axis2=-1) + np.trace(
-        kinv @ (w_t + brak(lam_t, w)), axis1=-2, axis2=-1
-    )
-    u = _realize(-6.0 * tx, "breather u", grid)
-    v = _realize(-6.0 * tt, "breather v", grid)
-    return SolutionField(grid.x, grid.t, u, v=v, n31=n31)
+    u = _realize(6.0 * (f_xx * f - f_x**2) / f**2, "breather u", grid)
+    v = _realize(6.0 * (f_xt * f - f_x * f_t) / f**2, "breather v", grid)
+    return SolutionField(grid.x, grid.t, u, v=v, n31=2j * SQRT3 * f_x / f)
 
 
 # ----------------------------------------------------------------------------

@@ -5,8 +5,9 @@ a test compares the package against: the dense Vandermonde basis behind the
 rank-one march, the conjugated Lax pair, whole eigenfunction matrices and the
 sectionally analytic M2, whole connection matrices, the conjugation matrix
 R(k), the compact-support residue shortcut, the march one x step at a time,
-the arc family of a circle point, the arc weight and its log-densities, and
-the pole-removal matrices by their names.
+the arc family of a circle point, the arc weight and its log-densities, the
+pole-removal matrices by their names, and the breather's 2x2 residue matrix
+with its determinant and trace formula for the fields.
 """
 
 import math
@@ -15,6 +16,7 @@ import numpy as np
 
 from boussinesq_ist import jumps as jp
 from boussinesq_ist import scattering as sc
+from boussinesq_ist import solitons as sol
 from boussinesq_ist import spectral as sp
 from boussinesq_ist import volterra as vt
 
@@ -332,3 +334,69 @@ def named_circle_jump(name: str, k0, c, x, t, k):
     if name == "P6":
         return b @ a @ inv(jp._removal(2, k0, c, x, t, 1.0 / (w**2 * k))) @ ai @ b
     raise ValueError(f"unknown pole-removal matrix {name}")
+
+
+def breather_a_matrix(k0, c, x, t):
+    """The breather's 2x2 residue matrix A in its bounded gauge on a
+    broadcast (x, t) grid: A = a0 diag(ct e^(mu_1 x + nu_1 t),
+    dt e^(mu_2 x + nu_2 t)) with a constant Cauchy matrix a0, the pole's
+    rates first and its conjugate partner's second."""
+    k0 = complex(k0)
+    kb, w = np.conj(k0), sp.OMEGA
+    ct = 1j * (k0**2 - 1.0) / (2.0 * sp.SQRT3 * k0**2) * c
+    d = sol.derived_conjugate_constant(k0, c)
+    dt = 1j * (kb**2 - w**2) / (2.0 * sp.SQRT3 * kb**2) * w**2 * d
+    (mu1, nu1), (mu2, nu2) = sp.pole_rates(k0), sol._partner_rates(k0)
+    a0 = np.array([[1.0 / mu1, 1.0 / (sp.eval_l(1, k0) - sp.eval_l(2, kb))],
+                   [1.0 / (sp.eval_l(3, kb) - sp.eval_l(3, k0)), 1.0 / mu2]])
+    e1 = ct * np.exp(mu1 * x + nu1 * t)
+    e2 = dt * np.exp(mu2 * x + nu2 * t)
+    a = np.empty(np.broadcast(x, t).shape + (2, 2), dtype=complex)
+    a[..., 0, 0] = a0[0, 0] * e1
+    a[..., 0, 1] = a0[0, 1] * e2
+    a[..., 1, 0] = a0[1, 0] * e1
+    a[..., 1, 1] = a0[1, 1] * e2
+    return a
+
+
+def det_i_minus_a(k0, c, x, t):
+    """det(I - A) on a broadcast grid, via 1 - 2 Re A11 + h |A11|^2."""
+    a11 = breather_a_matrix(k0, c, np.asarray(x), np.asarray(t))[..., 0, 0]
+    return 1.0 - 2.0 * a11.real + sol.h_indicator(k0) * np.abs(a11) ** 2
+
+
+def breather_trace_fields(k0, c, x, t):
+    """(u, v, n31) of the breather by the 2x2 trace formula on a broadcast
+    (x, t) grid, with K = (I - A)^-1, M = diag(mu), L = diag(lam_x) and
+    W = A M + [L, A]: n31 = -2i sqrt(3) tr(K W) and u = -6 (tr(K W K W) +
+    tr(K (W M + [L, W]))), v likewise in t. Complex; the imaginary parts are
+    rounding."""
+    k0 = complex(k0)
+    kb = np.conj(k0)
+    (mu1, nu1), (mu2, nu2) = sp.pole_rates(k0), sol._partner_rates(k0)
+    mu, nu = np.array([mu1, mu2]), np.array([nu1, nu2])
+    lam_x = np.array([sp.eval_l(1, k0), sp.eval_l(3, kb)])
+    lam_t = np.array([sp.eval_z(1, k0), sp.eval_z(3, kb)])
+    a = breather_a_matrix(k0, c, x, t)
+
+    def brak(lam, m):  # [diag(lam), m]
+        out = np.zeros_like(m)
+        out[..., 0, 1] = (lam[0] - lam[1]) * m[..., 0, 1]
+        out[..., 1, 0] = (lam[1] - lam[0]) * m[..., 1, 0]
+        return out
+
+    a_mu, a_nu = a * mu, a * nu
+    w = a_mu + brak(lam_x, a)
+    wt = a_nu + brak(lam_t, a)
+    w_x = a_mu * mu + brak(lam_x, a_mu)
+    w_t = a_nu * mu + brak(lam_x, a_nu)
+    kinv = np.linalg.inv(np.eye(2) - a)
+    kw = kinv @ w
+
+    def tr(m):
+        return np.trace(m, axis1=-2, axis2=-1)
+
+    n31 = -2j * sp.SQRT3 * tr(kw)
+    u = -6.0 * (tr(kw @ kw) + tr(kinv @ (w_x + brak(lam_x, w))))
+    v = -6.0 * (tr(kinv @ wt @ kw) + tr(kinv @ (w_t + brak(lam_t, w))))
+    return u, v, n31

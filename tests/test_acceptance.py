@@ -76,7 +76,7 @@ def test_criterion_3_breather_regularity():
     max_im = 0.0
     worst_res = 0.0
     for c in cs:
-        det = sol.det_i_minus_a(k0, c, xg, tg)
+        det = pi.det_i_minus_a(k0, c, xg, tg)
         assert det.shape == (100, 1000)
         min_det = min(min_det, float(det.min()))
         assert np.all(det > 0)
@@ -88,7 +88,7 @@ def test_criterion_3_breather_regularity():
     ks = 2 * np.exp(-1j * np.pi / 12)
     x = np.linspace(-90, 90, 20001)
     for t in (0.0, 1.0, 2.0):
-        det = sol.det_i_minus_a(ks, 0.3 + 0.2j, x, t)
+        det = pi.det_i_minus_a(ks, 0.3 + 0.2j, x, t)
         assert det.min() < 0.0 < det.max()
     _report(3, time.time() - start, 30.0,
             f"min det(I-A) = {min_det:.3e} over 1e5 points x 3 constants, "
@@ -128,7 +128,7 @@ def test_criterion_5_n_soliton_oracle_equivalence(tmp_path):
     err_real = float(np.max(np.abs(got.u - ref.u)))
     assert err_real < 1e-8
 
-    # single complex pole vs the 2x2 trace formula
+    # single complex pole vs the closed form from the breather's tau-function
     k0 = 2 * np.exp(1j * np.pi / 12)
     cb = sol.breather_constant_for_position(k0, 0.0, 0.7)
     o2 = tmp_path / "n2"

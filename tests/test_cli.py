@@ -70,6 +70,22 @@ def test_breather_command(tmp_path):
     assert np.all(np.isfinite(fld.u))
 
 
+def test_breather_command_is_finite_on_a_wide_domain(tmp_path, capsys):
+    # h |A11|^2 grows like e^(0.39 |x|) for this pole and passes the largest
+    # double near |x| = 1830; every tau term is divided by its point's largest
+    out = tmp_path / "b"
+    assert run("breather", "--k0-re", 1.93185, "--k0-im", 0.51764,
+               "--xmin", -4000, "--xmax", 4000, "--hx", 1, "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    fld = fileio.read_field(str(out / "solution.csv"))
+    assert np.all(np.isfinite(fld.u)) and np.all(np.isfinite(fld.v))
+    # x = -30, ..., 30 on both grids: a point's value does not depend on the extent
+    k0 = 1.93185 + 0.51764j
+    near = sol.breather(k0, sol.breather_constant_for_position(k0, 0, 0),
+                        sol.Grid(fld.x[3970:4031], [0.0]))
+    np.testing.assert_array_equal(fld.u[:, 3970:4031], near.u)
+
+
 def test_nsoliton_matches_soliton_through_files(tmp_path):
     c = sol.residue_constant_from_position(2.0, 0.5)
     o1, o2 = tmp_path / "n", tmp_path / "s"
@@ -374,6 +390,29 @@ def test_evolve_refuses_a_damaged_scatter_dir(tmp_path, capsys, name, damage, ms
     damage(src)
     assert run("evolve", "--scatter-dir", src, "--t", 0.1, "--out", tmp_path / "e") == 1
     assert capsys.readouterr().err == f"configuration error: {src / name}: {msg}\n"
+    assert not (tmp_path / "e").exists()
+
+
+#: a scatter.json whose outer shape is wrong, and what evolve says about it
+MISSHAPEN_SCATTER_JSON = {
+    "top-level list": ("[[2.0, 0.0]]", "needs a JSON object, got a list"),
+    "string time": ('{"time": "x"}', "time 'x' is not a finite number"),
+    "null time": ('{"time": null}', "time None is not a finite number"),
+    "NaN time": ('{"time": NaN}', "time nan is not a finite number"),
+    "infinite time": ('{"time": Infinity}', "time inf is not a finite number"),
+    "number for poles": ('{"poles": 5, "residues": []}', "poles 5 is not a list"),
+    "number for residues": ('{"poles": [], "residues": 5}', "residues 5 is not a list"),
+}
+
+
+@pytest.mark.parametrize("text, msg", MISSHAPEN_SCATTER_JSON.values(),
+                         ids=list(MISSHAPEN_SCATTER_JSON))
+def test_evolve_refuses_a_misshapen_scatter_json(tmp_path, capsys, text, msg):
+    src = tmp_path / "scat"
+    _flat_scatter_dir(src, 1e-3)
+    (src / "scatter.json").write_text(text)
+    assert run("evolve", "--scatter-dir", src, "--t", 0.1, "--out", tmp_path / "e") == 1
+    assert capsys.readouterr().err == f"configuration error: {src / 'scatter.json'}: {msg}\n"
     assert not (tmp_path / "e").exists()
 
 
