@@ -395,22 +395,31 @@ def _expand_pole_system(poles):
     return entries
 
 
-def _check_condition(m_eq, x, t):
-    """Hold every point's 1-norm condition number to CONDITION_LIMIT."""
+def _solve_with_inverse(m_eq, rhs_eq, srcs, x, t):
+    """rho with m_eq rho = rhs_eq at each row's source column, solved with
+    the inverse as [rho | inv] = m_eq^-1 [rhs | I]; inv holds every point's
+    1-norm condition number to CONDITION_LIMIT."""
+    npts, npol = rhs_eq.shape
+    b = np.zeros((npts, npol, 3 + npol), dtype=complex)
+    b[:, np.arange(npol), srcs - 1] = rhs_eq
+    b[:, :, 3:] = np.eye(npol)
     try:
-        inv = np.linalg.inv(m_eq)
+        sol = np.linalg.solve(m_eq, b)
     except np.linalg.LinAlgError:
         # LU met an exact zero pivot: name the point of smallest |det|
         det = np.abs(np.linalg.det(m_eq))
         cond = np.where(det == det.min(), np.inf, 0.0)
     else:
+        del b  # freed before the guard's temporaries are made
+        inv = sol[:, :, 3:]
         cond = np.abs(m_eq).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
     i = int(np.argmax(cond))  # argmax stops at a NaN, which then fails the check
     if not cond[i] <= CONDITION_LIMIT:
         raise NearSingularSystemError(
             f"residue system condition number {cond[i]:.3e} exceeds {CONDITION_LIMIT:.0e}"
-            f" at (x, t) = ({x[i].real:.6g}, {t[i].real:.6g})"
+            f" at (x, t) = ({x[i]:.6g}, {t[i]:.6g})"
         )
+    return sol[:, :, :3].copy()  # the inverse is not kept
 
 
 def _solve_residues(entries, x, t):
@@ -421,16 +430,16 @@ def _solve_residues(entries, x, t):
     BLOCK_ENTRIES // npol**2 points so memory stays bounded. The rows are
     equilibrated before the solve so the condition guard, applied to every
     point, measures genuine pole-collision degeneracy rather than benign
-    exponential scaling.
+    exponential scaling. A block takes two LAPACK solves of one matrix: the
+    residue vectors with the inverse the guard reads, then both derivatives.
     """
     npol = len(entries)
-    shape = np.broadcast(x, t).shape
+    grid = np.broadcast(x, t)
     pts = np.array([e.point for e in entries])
     cols = np.array([e.col for e in entries])
     srcs = np.array([e.src for e in entries])
     coef0 = np.array([e.coef0 for e in entries])
-    rates_x = np.array([e.rate_x for e in entries])
-    rates_t = np.array([e.rate_t for e in entries])
+    rates = np.array([(e.rate_x, e.rate_t) for e in entries])  # (npol, 2)
     mask3 = cols == 3
 
     # static Cauchy coupling: S[p,q] = [col(q) == src(p)] / (p - q)
@@ -440,35 +449,29 @@ def _solve_residues(entries, x, t):
             if i != j and cols[j] == srcs[i]:
                 s[i, j] = 1.0 / (pts[i] - pts[j])
 
-    xg, tg = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(t, dtype=complex))
-    xf, tf = xg.reshape(-1), tg.reshape(-1)
-    out = np.empty((3, xf.size), dtype=complex)
+    xg, tg = (g.flat for g in np.broadcast_arrays(x, t))  # a block copies only its points
+    out = np.empty((3, grid.size), dtype=complex)
     step = max(1, BLOCK_ENTRIES // (npol * npol))
-    for lo in range(0, xf.size, step):
-        blk = slice(lo, lo + step)
-        expo = rates_x[None] * xf[blk, None] + rates_t[None] * tf[blk, None]
-        coef = coef0[None] * np.exp(expo)  # (npts, npol)
+    for lo in range(0, grid.size, step):
+        xb, tb = xg[lo : lo + step], tg[lo : lo + step]
+        coef = coef0[None] * np.exp(rates[:, 0] * xb[:, None] + rates[:, 1] * tb[:, None])
         if not np.all(np.isfinite(coef)):
             raise ArithmeticError("residue coefficients overflow on this grid")
 
-        m = np.broadcast_to(np.eye(npol, dtype=complex), coef.shape[:1] + (npol, npol)).copy()
-        m -= coef[:, :, None] * s[None]
-        rhs = np.zeros(coef.shape + (3,), dtype=complex)
-        rhs[:, np.arange(npol), srcs - 1] = coef
+        m = np.eye(npol) - coef[:, :, None] * s[None]
+        scale = np.maximum(np.abs(m).max(axis=2), 1.0)
+        m /= scale[:, :, None]
+        rho = _solve_with_inverse(m, coef / scale, srcs, xb, tb)  # (npts, npol, 3)
 
-        scale = np.max(np.abs(m), axis=2)
-        scale = np.where(scale > 1.0, scale, 1.0)
-        m_eq = m / scale[:, :, None]
-        rhs_eq = rhs / scale[:, :, None]
-        _check_condition(m_eq, xf[blk], tf[blk])
-
-        rho = np.linalg.solve(m_eq, rhs_eq)  # (npts, npol, 3)
-        rho_x = np.linalg.solve(m_eq, (rates_x[None, :, None] * rho) / scale[:, :, None])
-        rho_t = np.linalg.solve(m_eq, (rates_t[None, :, None] * rho) / scale[:, :, None])
+        rhs = rates[None, :, :, None] * rho[:, :, None, :]  # (npts, npol, 2, 3): rates times rho
+        rhs /= scale[:, :, None, None]
+        rho_xt = np.linalg.solve(m, rhs.reshape(rho.shape[:2] + (6,))).reshape(rhs.shape)
         # one stacked sum: numpy orders a reduction with a single outer row
         # differently, so a one-point block would drift in the last bit
-        out[:, blk] = np.stack((rho, rho_x, rho_t))[:, :, mask3, :].sum(axis=(2, 3))
-    return tuple(out.reshape((3,) + shape))  # n31, n31_x, n31_t
+        stack = np.stack((rho, rho_xt[:, :, 0], rho_xt[:, :, 1]))
+        out[:, lo : lo + rho.shape[0]] = stack[:, :, mask3, :].sum(axis=(2, 3))
+        del m, rho, rhs, rho_xt, stack  # not alive next to the next block's arrays
+    return tuple(out.reshape((3,) + grid.shape))  # n31, n31_x, n31_t
 
 
 def n_soliton(pairs, grid: Grid) -> SolutionField:

@@ -3,9 +3,9 @@
 Exact root-of-unity constants, the three exponential phase rates ``l_j`` /
 ``z_j`` and their phase differences ``theta_ij``, the permutation and
 conjugation symmetries, the potential entries with the factor ``c = P^-1 e3``
-of the Vandermonde change of basis ``P(k)``, the companion-form Lax pair, and
-the geometry of the six sectors of the complex spectral plane with their
-regular/singular subregions.
+of the Vandermonde change of basis ``P(k)``, and the geometry of the six
+sectors of the complex spectral plane with their regular/singular
+subregions.
 
 All functions are pure and accept numpy-broadcastable complex input where it
 makes sense.
@@ -139,7 +139,7 @@ def dist_to_gamma(k):
 
 
 # ----------------------------------------------------------------------------
-# Potential and Lax pair
+# Potential
 # ----------------------------------------------------------------------------
 
 
@@ -159,31 +159,6 @@ def potential_factor(ls):
     l1, l2, l3 = ls[..., 0], ls[..., 1], ls[..., 2]
     d12, d13, d23 = l1 - l2, l1 - l3, l2 - l3
     return np.stack([1.0 / (d12 * d13), -1.0 / (d12 * d23), 1.0 / (d13 * d23)], axis=-1)
-
-
-def l_tilde(k, u, ux, uxx, v, vx):
-    """Companion-form x-part L~ before conjugation by P(k), of shape
-    ``np.broadcast(u, ux, uxx, v, vx).shape + (3, 3)``."""
-    lt = np.zeros(np.broadcast(u, ux, uxx, v, vx).shape + (3, 3), dtype=complex)
-    lt[..., 0, 1] = 1.0
-    lt[..., 1, 2] = 1.0
-    lt[..., 2, 0] = lam(k) / (12j * SQRT3) - ux / 4.0 - 1j * v / (4.0 * SQRT3)
-    lt[..., 2, 1] = -(1.0 + 2.0 * u) / 4.0
-    return lt
-
-
-def z_tilde(k, u, ux, uxx, v, vx):
-    """Companion-form t-part Z~ before conjugation by P(k), shaped as L~."""
-    la = lam(k)
-    zt = np.zeros(np.broadcast(u, ux, uxx, v, vx).shape + (3, 3), dtype=complex)
-    zt[..., 0, 0] = -1j * (1.0 + 2.0 * u) / (2.0 * SQRT3)
-    zt[..., 0, 2] = -1j * SQRT3
-    zt[..., 1, 0] = -la / 12.0 - 1j * ux / (4.0 * SQRT3) - v / 4.0
-    zt[..., 1, 1] = 1j * (1.0 + 2.0 * u) / (4.0 * SQRT3)
-    zt[..., 2, 0] = -1j * uxx / (4.0 * SQRT3) - vx / 4.0
-    zt[..., 2, 1] = -la / 12.0 + 1j * ux / (4.0 * SQRT3) - v / 4.0
-    zt[..., 2, 2] = 1j * (1.0 + 2.0 * u) / (4.0 * SQRT3)
-    return zt
 
 
 # ----------------------------------------------------------------------------

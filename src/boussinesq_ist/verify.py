@@ -13,7 +13,7 @@ import numpy as np
 
 from boussinesq_ist import scattering as sc
 from boussinesq_ist import solitons as sol
-from boussinesq_ist.spectral import dist_to_qhat, l_tilde, z_tilde
+from boussinesq_ist.spectral import SQRT3, dist_to_qhat, lam
 
 
 # 4th-order-accurate central stencils in x, 2nd-order in t, on the offsets
@@ -55,6 +55,20 @@ def _interior(fld: sol.SolutionField, what: str):
     return slice(reach["t"], fld.t.size - reach["t"]), slice(reach["x"], fld.x.size - reach["x"])
 
 
+def _max_abs(res, fld: sol.SolutionField, what: str, core) -> float:
+    """Max |res| over res's (..., t, x) samples on the slices ``core`` of the
+    grid; ArithmeticError naming ``what`` and the first (x, t) where one is
+    not finite (numpy's max keeps a NaN, where Python's max may drop it)."""
+    mag = np.abs(res).reshape(-1, *res.shape[-2:]).max(axis=0)
+    worst = float(np.max(mag))
+    if not np.isfinite(worst):
+        it, ix = np.argwhere(~np.isfinite(mag))[0]
+        x, t = fld.x[core[1]][ix], fld.t[core[0]][it]
+        raise ArithmeticError(f"{what} is not finite at (x, t) = ({x:.6g}, {t:.6g})")
+    return worst
+
+
+@np.errstate(all="ignore")  # an overflow is refused by _max_abs, naming its point
 def pde_residual(fld: sol.SolutionField) -> dict:
     """Residual of u_tt = u_xx + (u^2)_xx + u_xxxx on interior points."""
     if fld.x.size < 9:
@@ -68,21 +82,17 @@ def pde_residual(fld: sol.SolutionField) -> dict:
     sqxx = deriv(u**2, "x", 2, fld.hx)
     uxxxx = deriv(u, "x", 4, fld.hx)
     res = utt - uxx - sqxx - uxxxx
-    terms = {
-        "u_tt": float(np.max(np.abs(utt[core]))),
-        "u_xx": float(np.max(np.abs(uxx[core]))),
-        "(u^2)_xx": float(np.max(np.abs(sqxx[core]))),
-        "u_xxxx": float(np.max(np.abs(uxxxx[core]))),
-    }
+    terms = (("u_tt", utt), ("u_xx", uxx), ("(u^2)_xx", sqxx), ("u_xxxx", uxxxx))
     return {
-        "max_abs_residual": float(np.max(np.abs(res[core]))),
+        "max_abs_residual": _max_abs(res[core], fld, "pde residual", core),
         "hx": fld.hx,
         "ht": fld.ht,
         "stencil_orders": {"x": 4, "t": 2},
-        "term_max": terms,
+        "term_max": {name: float(np.max(np.abs(d[core]))) for name, d in terms},
     }
 
 
+@np.errstate(all="ignore")  # an overflow is refused by _max_abs, naming its point
 def system_residual(fld: sol.SolutionField) -> dict:
     """Residuals of v_t = u_x + (u^2)_x + u_xxx and u_t = v_x."""
     if fld.v is None:
@@ -98,55 +108,77 @@ def system_residual(fld: sol.SolutionField) -> dict:
     res1 = vt - ux - sqx - uxxx
     res2 = ut - vx
     return {
-        "first_equation": float(np.max(np.abs(res1[core]))),
-        "second_equation": float(np.max(np.abs(res2[core]))),
+        "first_equation": _max_abs(res1[core], fld, "system residual", core),
+        "second_equation": _max_abs(res2[core], fld, "system residual", core),
     }
 
 
+@np.errstate(all="ignore")  # an overflow is refused by _max_abs, naming its point
 def lax_compatibility(fld: sol.SolutionField, ks) -> float:
-    """Max entrywise residual of L_t - Z_x + [L, Z] over the grid and k list.
+    """Max entrywise residual R = L_t - Z_x + [L, Z] over the grid and k list.
 
     Works with the companion-form pair, which is conjugate to the diagonal
-    form by an x,t-independent matrix, so the vanishing is equivalent.
+    form by an x,t-independent matrix, so the vanishing is equivalent. L~
+    has 1s at (0, 1) and (1, 2) and the last row (a, b, 0); Z~ has z00,
+    z02 = -i sqrt(3), z10, z11 = z22, z20 and z21. So R02 = R12 = 0 and the
+    other seven entries are written out, one time level at a time.
     """
     if fld.v is None:
         raise ValueError("field carries no v samples")
     core = _interior(fld, "lax")
-    u, v = fld.u, fld.v
-    hx, ht = fld.hx, fld.ht
-    ux = deriv(u, "x", 1, hx)
-    uxx = deriv(u, "x", 2, hx)
-    uxxx = deriv(u, "x", 3, hx)
-    vx = deriv(v, "x", 1, hx)
-    vxx = deriv(v, "x", 2, hx)
-    ut = deriv(u, "t", 1, ht)
-    uxt = deriv(ux, "t", 1, ht)
-    vt = deriv(v, "t", 1, ht)
+    ks = np.atleast_1d(ks)
+    if np.any(dist_to_qhat(ks) < 1e-3):
+        raise ValueError("k too close to a sixth root of unity")
+    u, v, hx, ht = fld.u, fld.v, fld.hx, fld.ht
+    ux, uxx, uxxx = (deriv(u, "x", m, hx) for m in (1, 2, 3))
+    vx, vxx = deriv(v, "x", 1, hx), deriv(v, "x", 2, hx)
+    ut, uxt, vt = deriv(u, "t", 1, ht), deriv(ux, "t", 1, ht), deriv(v, "t", 1, ht)
 
-    # L~ and Z~ are affine in the fields, so L~_t = L~(f_t) - L~(0) and
-    # Z~_x = Z~(f_x) - Z~(0); one time level at a time bounds the memory
-    worst = 0.0
-    for k in np.atleast_1d(ks):
-        if dist_to_qhat(k) < 1e-3:
-            raise ValueError("k too close to a sixth root of unity")
-        l0, z0 = l_tilde(k, 0.0, 0.0, 0.0, 0.0, 0.0), z_tilde(k, 0.0, 0.0, 0.0, 0.0, 0.0)
+    def l_row(la, u, ux, v):  # (a, b), affine in the fields
+        return la / (12j * SQRT3) - ux / 4.0 - 1j * v / (4.0 * SQRT3), -(1.0 + 2.0 * u) / 4.0
+
+    def z_entries(la, u, ux, uxx, v, vx):  # (z00, z10, z11, z20, z21), affine too
+        return (-1j * (1.0 + 2.0 * u) / (2.0 * SQRT3),
+                -la / 12.0 - 1j * ux / (4.0 * SQRT3) - v / 4.0,
+                1j * (1.0 + 2.0 * u) / (4.0 * SQRT3),
+                -1j * uxx / (4.0 * SQRT3) - vx / 4.0,
+                -la / 12.0 + 1j * ux / (4.0 * SQRT3) - v / 4.0)
+
+    z02, xs, worst = -1j * SQRT3, core[1], 0.0
+    for la in lam(ks):
+        # affine entries, so L~_t = L~(f_t) - L~(0) and Z~_x = Z~(f_x) - Z~(0)
+        l0, z0 = l_row(la, 0.0, 0.0, 0.0), z_entries(la, 0.0, 0.0, 0.0, 0.0, 0.0)
         for n in range(fld.t.size)[core[0]]:
-            xs = core[1]
-            fields = (u[n, xs], ux[n, xs], uxx[n, xs], v[n, xs], vx[n, xs])
-            lt, zt = l_tilde(k, *fields), z_tilde(k, *fields)
-            lt_t = l_tilde(k, ut[n, xs], uxt[n, xs], 0.0, vt[n, xs], 0.0) - l0
-            zt_x = z_tilde(k, ux[n, xs], uxx[n, xs], uxxx[n, xs], vx[n, xs], vxx[n, xs]) - z0
-            res = lt_t - zt_x + lt @ zt - zt @ lt
-            worst = max(worst, float(np.max(np.abs(res))))
+            f = [g[n, xs] for g in (u, ux, uxx, uxxx, v, vx, vxx)]
+            a, b = l_row(la, f[0], f[1], f[4])
+            a_t, b_t = (e - e0 for e, e0 in zip(l_row(la, ut[n, xs], uxt[n, xs], vt[n, xs]), l0))
+            z00, z10, z11, z20, z21 = z_entries(la, *f[:3], *f[4:6])
+            z00_x, z10_x, z11_x, z20_x, z21_x = (
+                e - e0 for e, e0 in zip(z_entries(la, *f[1:4], *f[5:]), z0))
+            res = np.stack((z10 - z02 * a - z00_x,  # R00
+                            z11 - z00 - z02 * b,  # R01
+                            z20 - z10_x,  # R10
+                            z21 - z10 - z11_x,  # R11
+                            a_t + a * z00 + b * z10 - z11 * a - z20_x,  # R20
+                            b_t - z20 - z21_x,  # R21
+                            a * z02 - z21 - z11_x))  # R22
+            worst = max(worst, _max_abs(res[:, None], fld, "lax residual", (slice(n, n + 1), xs)))
     return worst
 
 
+@np.errstate(all="ignore")  # an overflow is refused below, naming its level
 def mass_conservation(fld: sol.SolutionField) -> dict:
-    """Trapezoid mass per time level; flags fields with |u| >= 1e-8 at an x-edge."""
+    """Trapezoid mass per time level; flags fields with |u| >= 1e-8 at an x-edge.
+    A level whose mass overflows is refused, named by its largest |u|."""
     edges = max(float(np.max(np.abs(fld.u[:, 0]))), float(np.max(np.abs(fld.u[:, -1]))))
     masses = np.trapezoid(fld.u, dx=fld.hx, axis=1)
-    dev = float(np.max(np.abs(masses - masses[0]))) if masses.size else 0.0
-    return {"integrals": masses.tolist(), "max_deviation": dev, "decaying": bool(edges < 1e-8)}
+    dev = np.abs(masses - masses[0])
+    if not np.all(np.isfinite(dev)):
+        it = int(np.flatnonzero(~np.isfinite(dev))[0])
+        x = fld.x[np.argmax(np.abs(fld.u[it]))]
+        raise ArithmeticError(f"mass integral is not finite at (x, t) = ({x:.6g}, {fld.t[it]:.6g})")
+    return {"integrals": masses.tolist(), "max_deviation": float(np.max(dev)) if dev.size else 0.0,
+            "decaying": bool(edges < 1e-8)}
 
 
 def _auto_extent(poles) -> float:

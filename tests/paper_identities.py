@@ -2,12 +2,14 @@
 
 No command-line path needs these. Each one is an independent reference that
 a test compares the package against: the dense Vandermonde basis behind the
-rank-one march, the conjugated Lax pair, whole eigenfunction matrices and the
+rank-one march, the companion-form Lax pair with its conjugation and its
+compatibility residual by matrix products, whole eigenfunction matrices and the
 sectionally analytic M2, whole connection matrices, the conjugation matrix
 R(k), the compact-support residue shortcut, the march one x step at a time,
 the arc family of a circle point, the arc weight and its log-densities, the
-pole-removal matrices by their names, and the breather's 2x2 residue matrix
-with its determinant and trace formula for the fields.
+pole-removal matrices by their names, the breather's 2x2 residue matrix
+with its determinant and trace formula for the fields, and the N-pole
+residue solve with one inverse and three solves per block.
 """
 
 import math
@@ -18,6 +20,7 @@ from boussinesq_ist import jumps as jp
 from boussinesq_ist import scattering as sc
 from boussinesq_ist import solitons as sol
 from boussinesq_ist import spectral as sp
+from boussinesq_ist import verify as vf
 from boussinesq_ist import volterra as vt
 
 
@@ -48,13 +51,62 @@ def vandermonde_inv(k):
     return np.linalg.inv(vandermonde(k))
 
 
+def l_tilde(k, u, ux, uxx, v, vx):
+    """Companion-form x-part L~ before conjugation by P(k), of shape
+    ``np.broadcast(u, ux, uxx, v, vx).shape + (3, 3)``."""
+    lt = np.zeros(np.broadcast(u, ux, uxx, v, vx).shape + (3, 3), dtype=complex)
+    lt[..., 0, 1] = 1.0
+    lt[..., 1, 2] = 1.0
+    lt[..., 2, 0] = sp.lam(k) / (12j * sp.SQRT3) - ux / 4.0 - 1j * v / (4.0 * sp.SQRT3)
+    lt[..., 2, 1] = -(1.0 + 2.0 * u) / 4.0
+    return lt
+
+
+def z_tilde(k, u, ux, uxx, v, vx):
+    """Companion-form t-part Z~ before conjugation by P(k), shaped as L~."""
+    la, s3 = sp.lam(k), sp.SQRT3
+    zt = np.zeros(np.broadcast(u, ux, uxx, v, vx).shape + (3, 3), dtype=complex)
+    zt[..., 0, 0] = -1j * (1.0 + 2.0 * u) / (2.0 * s3)
+    zt[..., 0, 2] = -1j * s3
+    zt[..., 1, 0] = -la / 12.0 - 1j * ux / (4.0 * s3) - v / 4.0
+    zt[..., 1, 1] = 1j * (1.0 + 2.0 * u) / (4.0 * s3)
+    zt[..., 2, 0] = -1j * uxx / (4.0 * s3) - vx / 4.0
+    zt[..., 2, 1] = -la / 12.0 + 1j * ux / (4.0 * s3) - v / 4.0
+    zt[..., 2, 2] = 1j * (1.0 + 2.0 * u) / (4.0 * s3)
+    return zt
+
+
+def lax_residual_matmul(fld, ks):
+    """Max entrywise |L~_t - Z~_x + L~ Z~ - Z~ L~| over the interior of the
+    field and the k list, by stacked 3x3 matrix products. L~ and Z~ are
+    affine in the fields, so L~_t = L~(f_t) - L~(0) and Z~_x = Z~(f_x) -
+    Z~(0), with the FD derivatives of :mod:`verify`."""
+    core = vf._interior(fld, "lax")
+    u, v, hx, ht = fld.u, fld.v, fld.hx, fld.ht
+    ux, uxx, uxxx = (vf.deriv(u, "x", m, hx) for m in (1, 2, 3))
+    vx, vxx = vf.deriv(v, "x", 1, hx), vf.deriv(v, "x", 2, hx)
+    ut, uxt, vt = vf.deriv(u, "t", 1, ht), vf.deriv(ux, "t", 1, ht), vf.deriv(v, "t", 1, ht)
+    worst = 0.0
+    for k in np.atleast_1d(ks):
+        l0, z0 = l_tilde(k, 0.0, 0.0, 0.0, 0.0, 0.0), z_tilde(k, 0.0, 0.0, 0.0, 0.0, 0.0)
+        for n in range(fld.t.size)[core[0]]:
+            xs = core[1]
+            fields = (u[n, xs], ux[n, xs], uxx[n, xs], v[n, xs], vx[n, xs])
+            lt, zt = l_tilde(k, *fields), z_tilde(k, *fields)
+            lt_t = l_tilde(k, ut[n, xs], uxt[n, xs], 0.0, vt[n, xs], 0.0) - l0
+            zt_x = z_tilde(k, ux[n, xs], uxx[n, xs], uxxx[n, xs], vx[n, xs], vxx[n, xs]) - z0
+            res = lt_t - zt_x + lt @ zt - zt @ lt
+            worst = max(worst, float(np.max(np.abs(res))))
+    return worst
+
+
 def lax_residues(k, u, ux, uxx, v, vx):
     """Residues U = P^-1 L~ P - diag(l) and V = P^-1 Z~ P - diag(z) of the
     conjugated Lax pair at a point (k; u, ux, uxx, v, vx)."""
     k = complex(k)
     p = vandermonde(k)
     pinv = vandermonde_inv(k)
-    lt, zt = sp.l_tilde(k, u, ux, uxx, v, vx), sp.z_tilde(k, u, ux, uxx, v, vx)
+    lt, zt = l_tilde(k, u, ux, uxx, v, vx), z_tilde(k, u, ux, uxx, v, vx)
     cal_l = np.diag([sp.eval_l(j, k) for j in (1, 2, 3)])
     cal_z = np.diag([sp.eval_z(j, k) for j in (1, 2, 3)])
     return pinv @ lt @ p - cal_l, pinv @ zt @ p - cal_z
@@ -400,3 +452,71 @@ def breather_trace_fields(k0, c, x, t):
     u = -6.0 * (tr(kw @ kw) + tr(kinv @ (w_x + brak(lam_x, w))))
     v = -6.0 * (tr(kinv @ wt @ kw) + tr(kinv @ (w_t + brak(lam_t, w))))
     return u, v, n31
+
+
+def _check_condition_by_inverse(m_eq, x, t):
+    """Every point's 1-norm condition number, from np.linalg.inv, held to
+    CONDITION_LIMIT; an exact zero pivot names the point of smallest |det|."""
+    try:
+        inv = np.linalg.inv(m_eq)
+    except np.linalg.LinAlgError:
+        det = np.abs(np.linalg.det(m_eq))
+        cond = np.where(det == det.min(), np.inf, 0.0)
+    else:
+        cond = np.abs(m_eq).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
+    i = int(np.argmax(cond))
+    if not cond[i] <= sol.CONDITION_LIMIT:
+        raise sol.NearSingularSystemError(
+            f"residue system condition number {cond[i]:.3e} exceeds {sol.CONDITION_LIMIT:.0e}"
+            f" at (x, t) = ({x[i].real:.6g}, {t[i].real:.6g})"
+        )
+
+
+def solve_residues_four_calls(entries, x, t):
+    """:func:`solitons._solve_residues` with four LAPACK calls per block: an
+    inverse for the condition guard, then one solve each for the residue
+    vectors and their x- and t-derivatives, on complex copies of the whole
+    grid. Returns (n31, n31_x, n31_t)."""
+    npol = len(entries)
+    shape = np.broadcast(x, t).shape
+    pts = np.array([e.point for e in entries])
+    cols = np.array([e.col for e in entries])
+    srcs = np.array([e.src for e in entries])
+    coef0 = np.array([e.coef0 for e in entries])
+    rates_x = np.array([e.rate_x for e in entries])
+    rates_t = np.array([e.rate_t for e in entries])
+    mask3 = cols == 3
+
+    s = np.zeros((npol, npol), dtype=complex)
+    for i in range(npol):
+        for j in range(npol):
+            if i != j and cols[j] == srcs[i]:
+                s[i, j] = 1.0 / (pts[i] - pts[j])
+
+    xg, tg = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(t, dtype=complex))
+    xf, tf = xg.reshape(-1), tg.reshape(-1)
+    out = np.empty((3, xf.size), dtype=complex)
+    step = max(1, sol.BLOCK_ENTRIES // (npol * npol))
+    for lo in range(0, xf.size, step):
+        blk = slice(lo, lo + step)
+        expo = rates_x[None] * xf[blk, None] + rates_t[None] * tf[blk, None]
+        coef = coef0[None] * np.exp(expo)
+        if not np.all(np.isfinite(coef)):
+            raise ArithmeticError("residue coefficients overflow on this grid")
+
+        m = np.broadcast_to(np.eye(npol, dtype=complex), coef.shape[:1] + (npol, npol)).copy()
+        m -= coef[:, :, None] * s[None]
+        rhs = np.zeros(coef.shape + (3,), dtype=complex)
+        rhs[:, np.arange(npol), srcs - 1] = coef
+
+        scale = np.max(np.abs(m), axis=2)
+        scale = np.where(scale > 1.0, scale, 1.0)
+        m_eq = m / scale[:, :, None]
+        rhs_eq = rhs / scale[:, :, None]
+        _check_condition_by_inverse(m_eq, xf[blk], tf[blk])
+
+        rho = np.linalg.solve(m_eq, rhs_eq)
+        rho_x = np.linalg.solve(m_eq, (rates_x[None, :, None] * rho) / scale[:, :, None])
+        rho_t = np.linalg.solve(m_eq, (rates_t[None, :, None] * rho) / scale[:, :, None])
+        out[:, blk] = np.stack((rho, rho_x, rho_t))[:, :, mask3, :].sum(axis=(2, 3))
+    return tuple(out.reshape((3,) + shape))

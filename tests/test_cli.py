@@ -207,6 +207,43 @@ def test_verify_refuses_a_nonuniform_x_grid(tmp_path, capsys, check):
     assert "x grid must be uniform and increasing" in capsys.readouterr().err
 
 
+def _spike_field(path, level, points, height):
+    """A 61 x 5 field, zero but for u = height at the points x = points (of
+    x = -3, -2.9, ..., 3) on the time levels t = level (of 0, 0.01, ..., 0.04)."""
+    x, t = np.linspace(-3.0, 3.0, 61), np.linspace(0.0, 0.04, 5)
+    u = np.zeros((t.size, x.size))
+    u[level, [30 + round(10 * p) for p in points]] = height
+    fileio.write_field(str(path), sol.SolutionField(x, t, u, np.zeros_like(u)), "test", {})
+
+
+@pytest.mark.parametrize("check, level, points, height, where", [
+    ("pde", slice(None), [0.0], 1e200, "pde residual is not finite at (x, t) = (-0.2, 0.01)"),
+    ("system", slice(None), [0.0], 1e200, "system residual is not finite at (x, t) = (-0.2, 0.01)"),
+    ("lax", slice(None), [0.0], 1e306, "lax residual is not finite at (x, t) = (-0.2, 0.01)"),
+    ("mass", 2, [0.0, 0.1], 1.5e308, "mass integral is not finite at (x, t) = (0, 0.02)"),
+], ids=["pde", "system", "lax", "mass"])
+def test_verify_refuses_a_residual_that_overflows(tmp_path, capsys, check, level, points, height,
+                                                  where):
+    _spike_field(tmp_path / "f.csv", level, points, height)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run("verify", "--field", tmp_path / "f.csv", "--checks", check, "--out", tmp_path / "v")
+    assert rc == 2
+    assert f"numerical error: {where}" in capsys.readouterr().err
+
+
+def test_verify_fails_a_finite_lax_residual_of_a_huge_field(tmp_path):
+    # with u = 1e200 at x = 0 the residual is large but finite: the check
+    # fails (exit 3) and reports it, where a NaN once let it pass
+    _spike_field(tmp_path / "f.csv", slice(None), [0.0], 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run("verify", "--field", tmp_path / "f.csv", "--checks", "lax", "--out", tmp_path / "v")
+    assert rc == 3
+    lax = json.loads((tmp_path / "v" / "verify.json").read_text())["checks"]["lax"]
+    assert not lax["passed"] and 1e200 < lax["max_residual"] < np.inf
+
+
 def test_jumps_command(tmp_path):
     out = tmp_path / "j"
     assert run("jumps", "--samples", 5, "--out", out) == 0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from boussinesq_ist import solitons as sol
 from boussinesq_ist import spectral as sp
+from boussinesq_ist import verify as vf
 
 import paper_identities as pi
 
@@ -435,16 +436,91 @@ def test_blocked_residue_solve_is_bit_identical(monkeypatch):
             assert a.tobytes() == b.tobytes()
 
 
+def _outcome(solve, entries, x, t):
+    """The bytes of (n31, n31_x, n31_t), or the type and message of the refusal."""
+    try:
+        return tuple(a.tobytes() for a in solve(entries, x, t))
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def regular_pairs(draw):
+    """One to three (pole, residue constant) pairs of regular solitons and
+    breathers whose pole images stay apart."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        x0 = draw(st.floats(-4.0, 4.0))
+        if draw(st.booleans()):
+            k0 = draw(st.one_of(st.floats(1.2, 5.0), st.floats(-0.85, -0.2)))
+            pairs.append((k0, sol.residue_constant_from_position(k0, x0)))
+        else:
+            r, angle = draw(st.floats(1.2, 4.0)), draw(st.floats(np.pi / 60, np.pi / 6 - np.pi / 60))
+            k0 = np.exp(1j * (np.pi + angle)) / r if draw(st.booleans()) else r * np.exp(1j * angle)
+            phase = draw(st.floats(0.0, 2 * np.pi, exclude_max=True))
+            pairs.append((k0, sol.breather_constant_for_position(k0, x0, phase)))
+    try:
+        sol._expand_pole_system(sol.wave_poles(pairs))
+    except sp.DomainError:
+        assume(False)
+    return pairs
+
+
+@settings(max_examples=10, deadline=None)
+@given(regular_pairs(), st.integers(2, 40), st.integers(1, 3), st.integers(1, 120),
+       st.integers(0, 10**6), st.booleans())
+def test_residue_solve_is_byte_identical_to_four_lapack_calls(pairs, nx, nt, points, extra, tail):
+    # random blocks, down to one-point blocks and one-point tails
+    entries = sol._expand_pole_system(sol.wave_poles(pairs))
+    npol = len(entries)
+    x, t = np.linspace(-8.0, 8.0, nx)[None, :], 0.1 * np.arange(nt)[:, None]
+    if tail:
+        points = max(1, nx * nt - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sol, "BLOCK_ENTRIES", points * npol**2 + extra % npol**2)
+        got = _outcome(sol._solve_residues, entries, x, t)
+        want = _outcome(pi.solve_residues_four_calls, entries, x, t)
+    assert got == want
+
+
+def test_residue_solve_refuses_as_four_lapack_calls_do(monkeypatch):
+    # a lowered CONDITION_LIMIT (the soliton's 1-norm condition is ~11.5 at
+    # x = 0) and the exactly singular system [[1, -1], [-1, 1]]
+    soliton = sol._expand_pole_system(
+        sol.wave_poles([(2.0, sol.residue_constant_from_position(2.0, 0.0))]))
+    singular = [sol._PoleEntry(0.5, 1, 2, 1.0, 0.0, 0.0), sol._PoleEntry(-0.5, 2, 1, -1.0, 0.0, 0.0)]
+    monkeypatch.setattr(sol, "CONDITION_LIMIT", 5.0)
+    for entries, x in ((soliton, np.linspace(-5, 5, 51)), (singular, np.linspace(-1, 1, 5))):
+        got = _outcome(sol._solve_residues, entries, x[None, :], np.zeros((1, 1)))
+        want = _outcome(pi.solve_residues_four_calls, entries, x[None, :], np.zeros((1, 1)))
+        assert got == want
+        assert got[0] is sol.NearSingularSystemError
+
+
+def _traced_peak(pairs, grid):
+    tracemalloc.start()
+    try:
+        sol.n_soliton(pairs, grid)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Bounds: the peaks of the four-call solve, which also held whole-grid
+# complex copies of x and t; this solve peaks at 34.3 MB and 16.3 MB.
 def test_n_soliton_memory_is_bounded():
     grid = sol.Grid(np.linspace(-30, 30, 2001), np.linspace(0.0, 1.0, 101))
     pole = [(2.0, sol.residue_constant_from_position(2.0, 0.0))]
-    tracemalloc.start()
-    try:
-        sol.n_soliton(pole, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 200e6
+    assert _traced_peak(pole, grid) <= 45.2e6
+
+
+def test_n_soliton_memory_on_the_roundtrip_breather_grid():
+    k0 = 2.0 * np.exp(1j * np.pi / 12)
+    pairs = [(k0, sol.breather_constant_for_position(k0, 0.0, 0.7))]
+    lx = vf._auto_extent(sol.wave_poles(pairs))
+    grid = sol.Grid(np.linspace(-lx, lx, sol.point_count(2 * lx, sol.DEFAULT_HX)), [0.0])
+    assert grid.x.size == 15_425
+    assert _traced_peak(pairs, grid) <= 21.98e6
 
 
 # Tolerances: the centre is recovered to 1e-12 absolute and the rates agree

@@ -186,12 +186,12 @@ def test_lax_tilde_broadcasts_over_fields():
     rng = np.random.default_rng(3)
     cols = rng.normal(size=(4, 2, 1))  # u, ux, uxx, v down a column
     row = rng.normal(size=(1, 4))  # vx along a row
-    lt, zt = sp.l_tilde(k, *cols, row), sp.z_tilde(k, *cols, row)
+    lt, zt = pi.l_tilde(k, *cols, row), pi.z_tilde(k, *cols, row)
     assert lt.shape == zt.shape == (2, 4, 3, 3)
     for i in range(2):
         for j in range(4):
             point = (*(float(f) for f in cols[:, i, 0]), float(row[0, j]))
-            ls, zs = sp.l_tilde(k, *point), sp.z_tilde(k, *point)
+            ls, zs = pi.l_tilde(k, *point), pi.z_tilde(k, *point)
             np.testing.assert_allclose(lt[i, j], ls, rtol=0, atol=1e-15)
             np.testing.assert_allclose(zt[i, j], zs, rtol=0, atol=1e-15)
 
