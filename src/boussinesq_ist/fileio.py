@@ -17,39 +17,42 @@ from boussinesq_ist import __version__
 from boussinesq_ist.solitons import SolutionField
 
 FMT = "%.17g"
+#: rows formatted at a time: formatting a whole 6001-row level at once left
+#: ~2 MB of the interpreter's small-object arenas resident after the write
+_BLOCK_ROWS = 256
 
 
 class FileFormatError(ValueError):
     pass
 
 
-def _header_lines(command: str, params: dict, columns):
-    yield f"# boussinesq-ist {__version__}"
-    yield f"# command = {command}"
-    for key in sorted(params):
-        yield f"# {key} = {params[key]}"
-    yield "# columns = " + ",".join(columns)
+def _blocks(*columns):
+    """_BLOCK_ROWS rows at a time of the equal-length columns, each a list of
+    formatted strings, which is sliced, or a 1-d array, whose slice is formatted."""
+    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        yield [c[lo:lo + _BLOCK_ROWS] if isinstance(c, list)
+               else [FMT % v for v in c[lo:lo + _BLOCK_ROWS].tolist()] for c in columns]
 
 
-def _write_csv(path: str, command: str, params: dict, columns: dict):
-    """Header plus one row per index of the equal-length 1-d arrays in
-    ``columns``, in its order."""
-    cols = list(columns)
-    row = ",".join([FMT] * len(cols)) + "\n"
+def _write_csv(path: str, command: str, params: dict, columns: list, blocks):
+    """Provenance header and column line, then for each block (one list of
+    formatted strings per name in ``columns``, all of one length) one row per index."""
+    header = [f"# boussinesq-ist {__version__}", f"# command = {command}",
+              *(f"# {key} = {params[key]}" for key in sorted(params)),
+              "# columns = " + ",".join(columns), ",".join(columns), ""]
     with open(path, "w") as fh:
-        for line in _header_lines(command, params, cols):
-            fh.write(line + "\n")
-        fh.write(",".join(cols) + "\n")
-        for values in zip(*columns.values()):
-            fh.write(row % values)
+        fh.write("\n".join(header))
+        for block in blocks:
+            fh.write("\n".join([*map(",".join, zip(*block)), ""]))
 
 
 def write_field(path: str, fld: SolutionField, command: str, params: dict):
-    nt, nx = fld.t.size, fld.x.size
-    columns = {"x": np.tile(fld.x, nt), "t": np.repeat(fld.t, nx), "u": fld.u.reshape(-1)}
-    if fld.v is not None:
-        columns["v"] = fld.v.reshape(-1)
-    _write_csv(path, command, params, columns)
+    """A block of rows of one time level at a time; x and each t are formatted once."""
+    fields = [f for f in (fld.u, fld.v) if f is not None]
+    xs = [FMT % v for v in fld.x.tolist()]
+    blocks = (block for n, t in enumerate(fld.t.tolist())
+              for block in _blocks(xs, [FMT % t] * len(xs), *(f[n] for f in fields)))
+    _write_csv(path, command, params, ["x", "t", "u", "v"][: 2 + len(fields)], blocks)
 
 
 def read_field(path: str) -> SolutionField:
@@ -76,13 +79,11 @@ def read_field(path: str) -> SolutionField:
 
 
 def write_contour(path: str, ks, values, command: str, params: dict, param_name: str):
-    ks = np.asarray(ks)
-    values = np.asarray(values)
+    ks, values = np.asarray(ks), np.asarray(values)
     par = np.abs(ks) if param_name == "modulus" else np.angle(ks)
-    _write_csv(path, command, dict(params, param=param_name), {
-        "param": par, "k_re": ks.real, "k_im": ks.imag,
-        "value_re": values.real, "value_im": values.imag,
-    })
+    _write_csv(path, command, dict(params, param=param_name),
+               ["param", "k_re", "k_im", "value_re", "value_im"],
+               _blocks(par, ks.real, ks.imag, values.real, values.imag))
 
 
 def read_contour(path: str):
@@ -143,4 +144,4 @@ def read_initial_csv(path: str):
 
 
 def write_initial_csv(path: str, x, u0, v0, command: str, params: dict):
-    _write_csv(path, command, params, {"x": x, "u0": u0, "v0": v0})
+    _write_csv(path, command, params, ["x", "u0", "v0"], _blocks(*map(np.asarray, (x, u0, v0))))

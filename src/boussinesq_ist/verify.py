@@ -71,10 +71,8 @@ def _max_abs(res, fld: sol.SolutionField, what: str, core) -> float:
 @np.errstate(all="ignore")  # an overflow is refused by _max_abs, naming its point
 def pde_residual(fld: sol.SolutionField) -> dict:
     """Residual of u_tt = u_xx + (u^2)_xx + u_xxxx on interior points."""
-    if fld.x.size < 9:
-        raise ValueError("grid too coarse: need at least 9 x-points")
-    if fld.t.size < 5:
-        raise ValueError("need at least 5 time levels")
+    if fld.t.size < 5 or fld.x.size < 9:
+        raise ValueError("pde check needs at least 5 time levels and 9 x-points")
     core = _interior(fld, "pde")
     u = fld.u
     utt = deriv(u, "t", 2, fld.ht)
@@ -121,7 +119,8 @@ def lax_compatibility(fld: sol.SolutionField, ks) -> float:
     form by an x,t-independent matrix, so the vanishing is equivalent. L~
     has 1s at (0, 1) and (1, 2) and the last row (a, b, 0); Z~ has z00,
     z02 = -i sqrt(3), z10, z11 = z22, z20 and z21. So R02 = R12 = 0 and the
-    other seven entries are written out, one time level at a time.
+    other seven entries are written out, one time level at a time. The lam(k)
+    terms cancel, so R is the same at every k up to rounding.
     """
     if fld.v is None:
         raise ValueError("field carries no v samples")

@@ -8,14 +8,16 @@ sectionally analytic M2, whole connection matrices, the conjugation matrix
 R(k), the compact-support residue shortcut, the march one x step at a time,
 the arc family of a circle point, the arc weight and its log-densities, the
 pole-removal matrices by their names, the breather's 2x2 residue matrix
-with its determinant and trace formula for the fields, and the N-pole
-residue solve with one inverse and three solves per block.
+with its determinant and trace formula for the fields, the N-pole
+residue solve with one inverse and three solves per block, and the CSV writer
+that formats one row at a time.
 """
 
 import math
 
 import numpy as np
 
+import boussinesq_ist
 from boussinesq_ist import jumps as jp
 from boussinesq_ist import scattering as sc
 from boussinesq_ist import solitons as sol
@@ -520,3 +522,17 @@ def solve_residues_four_calls(entries, x, t):
         rho_t = np.linalg.solve(m_eq, (rates_t[None, :, None] * rho) / scale[:, :, None])
         out[:, blk] = np.stack((rho, rho_x, rho_t))[:, :, mask3, :].sum(axis=(2, 3))
     return tuple(out.reshape((3,) + shape))
+
+
+def write_csv_rowwise(path, command, params, columns):
+    """The comment header, the column line, then one ``%.17g`` row per index
+    of the equal-length 1-d arrays in the dict ``columns``, in its order."""
+    cols = list(columns)
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(f"# boussinesq-ist {boussinesq_ist.__version__}\n# command = {command}\n")
+        for key in sorted(params):
+            fh.write(f"# {key} = {params[key]}\n")
+        fh.write("# columns = " + ",".join(cols) + "\n" + ",".join(cols) + "\n")
+        for values in zip(*columns.values()):
+            fh.write(row % values)

@@ -180,6 +180,15 @@ def test_verify_system_check_on_two_levels_names_its_minimum(tmp_path, capsys):
     assert "system check needs at least 3 time levels and 7 x-points" in capsys.readouterr().err
 
 
+def test_verify_pde_check_on_four_levels_names_its_minimum(tmp_path, capsys):
+    src = tmp_path / "sol"
+    run("soliton", "--k0", 2, "--xmin", -5, "--xmax", 5, "--hx", 0.1, "--tvals", "0,0.01,0.02,0.03",
+        "--out", src)
+    assert run("verify", "--field", src / "solution.csv", "--out", tmp_path / "v") == 1
+    assert "pde check needs at least 5 time levels and 9 x-points" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
+
+
 def test_verify_refuses_nonuniform_time_levels(tmp_path, capsys):
     # the same wave on uniform levels passes; the FD stencils assume equal steps
     levels = {"uniform": "0,0.01,0.02,0.03,0.04,0.05", "skipped": "0,0.01,0.02,0.04,0.05,0.06"}

@@ -1,0 +1,82 @@
+"""What "byte-identical" means across CPU dispatch: a small two-soliton
+`nsoliton` and its `verify`, each run in child processes under another
+OpenBLAS kernel and with numpy's AVX-512 loops switched off, compared with
+the default run."""
+
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
+
+from boussinesq_ist import fileio
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+DISPATCH_VARS = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+NSOLITON = ["nsoliton", "--pole=2,0,192.89385278683244,66.82039069890115",  # k0 = 2 at x0 = 6
+            "--pole=2.5,0,0.00069303745154311,0.00028974594977051896",  # k0 = 2.5 at x0 = -8
+            "--xmin", "-30", "--xmax", "30", "--hx", "0.05", "--tvals", "0,0.01,0.02,0.03,0.04"]
+
+# Bounds, about four times the measured changes: under OPENBLAS_CORETYPE=Haswell
+# (default kernel SkylakeX) the residue solve moves u by up to 4.4e-14 and v
+# by 6.6e-14 (max |u| 1.65). The FD checks amplify that, by up to
+# sum|w|/hx^4 = 4.3e6 for u_xxxx: verify.json's pde term_max u_xxxx moves by
+# 6.1e-8, the pde residual by 1.2e-8, the Lax residual by 1.0e-11 and the
+# mass integrals by 7e-15. Switching off numpy's AVX-512 loops moves nothing.
+# Every pass/fail verdict stays the same.
+FIELD_TOL, REPORT_TOL = 2.5e-13, 2.5e-7
+
+pytestmark = pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                                reason="the alternative dispatch targets are x86 ones")
+
+
+def _run(out, env):
+    env = dict({k: v for k, v in os.environ.items() if k not in DISPATCH_VARS},
+               PYTHONPATH=str(SRC), **env)
+    for argv in (NSOLITON + ["--out", str(out)],
+                 ["verify", "--field", str(out / "solution.csv"), "--out", str(out)]):
+        proc = subprocess.run([sys.executable, "-m", "boussinesq_ist.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+    return fileio.read_field(str(out / "solution.csv")), fileio.read_json(str(out / "verify.json"))
+
+
+def _leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, val in node.items():
+            yield from _leaves(val, path + (key,))
+    elif isinstance(node, list):
+        for i, val in enumerate(node):
+            yield from _leaves(val, path + (i,))
+    else:
+        yield path, node
+
+
+@pytest.fixture(scope="module")
+def default_run(tmp_path_factory):
+    return _run(tmp_path_factory.mktemp("default"), {})
+
+
+@pytest.mark.parametrize("env", [
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    pytest.param({"NPY_DISABLE_CPU_FEATURES": " ".join(AVX512)}, marks=pytest.mark.skipif(
+        not all(__cpu_features__.get(f) for f in AVX512), reason="no AVX-512 loops to switch off")),
+], ids=["openblas-haswell", "numpy-no-avx512"])
+def test_nsoliton_and_verify_agree_across_cpu_dispatch(tmp_path, default_run, env):
+    (fld, report), (want_fld, want_report) = _run(tmp_path, env), default_run
+    assert abs(fld.u - want_fld.u).max() <= FIELD_TOL
+    assert abs(fld.v - want_fld.v).max() <= FIELD_TOL
+    got, want = dict(_leaves(report)), dict(_leaves(want_report))
+    assert got.keys() == want.keys()
+    for path, value in want.items():
+        if isinstance(value, float):
+            assert abs(got[path] - value) <= REPORT_TOL, path
+        else:
+            assert got[path] == value, path

