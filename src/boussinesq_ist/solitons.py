@@ -1,14 +1,16 @@
 """Exact solution synthesis from spectral data.
 
-Closed-form one-solitons (sech^2 traveling waves), single breathers as
-log-derivatives of their Hirota tau-function f = det(I - A), and general
-N-pole solutions obtained by solving the residue conditions of the
-pole-only reconstruction problem as a small dense linear system per grid
-point.
+One-solitons (sech^2 traveling waves) and single breathers as
+log-derivatives u = 6 (log f)_xx of their Hirota tau-function f, a sum of
+two or four exponentials evaluated by one routine, and general N-pole
+solutions obtained by solving the residue conditions of the pole-only
+reconstruction problem as a small dense linear system per grid point.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,7 +193,7 @@ def _partner_rates(k0: complex):
 
 
 # ----------------------------------------------------------------------------
-# one-soliton
+# one pole's tau-function
 # ----------------------------------------------------------------------------
 
 
@@ -211,73 +213,6 @@ def residue_constant_from_position(k0: float, x0: float) -> complex:
     k0 = float(k0)
     f2 = np.exp((k0**2 - 1.0) / (2.0 * k0) * x0)
     return complex(f2 * SQRT3 * k0 * (k0**2 - 1.0) / (1j * OMEGA**2 * (k0**2 - OMEGA**2)))
-
-
-def _soliton_centre(k0: float, c: complex):
-    """(f, w, x0) of a regular one-soliton: its shape factor f, the rate w of
-    its sech^2 argument w (x - speed t - x0), and its position x0 at t = 0."""
-    f = abs(soliton_shape_factor(k0, c).real)  # f^2 >= 0 here; the sign of f is immaterial
-    w = (k0**2 - 1.0) / (4.0 * k0)
-    return f, w, float(np.log(f) / w)
-
-
-def one_soliton(k0: float, c: complex, grid: Grid) -> SolutionField:
-    """sech^2 traveling wave generated by a single real pole.
-
-    Speed (k0 + 1/k0)/2 and amplitude (3/8)(k0 - 1/k0)^2 are recorded in the
-    metadata together with the position x0 encoded by the residue constant.
-    """
-    k0 = float(k0)
-    waves = wave_poles([(k0, c)])
-    amp = 0.375 * (k0 - 1.0 / k0) ** 2
-    speed = 0.5 * (k0 + 1.0 / k0)
-    meta = {"amplitude": amp, "speed": speed}
-    if not waves:
-        meta["x0"] = None
-        zero = np.zeros((grid.t.size, grid.x.size))
-        return SolutionField(grid.x, grid.t, zero, v=zero.copy(), meta=meta)
-
-    f, w, meta["x0"] = _soliton_centre(k0, c)
-
-    xi = grid.x[None, :] - speed * grid.t[:, None]
-    y = w * xi
-    ay = np.abs(y)
-    denom = f * np.exp(-y - ay) + np.exp(y - ay) / f
-    u = 1.5 * (k0 - 1.0 / k0) ** 2 * np.exp(-2.0 * ay) / denom**2
-    v = -speed * u
-    return SolutionField(grid.x, grid.t, u, v=v, meta=meta)
-
-
-# ----------------------------------------------------------------------------
-# breather
-# ----------------------------------------------------------------------------
-
-
-def _breather_constants(k0: complex, c: complex):
-    """(ct, mu, nu): the (1, 1) entry of the breather's residue matrix A is
-    A11 = ct e^(mu x + nu t) / mu, with (mu, nu) the pole's rates."""
-    return (1j * (k0**2 - 1.0) / (2.0 * SQRT3 * k0**2) * c, *pole_rates(k0))
-
-
-def _breather_tau(k0: complex, c: complex, x, t):
-    """(f, f_x, f_xx, f_t, f_xt) of the breather's tau-function
-    f = det(I - A) = 1 - 2 Re A11 + h |A11|^2 on a broadcast (x, t) grid.
-
-    Every term at a point is divided by that point's largest one,
-    e^max(0, 2 Re log A11), so nothing overflows on any grid.
-    """
-    ct, mu, nu = _breather_constants(k0, c)
-    h = h_indicator(k0)
-    log_a = np.log(ct / mu) + mu * x + nu * t
-    scale = np.maximum(0.0, 2.0 * log_a.real)
-    a = np.exp(log_a - scale)
-    q = h * np.exp(2.0 * log_a.real - scale)
-    f = np.exp(-scale) - 2.0 * a.real + q
-    f_x = -2.0 * (mu * a).real + 2.0 * mu.real * q
-    f_xx = -2.0 * (mu**2 * a).real + 4.0 * mu.real**2 * q
-    f_t = -2.0 * (nu * a).real + 2.0 * nu.real * q
-    f_xt = -2.0 * (mu * nu * a).real + 4.0 * mu.real * nu.real * q
-    return f, f_x, f_xx, f_t, f_xt
 
 
 def h_indicator(k0: complex) -> float:
@@ -305,44 +240,97 @@ def breather_constant_for_position(k0: complex, x0: float, phase: float) -> comp
     return scale * np.exp(-rate.real * x0) * np.exp(1j * phase)
 
 
+def _tau_terms(p: PoleData):
+    """Hirota's tau-function f of the pole p as its exponentials' (x-rate,
+    t-rate, log weight): f = 1 + e^eta for a soliton (real triples) and
+    f = 1 + e^eta + e^conj(eta) + h e^(eta + conj(eta)) for a breather, with
+    eta = rate_x x + rate_t t + delta from the pole's rates and
+    h = h_indicator(k0); f = 1 when c = 0."""
+    if p.c == 0:
+        return [(0.0, 0.0, 0.0)]
+    rate_x, rate_t = pole_rates(p.k0)
+    if p.kind == "soliton":  # e^delta is the squared shape factor, > 0 for a regular constant
+        delta = 2.0 * np.log(abs(soliton_shape_factor(p.k0.real, p.c).real))
+        return [(0.0, 0.0, 0.0), (rate_x.real, rate_t.real, delta)]
+    # e^eta = -A11, the breather's residue entry ct e^(rate_x x + rate_t t) / rate_x
+    ct = 1j * (p.k0**2 - 1.0) / (2.0 * SQRT3 * p.k0**2) * p.c
+    eta = (rate_x, rate_t, np.log(-ct / rate_x))
+    log_h = np.log(complex(h_indicator(p.k0)))  # log(-|h|) = log|h| + i pi on the singular side
+    both = (2.0 * rate_x.real, 2.0 * rate_t.real, 2.0 * eta[2].real + log_h)
+    return [(0.0, 0.0, 0.0), eta, tuple(np.conj(eta)), both]
+
+
+def _centre(terms):
+    """The x where f's first exponential has modulus 1 at t = 0; None when f = 1."""
+    return float(-np.real(terms[1][2]) / np.real(terms[1][0])) if len(terms) > 1 else None
+
+
 def pole_envelope(p: PoleData):
     """(decay rate, |centre|) of the x-envelope that the regular pole p
     generates at t = 0: the wave decays like exp(-rate |x - centre|)."""
-    if p.kind == "soliton":
-        _, w, x0 = _soliton_centre(p.k0.real, p.c)
-        return 2.0 * w, abs(x0)  # sech^2(w (x - x0)) decays like exp(-2 w |x - x0|)
-    ct, mu, _ = _breather_constants(p.k0, p.c)
-    rate = abs(mu.real)
-    return rate, abs(np.log(abs(ct) / abs(mu)) / rate)
+    terms = _tau_terms(p)
+    return abs(np.real(terms[1][0])), abs(_centre(terms))
 
 
-def breather(k0: complex, c: complex, grid: Grid) -> SolutionField:
-    """Localized oscillating two-parameter wave from a single complex pole.
-
-    With f its tau-function, u = 6 (log f)_xx, v = 6 (log f)_xt and
-    n31 = 2i sqrt(3) (log f)_x, which are real and smooth exactly when f > 0
-    everywhere, that is when h > 1: for poles in the regular subregions.
-    Poles in the singular subregions are refused, naming an (x, t) where f
-    crosses zero when the grid holds one.
-    """
-    k0 = complex(k0)
-    _complex_subregion(k0)
-    if c == 0:
-        zero = np.zeros((grid.t.size, grid.x.size))
-        return SolutionField(grid.x, grid.t, zero, v=zero.copy(), n31=zero.astype(complex))
-
-    f, f_x, f_xx, f_t, f_xt = _breather_tau(k0, c, grid.x[None, :], grid.t[:, None])
-    bad = f <= 0.0
+def _tau_field(terms, grid: Grid, what: str) -> SolutionField:
+    """u = 6 (log f)_xx, v = 6 (log f)_xt and n31 = 2i sqrt(3) (log f)_x on
+    the grid for f, the sum of w_i = e^(a_i x + b_i t + c_i) over the terms
+    (a_i, b_i, c_i). f f_xx - f_x^2 and f f_xt - f_x f_t are sums over pairs,
+    w_i w_j (a_i - a_j)^2 and w_i w_j (a_i - a_j)(b_i - b_j), so nothing
+    cancels; each w_i is divided by its point's largest, so nothing
+    overflows. A grid point where f <= 0 is refused by name."""
+    expo = [a * grid.x[None, :] + b * grid.t[:, None] + c for a, b, c in terms]
+    top = functools.reduce(np.maximum, (e.real for e in expo))
+    w = [np.exp(e - top) for e in expo]
+    del expo, top
+    f = sum(w)
+    bad = f.real <= 0.0  # never for a soliton, whose terms are positive
     if np.any(bad):
         it, ix = np.argwhere(bad)[0]
         raise SingularBreatherError(
-            f"det(I - A) <= 0 at (x, t) = ({grid.x[ix]:.6g}, {grid.t[it]:.6g})"
-        )
-    wave_poles([(k0, c)])  # a singular-subregion pole whose blow-up lies off the grid
+            f"det(I - A) <= 0 at (x, t) = ({grid.x[ix]:.6g}, {grid.t[it]:.6g})")
+    n31 = sum(a * wi for (a, _, _), wi in zip(terms, w)) / f * (2j * SQRT3)
+    u, v = np.zeros_like(f), np.zeros_like(f)  # 6 (f f_xx - f_x^2), 6 (f f_xt - f_x f_t)
+    for i, j in itertools.combinations(range(len(terms)), 2):
+        (ai, bi, _), (aj, bj, _) = terms[i], terms[j]
+        ww = w[i] * w[j]
+        u += 6.0 * (ai - aj) ** 2 * ww
+        v += 6.0 * (ai - aj) * (bi - bj) * ww
+    del w
+    u = _realize(u / f**2, f"{what} u", grid)
+    v = _realize(v / f**2, f"{what} v", grid)
+    return SolutionField(grid.x, grid.t, u, v=v, n31=n31)
 
-    u = _realize(6.0 * (f_xx * f - f_x**2) / f**2, "breather u", grid)
-    v = _realize(6.0 * (f_xt * f - f_x * f_t) / f**2, "breather v", grid)
-    return SolutionField(grid.x, grid.t, u, v=v, n31=2j * SQRT3 * f_x / f)
+
+def one_soliton(k0: float, c: complex, grid: Grid) -> SolutionField:
+    """Traveling wave of a single real pole: u = 6 (log f)_xx with
+    f = 1 + e^eta, the sech^2 profile (3/2) rate_x^2 sech^2(eta / 2).
+
+    Speed (k0 + 1/k0)/2 and amplitude (3/8)(k0 - 1/k0)^2 are recorded in the
+    metadata together with the position x0 encoded by the residue constant
+    (None when c = 0, which gives u = 0).
+    """
+    k0 = float(k0)
+    wave_poles([(k0, c)])  # refuses a singular constant
+    terms = _tau_terms(PoleData(complex(k0), complex(c), "soliton"))
+    fld = _tau_field(terms, grid, "soliton")
+    fld.meta = {"amplitude": 0.375 * (k0 - 1.0 / k0) ** 2, "speed": 0.5 * (k0 + 1.0 / k0),
+                "x0": _centre(terms)}
+    return fld
+
+
+def breather(k0: complex, c: complex, grid: Grid) -> SolutionField:
+    """Localized oscillating two-parameter wave from a single complex pole:
+    u = 6 (log f)_xx, v = 6 (log f)_xt and n31 = 2i sqrt(3) (log f)_x with
+    f = det(I - A) = 1 + e^eta + e^conj(eta) + h e^(eta + conj(eta)), real
+    and smooth exactly when f > 0 everywhere, that is when h > 1: for poles
+    in the regular subregions. Poles in the singular subregions are refused,
+    naming an (x, t) where f crosses zero when the grid holds one."""
+    k0 = complex(k0)
+    _complex_subregion(k0)
+    fld = _tau_field(_tau_terms(PoleData(k0, complex(c), "breather")), grid, "breather")
+    wave_poles([(k0, c)])  # a singular-subregion pole whose blow-up lies off the grid
+    return fld
 
 
 # ----------------------------------------------------------------------------

@@ -71,8 +71,6 @@ def _max_abs(res, fld: sol.SolutionField, what: str, core) -> float:
 @np.errstate(all="ignore")  # an overflow is refused by _max_abs, naming its point
 def pde_residual(fld: sol.SolutionField) -> dict:
     """Residual of u_tt = u_xx + (u^2)_xx + u_xxxx on interior points."""
-    if fld.t.size < 5 or fld.x.size < 9:
-        raise ValueError("pde check needs at least 5 time levels and 9 x-points")
     core = _interior(fld, "pde")
     u = fld.u
     utt = deriv(u, "t", 2, fld.ht)

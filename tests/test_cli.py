@@ -181,12 +181,17 @@ def test_verify_system_check_on_two_levels_names_its_minimum(tmp_path, capsys):
 
 
 def test_verify_pde_check_on_four_levels_names_its_minimum(tmp_path, capsys):
-    src = tmp_path / "sol"
-    run("soliton", "--k0", 2, "--xmin", -5, "--xmax", 5, "--hx", 0.1, "--tvals", "0,0.01,0.02,0.03",
-        "--out", src)
-    assert run("verify", "--field", src / "solution.csv", "--out", tmp_path / "v") == 1
-    assert "pde check needs at least 5 time levels and 9 x-points" in capsys.readouterr().err
-    assert not (tmp_path / "v").exists()
+    # the pde stencils reach 1 level and 3 points each way: 4 levels pass
+    # (residual 9.0e-6), 2 are refused by the minimum every check shares
+    for tvals, rc in (("0,0.01,0.02,0.03", 0), ("0,0.01", 1)):
+        src, out = tmp_path / f"sol-{rc}", tmp_path / f"v-{rc}"
+        run("soliton", "--k0", 2, "--xmin", -5, "--xmax", 5, "--hx", 0.1, "--tvals", tvals,
+            "--out", src)
+        assert run("verify", "--field", src / "solution.csv", "--checks", "pde", "--out", out) == rc
+    report = json.loads((tmp_path / "v-0" / "verify.json").read_text())
+    assert report["checks"]["pde"]["max_abs_residual"] < 1e-5
+    assert "pde check needs at least 3 time levels and 7 x-points" in capsys.readouterr().err
+    assert not (tmp_path / "v-1").exists()
 
 
 def test_verify_refuses_nonuniform_time_levels(tmp_path, capsys):

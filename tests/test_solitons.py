@@ -114,11 +114,12 @@ def test_breather_derivatives_match_fd():
     hx = 0.005
     ht = 0.002
     grid = sol.Grid(np.arange(-4, 4 + hx / 2, hx), np.array([0.5 - ht, 0.5, 0.5 + ht]))
-    fld = sol.breather(k0, c, grid)
-    ux_fd = (-1j * np.sqrt(3)) * (fld.n31[:, 2:] - fld.n31[:, :-2]) / (2 * hx)
-    assert np.max(np.abs(ux_fd - fld.u[:, 1:-1])) < 5e-5
-    ut_fd = (-1j * np.sqrt(3)) * (fld.n31[2] - fld.n31[0]) / (2 * ht)
-    assert np.max(np.abs(ut_fd - fld.v[1])) < 5e-4
+    for fld in (sol.breather(k0, c, grid),
+                sol.one_soliton(2.0, sol.residue_constant_from_position(2.0, 0.5), grid)):
+        ux_fd = (-1j * np.sqrt(3)) * (fld.n31[:, 2:] - fld.n31[:, :-2]) / (2 * hx)
+        assert np.max(np.abs(ux_fd - fld.u[:, 1:-1])) < 5e-5
+        ut_fd = (-1j * np.sqrt(3)) * (fld.n31[2] - fld.n31[0]) / (2 * ht)
+        assert np.max(np.abs(ut_fd - fld.v[1])) < 5e-4
 
 
 def test_breather_det_positive_and_formula():
@@ -222,6 +223,38 @@ def test_breather_matches_the_trace_formula(r, angle, inside, x0, phase):
     scale = max(1.0, np.max(np.abs(fld.u)))
     for got, want in ((fld.u, u), (fld.v, v), (fld.n31, n31)):
         assert np.max(np.abs(got - want)) < 5e-14 * scale
+
+
+# With f = 1 + E + conj(E) + h |E|^2, u = 6 (log f)_xx tends to
+# 12 Re(mu^2 E) where E = e^eta -> 0, and to 12 Re(mu^2 / E) / h where
+# E -> oo. With s = |E|, or 1 / (h |E|) in the second tail, the next order
+# is at most 2 h s relative to the leading term's modulus 12 |mu|^2 s; the
+# 1e-12 covers rounding, which stayed below 3.2e-14 against a 60-digit
+# evaluation of 6 (log f)_xx on x in [-300, 300].
+@settings(max_examples=50, deadline=None)
+@given(
+    st.floats(1.2, 4.0),
+    st.floats(np.pi / 60, np.pi / 6 - np.pi / 60),
+    st.booleans(),
+    st.floats(-4.0, 4.0),
+    st.floats(0.0, 2 * np.pi, exclude_max=True),
+)
+def test_breather_tails_match_their_leading_terms(r, angle, inside, x0, phase):
+    # a regular pole: RegR outside the unit disk, or its RegL image inside
+    k0 = np.exp(1j * (np.pi + angle)) / r if inside else r * np.exp(1j * angle)
+    c = sol.breather_constant_for_position(k0, x0, phase)
+    grid = sol.Grid(np.linspace(-300, 300, 601), [0.0, 0.4])
+    fld = sol.breather(k0, c, grid)
+    h, (mu, nu) = sol.h_indicator(k0), sp.pole_rates(k0)
+    ct = 1j * (k0**2 - 1) / (2 * np.sqrt(3) * k0**2) * c  # E = -A11 = -ct e^(mu x + nu t) / mu
+    e = -ct / mu * np.exp(mu * grid.x[None, :] + nu * grid.t[:, None])
+    small = np.abs(e) < 1
+    s = np.where(small, np.abs(e), 1 / (h * np.abs(e)))
+    lead = np.where(small, 12 * (mu**2 * e).real, 12 * (mu**2 / e).real / h)
+    tail = s < 1e-3
+    assume(np.any(tail))
+    err = np.abs(fld.u - lead)[tail]
+    assert np.all(err <= 12 * abs(mu) ** 2 * s[tail] * (2 * h * s[tail] + 1e-12))
 
 
 # ---------------------------------------------------------------------------
