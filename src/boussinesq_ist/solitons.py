@@ -383,28 +383,41 @@ def _expand_pole_system(poles):
     return entries
 
 
+def _max_last(a):
+    """a.max(axis=-1) as np.maximum over the views of a's last axis: the same
+    bits, NaN included, without numpy's per-row loop over a short axis."""
+    return functools.reduce(np.maximum, (a[..., j] for j in range(a.shape[-1])))
+
+
+def _norm1(a):
+    """Each stacked matrix's largest column sum, a.sum(axis=-2).max(axis=-1),
+    as np.add over row views then _max_last: numpy sums that axis row after
+    row, so the bits are the same."""
+    return _max_last(functools.reduce(np.add, (a[..., i, :] for i in range(a.shape[-2]))))
+
+
 def _solve_with_inverse(m_eq, rhs_eq, srcs, x, t):
     """rho with m_eq rho = rhs_eq at each row's source column, solved with
     the inverse as [rho | inv] = m_eq^-1 [rhs | I]; inv holds every point's
-    1-norm condition number to CONDITION_LIMIT."""
+    1-norm condition number to CONDITION_LIMIT. An exact zero pivot is
+    refused at the point of smallest |det|."""
     npts, npol = rhs_eq.shape
-    b = np.zeros((npts, npol, 3 + npol), dtype=complex)
-    b[:, np.arange(npol), srcs - 1] = rhs_eq
-    b[:, :, 3:] = np.eye(npol)
+    b = np.zeros((npts, npol * (3 + npol)), dtype=complex)  # each point's [rhs | I], row-major
+    b[:, np.arange(npol) * (3 + npol) + srcs - 1] = rhs_eq
+    b[:, 3 :: 4 + npol] = 1.0  # the diagonal of I
     try:
-        sol = np.linalg.solve(m_eq, b)
+        sol = np.linalg.solve(m_eq, b.reshape(npts, npol, 3 + npol))
     except np.linalg.LinAlgError:
-        # LU met an exact zero pivot: name the point of smallest |det|
-        det = np.abs(np.linalg.det(m_eq))
-        cond = np.where(det == det.min(), np.inf, 0.0)
+        det = np.fmin(np.abs(np.linalg.det(m_eq)), np.inf)  # a NaN |det| reads inf
+        i, cond_i = int(np.argmin(det)), np.inf
     else:
         del b  # freed before the guard's temporaries are made
-        inv = sol[:, :, 3:]
-        cond = np.abs(m_eq).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
-    i = int(np.argmax(cond))  # argmax stops at a NaN, which then fails the check
-    if not cond[i] <= CONDITION_LIMIT:
+        cond = _norm1(np.abs(m_eq)) * _norm1(np.abs(sol)[:, :, 3:])  # the inverse's columns
+        i = int(np.argmax(cond))  # argmax stops at a NaN, which then fails the check
+        cond_i = cond[i]
+    if not cond_i <= CONDITION_LIMIT:
         raise NearSingularSystemError(
-            f"residue system condition number {cond[i]:.3e} exceeds {CONDITION_LIMIT:.0e}"
+            f"residue system condition number {cond_i:.3e} exceeds {CONDITION_LIMIT:.0e}"
             f" at (x, t) = ({x[i]:.6g}, {t[i]:.6g})"
         )
     return sol[:, :, :3].copy()  # the inverse is not kept
@@ -415,11 +428,15 @@ def _solve_residues(entries, x, t):
 
     Solves, per broadcast grid point, the coupling system
     R_p = coef_p(x,t) (e_src + sum_q R_q / (p - q)), in blocks of
-    BLOCK_ENTRIES // npol**2 points so memory stays bounded. The rows are
-    equilibrated before the solve so the condition guard, applied to every
-    point, measures genuine pole-collision degeneracy rather than benign
-    exponential scaling. A block takes two LAPACK solves of one matrix: the
-    residue vectors with the inverse the guard reads, then both derivatives.
+    BLOCK_ENTRIES // npol**2 points so memory stays bounded. A block takes
+    one complex exp per distinct (x-rate, t-rate) pair (a soliton's six
+    images share one), builds m = I - coef S in place and equilibrates its
+    rows, so the condition guard, applied to every point, measures genuine
+    pole-collision degeneracy rather than benign exponential scaling. Two
+    LAPACK solves of m follow: the residue vectors with the inverse the
+    guard reads, then both derivatives. Row maxima, the guard's column sums
+    and the sum of the col-3 rows into n31 run over views in the order of
+    numpy's reductions, so no bit depends on the block size or layout.
     """
     npol = len(entries)
     grid = np.broadcast(x, t)
@@ -428,7 +445,11 @@ def _solve_residues(entries, x, t):
     srcs = np.array([e.src for e in entries])
     coef0 = np.array([e.coef0 for e in entries])
     rates = np.array([(e.rate_x, e.rate_t) for e in entries])  # (npol, 2)
-    mask3 = cols == 3
+    rows3 = np.flatnonzero(cols == 3)
+    # the distinct rate pairs, told apart by their bits, and each entry's pair
+    distinct = {r.tobytes(): r for r in rates}
+    which = np.array([list(distinct).index(r.tobytes()) for r in rates])
+    rates_u = np.array(list(distinct.values()))
 
     # static Cauchy coupling: S[p,q] = [col(q) == src(p)] / (p - q)
     s = np.zeros((npol, npol), dtype=complex)
@@ -442,23 +463,34 @@ def _solve_residues(entries, x, t):
     step = max(1, BLOCK_ENTRIES // (npol * npol))
     for lo in range(0, grid.size, step):
         xb, tb = xg[lo : lo + step], tg[lo : lo + step]
-        coef = coef0[None] * np.exp(rates[:, 0] * xb[:, None] + rates[:, 1] * tb[:, None])
+        npts = len(xb)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            grow = np.exp(rates_u[:, :1] * xb + rates_u[:, 1:] * tb)
+            coef = (coef0[:, None] * grow[which]).T
         if not np.all(np.isfinite(coef)):
             raise ArithmeticError("residue coefficients overflow on this grid")
 
-        m = np.eye(npol) - coef[:, :, None] * s[None]
-        scale = np.maximum(np.abs(m).max(axis=2), 1.0)
+        # coef and m keep the points innermost in memory, so the passes over
+        # them run along the block, not along its npol-long rows
+        m = np.empty((npol, npol, npts), dtype=complex).transpose(2, 0, 1)
+        np.multiply(coef[:, :, None], s, out=m)
+        np.subtract(np.eye(npol), m, out=m)  # m = I - coef S
+        scale = np.maximum(_max_last(np.abs(m)), 1.0)
         m /= scale[:, :, None]
         rho = _solve_with_inverse(m, coef / scale, srcs, xb, tb)  # (npts, npol, 3)
 
         rhs = rates[None, :, :, None] * rho[:, :, None, :]  # (npts, npol, 2, 3): rates times rho
         rhs /= scale[:, :, None, None]
-        rho_xt = np.linalg.solve(m, rhs.reshape(rho.shape[:2] + (6,))).reshape(rhs.shape)
-        # one stacked sum: numpy orders a reduction with a single outer row
-        # differently, so a one-point block would drift in the last bit
-        stack = np.stack((rho, rho_xt[:, :, 0], rho_xt[:, :, 1]))
-        out[:, lo : lo + rho.shape[0]] = stack[:, :, mask3, :].sum(axis=(2, 3))
-        del m, rho, rhs, rho_xt, stack  # not alive next to the next block's arrays
+        rho_xt = np.linalg.solve(m, rhs.reshape(npts, npol, 6)).reshape(rhs.shape)
+        # the col-3 rows, summed as np.stack((rho, rho_x, rho_t))[:, :, cols == 3, :]
+        # .sum(axis=(2, 3)) adds them: from +0, each row's three entries left
+        # to right, row after row
+        for q, r in enumerate((rho, rho_xt[:, :, 0], rho_xt[:, :, 1])):
+            acc = 0.0
+            for j in rows3:
+                acc = acc + (r[:, j, 0] + r[:, j, 1] + r[:, j, 2])
+            out[q, lo : lo + npts] = acc
+        del m, rho, rhs, rho_xt, r, acc  # not alive next to the next block's arrays
     return tuple(out.reshape((3,) + grid.shape))  # n31, n31_x, n31_t
 
 

@@ -458,18 +458,20 @@ def breather_trace_fields(k0, c, x, t):
 
 def _check_condition_by_inverse(m_eq, x, t):
     """Every point's 1-norm condition number, from np.linalg.inv, held to
-    CONDITION_LIMIT; an exact zero pivot names the point of smallest |det|."""
+    CONDITION_LIMIT; an exact zero pivot is refused at the point of smallest
+    |det|, a NaN |det| reading inf."""
     try:
         inv = np.linalg.inv(m_eq)
     except np.linalg.LinAlgError:
-        det = np.abs(np.linalg.det(m_eq))
-        cond = np.where(det == det.min(), np.inf, 0.0)
+        det = np.fmin(np.abs(np.linalg.det(m_eq)), np.inf)
+        i, cond_i = int(np.argmin(det)), np.inf
     else:
         cond = np.abs(m_eq).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
-    i = int(np.argmax(cond))
-    if not cond[i] <= sol.CONDITION_LIMIT:
+        i = int(np.argmax(cond))
+        cond_i = cond[i]
+    if not cond_i <= sol.CONDITION_LIMIT:
         raise sol.NearSingularSystemError(
-            f"residue system condition number {cond[i]:.3e} exceeds {sol.CONDITION_LIMIT:.0e}"
+            f"residue system condition number {cond_i:.3e} exceeds {sol.CONDITION_LIMIT:.0e}"
             f" at (x, t) = ({x[i].real:.6g}, {t[i].real:.6g})"
         )
 

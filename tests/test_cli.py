@@ -598,6 +598,21 @@ def test_console_entry_point(tmp_path):
     assert b"RuntimeWarning" not in proc.stderr
 
 
+def test_residue_coefficient_overflow_is_refused_without_a_warning(tmp_path):
+    import subprocess
+    import sys
+
+    # exp(rate x) of this pole's images overflows on x in [-950, -949]
+    proc = subprocess.run(
+        [sys.executable, "-m", "boussinesq_ist.cli", "nsoliton",
+         "--pole=2,0,2.142857142857143,0.7423074889580913", "--xmin", "-950", "--xmax", "-949",
+         "--hx", "0.1", "--out", str(tmp_path / "n")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "numerical error: residue coefficients overflow on this grid\n"
+
+
 def test_readme_commands_run_as_written(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     blocks = re.findall(r"```bash\n(.*?)```", readme, re.S)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from boussinesq_ist import solitons as sol
 from boussinesq_ist import spectral as sp
@@ -453,6 +454,32 @@ def test_exactly_singular_system_is_near_singular_error():
     entries = [sol._PoleEntry(0.5, 1, 2, 1.0, 0.0, 0.0), sol._PoleEntry(-0.5, 2, 1, -1.0, 0.0, 0.0)]
     with pytest.raises(sol.NearSingularSystemError, match="inf"):
         sol._solve_residues(entries, np.linspace(-1, 1, 5)[None, :], np.zeros((1, 1)))
+
+
+def test_zero_pivot_is_refused_next_to_a_nan_determinant():
+    # x = 0 gives the exactly singular system [[1, -2], [-0.5, 1]]; at
+    # x = log(1e308) coef S overflows, so that point's |det| is NaN
+    entries = [sol._PoleEntry(0.25, 1, 2, 1.0, 1.0, 0.0), sol._PoleEntry(-0.25, 2, 1, -0.25, -1.0, 0.0)]
+    x, t = np.array([[0.0, np.log(1e308)]]), np.zeros((1, 1))
+    for solve in (sol._solve_residues, pi.solve_residues_four_calls):
+        with np.errstate(all="ignore"), pytest.raises(
+                sol.NearSingularSystemError, match=r"number inf exceeds .* at \(x, t\) = \(0, 0\)$"):
+            solve(entries, x, t)
+
+
+_NONNEGATIVE = st.one_of(st.floats(0.0, 1e300), st.sampled_from([0.0, np.inf, np.nan]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 18), st.integers(1, 18), st.data())
+def test_reductions_over_views_match_numpys_bit_for_bit(rows, mid, n, data):
+    # the shapes the residue solve reduces, (points, npol, npol) and (points,
+    # npol), in C order and with the points innermost in memory
+    a = data.draw(hnp.arrays(np.float64, (rows, mid, n), elements=_NONNEGATIVE))
+    for arr in (a, a[:, 0], np.asfortranarray(a), np.asfortranarray(a[:, 0])):
+        assert sol._max_last(arr).tobytes() == arr.max(axis=-1).tobytes()
+    for arr in (a, np.asfortranarray(a)):
+        assert sol._norm1(arr).tobytes() == arr.sum(axis=-2).max(axis=-1).tobytes()
 
 
 def test_blocked_residue_solve_is_bit_identical(monkeypatch):
