@@ -9,19 +9,30 @@ U = c (n1 + n2 l)^T with c = P^-1 e3, so U^2 = 0: the implicit factor
 (or U^T for the adjugate flows) costs two length-3 products per k.
 
 Only the connection rows a caller requests are integrated.  Their dressing
-exp(+-x (l_i - l_j)) is an exact exp every DRESS_BLOCK steps times a per-march
-table over the block; samples whose requested rows reach EXP_CLIP stay exact.
-The march runs in blocks that start at those anchors.  Once per block it forms
-every step's potential row n1 + n2 l and, from the U phi the steps left, the
-dressed integrand, its trapezoid pairs and its maximum.  Per step it only
-updates the state and adds that step's trapezoid term, in step order, so the
-bits are a step-by-step march's.  Everything is vectorized over a batch of
-spectral parameters k, component-major.
+exp(+-x (l_i - l_j)) is an exact exp every DRESS_BLOCK steps times a
+per-march table over the block; samples whose requested rows reach EXP_CLIP
+stay exact.  The march runs in
+blocks that start at those anchors.  Once per block it forms every step's
+potential row n1 + n2 l and, from the U phi the steps left, the dressed
+integrand, its trapezoid terms and its maximum, and adds the terms onto the
+running integral as a running sum: one add per step, in step order.  Per step
+it only updates the state, in eight ufunc calls with preallocated outputs
+(the dot product through np.einsum's C kernel), straight into the step's
+trajectory slot when one is kept.  So the bits are a step-by-step march's.
+Everything is vectorized over a batch of spectral parameters k,
+component-major.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
+
+try:  # np.einsum's kernel without its Python dispatch layers
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum as _c_einsum
 
 STABILITY_TOL = 1e-10
 EXP_CLIP = 600.0
@@ -120,23 +131,21 @@ def march_column(
     ej = np.zeros((3, nk), dtype=complex)
     ej[j] = 1.0
     rhs, tmp = (np.empty((3, nk), dtype=complex) for _ in range(2))
+    dot = np.empty(nk, dtype=complex)
     # per block: pot[r] is step r's potential row n1 + n2 l, then its U phi
     pot = np.empty((block, 3, nk), dtype=complex)
+    # U v = c (row . v), or row (c . v) transposed: (dot operand, factor, row)
+    steps = [(c, row, row) if transpose else (row, c, row) for row in pot]
     # complex array operands skip numpy's per-call scalar conversion; same bits
     n1, n2 = (np.asarray(n, dtype=complex)[ms, None, None] for n in (n1, n2))
     hh, half = np.array(0.5 * h, dtype=complex), np.array(0.5 * h * sign, dtype=complex)
-    phi = ej.copy()
-
-    def apply_pot(r, v):  # pot[r] = U v from the row in pot[r], and tmp = half U v
-        if transpose:
-            np.multiply(pot[r], np.einsum("jk,jk->k", c, v), pot[r])
-        else:
-            np.multiply(c, np.einsum("jk,jk->k", pot[r], v), pot[r])
-        np.multiply(half, pot[r], tmp)
-
-    if want_traj:
+    if want_traj:  # each step writes its state straight into its grid slot
         traj = np.empty((nx, nk, 3), dtype=complex)
-        traj[ms[0]] = phi.T
+        slots = traj.transpose(0, 2, 1)[::-1 if side == "right" else 1]  # march order
+        phi = slots[0]
+        phi[...] = ej
+    else:
+        phi = ej.copy()
 
     # connection rows: e_j + sign * integral of dressed potential term
     s_dress_sign = -1.0 if kind == "X" else +1.0
@@ -150,30 +159,48 @@ def march_column(
         table = np.exp(rate * (np.arange(block)[:, None, None] * dx))  # (block, rows, nk)
         # f[1 + r] is the integrand of block step r, f[0] that of the step before
         f = np.empty((block + 1,) + delta.shape, dtype=complex)
-        scratch = np.empty_like(table)
-        s_sum = np.zeros(delta.shape, dtype=complex)
+        # acc[0] is the running integral; acc[1 + r] holds block step r's
+        # dressing, then the block's trapezoid terms
+        acc = np.zeros_like(f)
+        s_sum = acc[0]
         max_integrand = np.zeros(delta.shape)
+        # where per-call costs dominate, a batch with no more entries than a
+        # block has steps takes the exact dressings of `block` blocks in one
+        # exp call and adds each block's terms in one accumulate, which runs
+        # one C loop per entry
+        per = block if delta.size <= block else 1
+        anchors = np.empty((per,) + delta.shape, dtype=complex)
 
+    mul, add, sub, einsum = np.multiply, np.add, np.subtract, _c_einsum
     for i0 in range(0, nx, block):  # blocks start at the exact dressing anchors
         nb = min(block, nx - i0)
-        np.multiply(n2[i0 : i0 + nb], ls, pot[:nb])
-        np.add(n1[i0 : i0 + nb], pot[:nb], pot[:nb])
-        if not i0:  # step 0 is the boundary value ej
-            apply_pot(0, phi)
-        for r in range(i0 == 0, nb):
+        mul(n2[i0 : i0 + nb], ls, pot[:nb])
+        add(n1[i0 : i0 + nb], pot[:nb], pot[:nb])
+        lo = i0 == 0  # step 0 is the boundary value ej and opens no interval
+        if lo:
+            a, b, row = steps[0]
+            einsum("jk,jk->k", a, ej, out=dot)  # phi is ej
+            mul(b, dot, row)
+            mul(half, row, tmp)
+        outs = slots[i0 + lo : i0 + nb] if want_traj else repeat(phi)
+        for (a, b, row), out in zip(steps[lo:nb], outs):
             # rhs = ej + prop * ((phi - ej) + half * mphi), tmp = half * mphi
-            np.subtract(phi, ej, rhs)
-            np.add(rhs, tmp, rhs)
-            np.multiply(prop, rhs, rhs)
-            np.add(ej, rhs, rhs)
+            sub(phi, ej, rhs)
+            add(rhs, tmp, rhs)
+            mul(prop, rhs, rhs)
+            add(ej, rhs, rhs)
             # nilpotency gives U phi_m = U rhs exactly, no recompute needed
-            apply_pot(r, rhs)
-            np.add(rhs, tmp, phi)
-            if want_traj:
-                traj[ms[i0 + r]] = phi.T
+            einsum("jk,jk->k", a, rhs, out=dot)
+            mul(b, dot, row)
+            mul(half, row, tmp)
+            phi = add(rhs, tmp, out)
         if s_rows:
-            anchor = _clipped_exp(s_dress_sign * x[ms[i0]] * delta)
-            dress = np.multiply(anchor, table[:nb], scratch[:nb])
+            nth = i0 // block % per
+            if not nth:
+                xa = s_dress_sign * x[ms[i0 : i0 + block * per : block]]
+                anchors[: xa.size] = _clipped_exp(xa[:, None, None] * delta)
+            anchor = anchors[nth]
+            dress = mul(anchor, table[:nb], acc[1 : nb + 1])
             dress[0] = anchor  # the anchor step takes the exact dressing
             if exact.size:
                 dress[1:, :, exact] = _clipped_exp(
@@ -181,14 +208,20 @@ def march_column(
                 )
             # out of place: numpy multiplies a lone complex element in place
             # without a fused multiply-add, which would change the bits
-            np.multiply(dress, pot[:nb, rs], f[1 : nb + 1])
+            mul(dress, pot[:nb, rs], f[1 : nb + 1])
             if not i0:
                 s_edge_first = f[1].copy()
-            lo = i0 == 0  # step 0 opens no interval
-            pairs = np.add(f[lo:nb], f[lo + 1 : nb + 1], scratch[lo:nb])
-            np.multiply(hh, pairs, pairs)
-            for term in pairs:  # onto s_sum in step order; a block sum first changes bits
-                np.add(s_sum, term, s_sum)
+            terms = acc[: nb + 1 - lo]
+            add(f[lo:nb], f[lo + 1 : nb + 1], terms[1:])
+            mul(hh, terms[1:], terms[1:])
+            # onto the running integral one add per step, in step order: a
+            # pairwise block sum would change the bits
+            if per > 1:
+                add.accumulate(terms, axis=0, out=terms)
+                s_sum[...] = terms[-1]
+            else:
+                for term in terms[1:]:
+                    add(s_sum, term, s_sum)
             np.maximum(max_integrand, np.abs(f[1 : nb + 1]).max(axis=0), out=max_integrand)
             f[0] = f[nb]
 

@@ -5,12 +5,12 @@ a test compares the package against: the dense Vandermonde basis behind the
 rank-one march, the companion-form Lax pair with its conjugation and its
 compatibility residual by matrix products, whole eigenfunction matrices and the
 sectionally analytic M2, whole connection matrices, the conjugation matrix
-R(k), the compact-support residue shortcut, the march one x step at a time,
-the arc family of a circle point, the arc weight and its log-densities, the
-pole-removal matrices by their names, the breather's 2x2 residue matrix
-with its determinant and trace formula for the fields, the N-pole
-residue solve with one inverse and three solves per block, and the CSV writer
-that formats one row at a time.
+R(k), the compact-support residue shortcut, the closed-form s11 of pure-pole
+data, the march one x step at a time, the arc family of a circle point, the
+arc weight and its log-densities, the pole-removal matrices by their names,
+the breather's 2x2 residue matrix with its determinant and trace formula for
+the fields, the N-pole residue solve with one inverse and three solves per
+block, and the CSV writer that formats one row at a time.
 """
 
 import math
@@ -202,6 +202,42 @@ def residue_constant_compact(data: sc.InitialData, k0: complex):
     col = 2 if sp.on_real_axis(k0) else 3
     res = march_column_stepwise(data.x[sl], n1[sl], n2[sl], c, ls, col, "X", False, (1,), True)
     return -res["s"][0, 0] / ds11
+
+
+def s11_reflectionless(poles, k):
+    """s11(k) of pure-pole data: one rational factor per regular pole k0.
+
+    With w = OMEGA, a soliton (real k0) contributes
+        S(k) = (k - k0)(k - w/k0) / ((k - w k0)(k - 1/k0)),
+    a breather (complex k0) contributes
+        B(k) = (k - k0)(k - w^2 k0*)(k - w/k0)(k - w^2/k0*)
+               / ((k - w k0*)(k - w^2 k0)(k - 1/k0*)(k - w^2/k0)).
+
+    Half derived, half measured.  s11 has a zero at each pole (the residue
+    condition) and tends to 1 as k -> oo.  Every factor F obeys
+    F(w/k) = F(k), the identity test_s11_rotation_symmetry checks on computed
+    s11, and two that the rotation and conjugation symmetries suggest for
+    data without reflection: F(k) F(w k) F(w^2 k) = 1 and
+    F(k) conj(F(w conj(k))) = 1.  Take F rational of the lowest degree those
+    allow.  The first identity pairs the zero k0
+    with w/k0, and the third gives each zero z the pole w conj(z): that
+    is S for real k0.  For complex k0 the second also needs the zeros
+    w^2 k0*, w^2/k0* and their poles, which is B.  That s11 is rational of
+    the lowest degree is the measured part: rational fits to computed s11
+    returned these zeros and poles to 1e-5 and no others (an extra pair of
+    the breather fit cancelled at 0.9967).  Only k0 itself lies in D2.
+    """
+    k = np.asarray(k, dtype=complex)
+    w = sp.OMEGA
+    out = np.ones_like(k)
+    for k0 in map(complex, poles):
+        if k0.imag == 0.0:
+            out *= (k - k0) * (k - w / k0) / ((k - w * k0) * (k - 1 / k0))
+        else:
+            kb = k0.conjugate()
+            out *= ((k - k0) * (k - w**2 * kb) * (k - w / k0) * (k - w**2 / kb)
+                    / ((k - w * kb) * (k - w**2 * k0) * (k - 1 / kb) * (k - w**2 / k0)))
+    return out
 
 
 def march_column_stepwise(x, n1, n2, c, ls, col, kind, want_traj, s_rows, growth_ok=False):

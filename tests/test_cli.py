@@ -520,6 +520,23 @@ def test_roundtrip_command(tmp_path):
     assert min(float(v) for v in rep["pole_errors"].values()) < 1e-3
 
 
+def test_roundtrip_on_a_short_breather_domain_fails_its_own_check(tmp_path):
+    # the breather 2 e^{i pi/12} (phase 0.7) on [-20, 20], where its envelope
+    # has not decayed: the recovered pole is off by 3.561e-03, over the
+    # round trip's 1e-3, so the report fails and the command exits 3
+    k0 = complex(2.0 * np.exp(1j * np.pi / 12))
+    c = complex(sol.breather_constant_for_position(k0, 0.0, 0.7))
+    out = tmp_path / "rt"
+    pole = f"--pole={k0.real!r},{k0.imag!r},{c.real!r},{c.imag!r}"
+    assert run("roundtrip", pole, "--lx", 20, "--out", out) == cli.EXIT_VALIDATION
+    rep = json.loads((out / "roundtrip.json").read_text())
+    assert rep["passed"] is False
+    key = str(k0)
+    detail = re.fullmatch(r"pole error (\S+)", rep["details"][key])
+    assert detail and float(detail[1]) > 1e-3
+    assert rep["pole_errors"][key] > 1e-3
+
+
 #: dicts keyed by poles or messages: their keys are data, not schema
 DATA_KEYED = {"pole_errors", "residue_errors", "details"}
 

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boussinesq_ist import scattering as sc
@@ -328,6 +328,50 @@ def test_contour_relations_hold_by_sample_index_on_gaussian_data(u_terms, v_term
         s, sa, sdef, sadef = pi.scattering_matrices(data, k)
         assert sdef.all() and sadef.all()
         assert abs(np.linalg.det(s) - 1) < 1e-9 and abs(np.linalg.det(sa) - 1) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the exact s11 of pure-pole data
+# ---------------------------------------------------------------------------
+
+# twelve points of D2 outside the unit circle, on three moduli
+_D2_SAMPLES = np.array([r * np.exp(1j * a)
+                        for r in (1.4, 2.2, 3.2) for a in (-0.4, -0.15, 0.15, 0.4)])
+_REGULAR_POLE = st.one_of(
+    st.tuples(st.floats(1.4, 3.0), st.just(0.0), st.floats(-5, 5), st.just(0.0)),
+    st.tuples(st.floats(2.0, 3.0), st.floats(np.pi / 24, np.pi / 12), st.floats(-5, 5),
+              st.floats(0, 2 * np.pi)),
+)
+
+
+# C = 2.5: over 25 random draws from these ranges the largest
+# max |s11_h - closed form| / h^2 was 1.22 (two breathers near 2.6+0.6i),
+# the smallest 0.004 (a soliton at 1.45), and the error ratio between h and
+# h/2 stayed within 3.99-4.04.  Each case gets its own extent, 16 envelope
+# decay lengths (solitons.pole_envelope) past the farthest centre plus 5.
+@settings(max_examples=8, deadline=None)
+@given(st.lists(_REGULAR_POLE, min_size=1, max_size=2))
+def test_s11_of_pure_pole_data_converges_to_its_closed_form(drawn):
+    pairs = []
+    for modulus, angle, x0, phase in drawn:
+        if angle:
+            k0 = modulus * np.exp(1j * angle)
+            pairs.append((k0, sol.breather_constant_for_position(k0, x0, phase)))
+        else:
+            pairs.append((modulus, sol.residue_constant_from_position(modulus, x0)))
+    k0s = [complex(k0) for k0, _ in pairs]
+    assume(len(k0s) == 1 or abs(k0s[0] - k0s[1]) > 0.1)
+    envelopes = map(sol.pole_envelope, sol.wave_poles(pairs))
+    lx = max(16.0 / rate + centre + 5.0 for rate, centre in envelopes)
+    exact = pi.s11_reflectionless(k0s, _D2_SAMPLES)
+    errors = []
+    for h in (0.08, 0.04):
+        grid = sol.Grid(np.linspace(-lx, lx, sol.point_count(2 * lx, h)), [0.0])
+        fld = sol.n_soliton(pairs, grid)
+        data = sc.InitialData(grid.x, fld.u[0], fld.v[0])
+        errors.append(np.max(np.abs(sc.s11_batch(data, _D2_SAMPLES) - exact)))
+        assert errors[-1] <= 2.5 * h**2
+    assert 3.5 <= errors[0] / errors[1] <= 4.5
 
 
 def test_concurrent_reads_of_shared_data(gauss):

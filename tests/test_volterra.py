@@ -157,15 +157,19 @@ def _spectral_batch(rng, nk):
     s_rows=st.sampled_from([(), (1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3)]),
     want_traj=st.booleans(),
     data=st.sampled_from(["bounded", "overflow", "nan"]),
-    nk=st.one_of(st.integers(1, 9), st.sampled_from([193, 256])),
-    nx=st.one_of(st.sampled_from([2, 3, 15, 16, 17, 33]), st.integers(2, 120)),
+    nk=st.one_of(st.integers(1, 9), st.sampled_from([50, 193, 256, 1536])),
+    nx=st.one_of(st.sampled_from([1, 2, 3, 15, 16, 17, 33]), st.integers(2, 120)),
     block=st.sampled_from([1, 16]),
     seed=st.integers(0, 2**32 - 1),
+    growing=st.booleans(),
 )
 def test_blocked_march_equals_the_stepwise_march(
-    kind, col, s_rows, want_traj, data, nk, nx, block, seed
+    kind, col, s_rows, want_traj, data, nk, nx, block, seed, growing
 ):
-    # byte for byte, signed zeros, infinities and NaN included
+    # byte for byte, signed zeros, infinities and NaN included.  Without
+    # `growing` the samples whose column grows are redrawn on the unit circle,
+    # where every column is bounded: a random batch of 50 or more is refused
+    # before it marches
     rng = np.random.default_rng(seed)
     x = np.linspace(-1.0, 1.0, nx) * rng.uniform(1, 10)
     amp = {"bounded": 1.0, "overflow": 1e200, "nan": 1.0}[data]
@@ -175,9 +179,35 @@ def test_blocked_march_equals_the_stepwise_march(
         n1[rng.integers(nx)] = np.nan
     with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
         mp.setattr(vt, "DRESS_BLOCK", block)
-        _, ls, c = _setup(_spectral_batch(rng, nk))
+        ks = _spectral_batch(rng, nk)
+        if not growing:
+            grows = ~vt.column_stability(sp.eval_l_all(ks), col, kind)
+            ks[grows] = np.exp(1j * rng.uniform(0, 2 * np.pi, grows.sum()))
+        _, ls, c = _setup(ks)
         args = (x, n1, n2, c, ls, col, kind, want_traj, s_rows)
         assert _outcome(vt.march_column, args) == _outcome(pi.march_column_stepwise, args)
+
+
+@pytest.mark.parametrize("block", [3, 16])
+@pytest.mark.parametrize("kind", sorted(vt.KINDS))
+def test_blocked_march_equals_the_stepwise_march_over_many_blocks(kind, block):
+    # a batch of at most `block` connection entries takes its anchor
+    # dressings `block` blocks at a time: a grid of more than block**2 steps
+    # crosses those chunks.  The ray samples at |k| = 1e3 take the exact
+    # dressing at every step
+    x = np.linspace(-6.0, 6.0, 2 * block * block + 7)
+    n1, n2 = 0.8 * np.exp(-(x**2)), 0.3 * x * np.exp(-(x**2))
+    ks = np.array([np.exp(0.45j), np.exp(2.0j), 1.8 + 0.3j, -1e3j, 1e3j, 0.5j, -3j])
+    _, ls, c = _setup(ks)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vt, "DRESS_BLOCK", block)
+        for col in (1, 2, 3):
+            stable = np.flatnonzero(vt.column_stability(ls, col, kind))
+            for batch in (stable, stable[:1], stable[-1:]):
+                for s_rows in ((1, 2, 3), (col,)):
+                    args = (x, n1, n2, c[batch], ls[batch], col, kind, True, s_rows)
+                    expected = _outcome(pi.march_column_stepwise, args)
+                    assert _outcome(vt.march_column, args) == expected
 
 
 def _exact_path(ls, col, kind, rows, data):
