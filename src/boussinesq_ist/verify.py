@@ -230,6 +230,7 @@ def round_trip(pairs, lx: float | None = None) -> dict:
         details[key] = f"fit residual {fit_res:.3e}"
         if rerr > residue_tol:
             ok = False
+            details[key] += f", residue error {rerr:.3e}"
     extras = [z for z in found if all(abs(z - p.k0) > 0.05 for p in poles)]
     if extras:
         ok = False
@@ -238,6 +239,7 @@ def round_trip(pairs, lx: float | None = None) -> dict:
     floor = sc.reflection_floor(data)
     if floor > floor_tol:
         ok = False
+        details["reflection_floor"] = f"reflection floor {floor:.3e}"
     return {
         "pole_errors": pole_errors,
         "residue_errors": residue_errors,

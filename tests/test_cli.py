@@ -535,6 +535,9 @@ def test_roundtrip_on_a_short_breather_domain_fails_its_own_check(tmp_path):
     detail = re.fullmatch(r"pole error (\S+)", rep["details"][key])
     assert detail and float(detail[1]) > 1e-3
     assert rep["pole_errors"][key] > 1e-3
+    # its reflection floor, 0.229 against 1e-3, fails too, and is named
+    floor = re.fullmatch(r"reflection floor (\S+)", rep["details"]["reflection_floor"])
+    assert floor and float(floor[1]) == float(f"{rep['reflection_floor']:.3e}") > 1e-3
 
 
 #: dicts keyed by poles or messages: their keys are data, not schema

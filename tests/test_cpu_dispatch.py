@@ -2,7 +2,8 @@
 `nsoliton` and its `verify`, and `soliton --emit-initial` then `scatter
 --poles` on the smoke grid, each run in child processes under another
 OpenBLAS kernel and with numpy's AVX-512 loops switched off, compared with
-the default run."""
+the default run. The CSV writers themselves write the same bytes whatever
+the dispatch."""
 
 import os
 import platform
@@ -49,13 +50,39 @@ pytestmark = pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                                 reason="the alternative dispatch targets are x86 ones")
 
 
-def _cli(env, *argvs):
+# Writes a field and a contour file of fixed values into the directory argv[1].
+# The values come from seeded raw bits, exact scalings and decimal literals
+# with their neighbours (where a guessed decimal exponent is one off), not
+# from np.exp or another function whose last bit can move with the dispatch;
+# the contour's k are real, so its modulus column is exact too.
+WRITER = """
+import sys
+import numpy as np
+from boussinesq_ist import fileio, solitons as sol
+rng = np.random.default_rng(27)
+raw = np.frombuffer(rng.bytes(8 * 600), np.float64).reshape(3, 200)
+scaled = np.ldexp(1 + rng.random((3, 200)), rng.integers(-60, 8, (3, 200)))
+vals = np.where(rng.random((3, 200)) < 0.5, raw, scaled * rng.choice([-1, 1], (3, 200)))
+tens = np.array([float(f"1e{k}") for k in range(-30, 30)])
+vals[:, :60] = [tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)]
+x, t = np.sort(scaled[0]), np.array([0.0, 0.25, 1.0])
+fileio.write_field(sys.argv[1] + "/field.csv", sol.SolutionField(x, t, vals, v=-vals), "t", {})
+fileio.write_contour(sys.argv[1] + "/contour.csv", vals[1], vals[2] + 1j * vals[0], "t", {},
+                     "modulus")
+"""
+
+
+def _python(env, *args):
     env = dict({k: v for k, v in os.environ.items() if k not in DISPATCH_VARS},
                PYTHONPATH=str(SRC), **env)
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _cli(env, *argvs):
     for argv in argvs:
-        proc = subprocess.run([sys.executable, "-m", "boussinesq_ist.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
+        _python(env, "-m", "boussinesq_ist.cli", *argv)
 
 
 def _run(out, env):
@@ -130,3 +157,17 @@ def test_soliton_and_scatter_agree_across_cpu_dispatch(tmp_path, default_direct_
             assert np.abs(a - b).max() <= SCATTER_TOL, vals
     _assert_reports_agree(*(fileio.read_json(str(d / "scatter.json")) for d in (got, want)),
                           SCATTER_TOL)
+
+
+@pytest.mark.skipif(not all(__cpu_features__.get(f) for f in AVX512),
+                    reason="no AVX-512 loops to switch off")
+def test_the_csv_writers_write_the_same_bytes_across_cpu_dispatch(tmp_path):
+    # the value kernel uses only correctly rounded operations (and np.log10
+    # only for a first guess it then checks), so no byte may move
+    runs = []
+    for env in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(AVX512)}):
+        out = tmp_path / str(len(runs))
+        out.mkdir()
+        _python(env, "-c", WRITER, str(out))
+        runs.append([(out / f).read_bytes() for f in ("field.csv", "contour.csv")])
+    assert runs[0] == runs[1]

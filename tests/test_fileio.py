@@ -84,6 +84,44 @@ def test_write_initial_csv_writes_the_row_at_a_time_bytes(csv_path, cols):
     assert _written(csv_path, fileio.write_initial_csv, x, u0, v0, "soliton", PARAMS) == want
 
 
+def _kernel_text(values):
+    """What the CSV value kernel writes for each of the float64 values, as text."""
+    c = fileio._chars(np.asarray(values, dtype=float)).T
+    return c[c != 0].tobytes().decode().split(",")[:-1]
+
+
+# The kernel computes the 17 digits with a double-double product and renders
+# them with C's %g rules. Its text must be that of "%.17g" on every double:
+# raw 64-bit patterns, so every exponent, subnormals, nan and +-inf among them.
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_the_value_kernel_writes_what_percent_17g_writes(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert _kernel_text(values) == ["%.17g" % v for v in values.tolist()]
+
+
+def test_the_value_kernel_at_extremes_zeros_and_notation_switches():
+    # %g writes fixed notation for decimal exponents -4 <= e < 17 and
+    # scientific otherwise; each switch point and both its neighbours
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17])
+    values = np.concatenate([_EXTREMES, [0.0, -0.0], switches, np.nextafter(switches, 0),
+                             np.nextafter(switches, np.inf)])
+    values = np.concatenate([values, -values])
+    assert _kernel_text(values) == ["%.17g" % v for v in values.tolist()]
+
+
+def test_ties_and_non_finite_values_go_through_percent(monkeypatch):
+    # 1234567890123456.25 is an exact tie at 17 digits: its scaled remainder
+    # is exactly one half. With the kernel's table of digit quadruples blanked,
+    # a value it renders itself keeps only its first digit, but these keep the
+    # bytes of "%.17g"
+    tie = np.array([1234567890123456.25])
+    assert abs(fileio._scaled(tie, np.array([15], np.int32))[1][0]) == 0.5
+    monkeypatch.setattr(fileio, "_QUADS", np.zeros_like(fileio._QUADS))
+    values = [1234567890123456.25, np.inf, -np.inf, np.nan, 0.25]
+    assert _kernel_text(values) == ["1234567890123456.2", "inf", "-inf", "nan", "0.2"]
+
+
 def _write_field_peak(nt):
     x = np.linspace(-30.0, 30.0, 6001)
     u = np.random.default_rng(nt).normal(size=(nt, x.size))

@@ -237,6 +237,36 @@ def test_a_zero_constant_pair_leaves_the_round_trip_unchanged(soliton_round_trip
     assert vf.round_trip(pairs + [zero]) == rep
 
 
+def test_round_trip_names_a_failing_reflection_floor(monkeypatch, soliton_round_trip):
+    # every pole passes and only the floor fails: the report says which
+    # tolerance failed, and each pole's entry stays its fit residual
+    pairs, good = soliton_round_trip
+    monkeypatch.setattr(vf.sc, "reflection_floor", lambda data: 0.25)
+    rep = vf.round_trip(pairs)
+    assert not rep["passed"]
+    assert rep["details"] == dict(good["details"], reflection_floor="reflection floor 2.500e-01")
+    assert {k: rep[k] for k in ("pole_errors", "residue_errors")} == {
+        k: good[k] for k in ("pole_errors", "residue_errors")}
+
+
+def test_round_trip_states_a_residue_error_next_to_its_fit_residual(monkeypatch,
+                                                                    soliton_round_trip):
+    pairs, good = soliton_round_trip
+    fit = vf.sc.residue_constant
+
+    def half_off(data, k0):
+        chat, res = fit(data, k0)
+        return 1.5 * chat, res
+
+    monkeypatch.setattr(vf.sc, "residue_constant", half_off)
+    rep = vf.round_trip(pairs)
+    assert not rep["passed"]
+    (key, detail), = rep["details"].items()
+    rerr = rep["residue_errors"][key]
+    assert rerr > 1e-2
+    assert detail == f"{good['details'][key]}, residue error {rerr:.3e}"
+
+
 def test_round_trip_empty():
     rep = vf.round_trip([])
     assert rep["passed"]
