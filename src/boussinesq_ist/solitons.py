@@ -33,7 +33,7 @@ DEFAULT_HX = 0.01
 NONREAL_COMBO_TOL = 1e-10
 CONDITION_LIMIT = 1e12
 #: matrix entries per block of the residue solve, which bounds its memory
-BLOCK_ENTRIES = 1 << 18
+BLOCK_ENTRIES = 1 << 16
 IM_U_TOL = 1e-9
 
 
@@ -412,7 +412,7 @@ def _solve_with_inverse(m_eq, rhs_eq, srcs, x, t):
         i, cond_i = int(np.argmin(det)), np.inf
     else:
         del b  # freed before the guard's temporaries are made
-        cond = _norm1(np.abs(m_eq)) * _norm1(np.abs(sol)[:, :, 3:])  # the inverse's columns
+        cond = _norm1(np.abs(m_eq)) * _norm1(np.abs(sol[:, :, 3:]))  # the inverse's columns
         i = int(np.argmax(cond))  # argmax stops at a NaN, which then fails the check
         cond_i = cond[i]
     if not cond_i <= CONDITION_LIMIT:
@@ -427,16 +427,15 @@ def _solve_residues(entries, x, t):
     """n31 and its x- and t-derivatives from the residue vectors.
 
     Solves, per broadcast grid point, the coupling system
-    R_p = coef_p(x,t) (e_src + sum_q R_q / (p - q)), in blocks of
-    BLOCK_ENTRIES // npol**2 points so memory stays bounded. A block takes
-    one complex exp per distinct (x-rate, t-rate) pair (a soliton's six
-    images share one), builds m = I - coef S in place and equilibrates its
-    rows, so the condition guard, applied to every point, measures genuine
-    pole-collision degeneracy rather than benign exponential scaling. Two
-    LAPACK solves of m follow: the residue vectors with the inverse the
-    guard reads, then both derivatives. Row maxima, the guard's column sums
-    and the sum of the col-3 rows into n31 run over views in the order of
-    numpy's reductions, so no bit depends on the block size or layout.
+    R_p = coef_p(x,t) (e_src + sum_q R_q / (p - q)) in blocks of
+    BLOCK_ENTRIES // npol**2 points, whose temporaries take about 72 bytes a
+    matrix entry (4.7 MB for a soliton); the (3, grid) output is whole. A
+    block makes one complex exp per distinct (x-rate, t-rate) pair, builds
+    m = I - coef S in place and equilibrates its rows, so the guard measures
+    pole-collision degeneracy, not exponential scaling, at every point. Two
+    LAPACK solves follow: the residues with the inverse the guard reads,
+    then both derivatives. Row maxima, the guard's column sums and the col-3
+    sum into n31 keep numpy's reduction order, so no bit depends on blocks.
     """
     npol = len(entries)
     grid = np.broadcast(x, t)

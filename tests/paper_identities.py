@@ -228,16 +228,30 @@ def s11_reflectionless(poles, k):
     the breather fit cancelled at 0.9967).  Only k0 itself lies in D2.
     """
     k = np.asarray(k, dtype=complex)
-    w = sp.OMEGA
     out = np.ones_like(k)
     for k0 in map(complex, poles):
-        if k0.imag == 0.0:
-            out *= (k - k0) * (k - w / k0) / ((k - w * k0) * (k - 1 / k0))
-        else:
-            kb = k0.conjugate()
-            out *= ((k - k0) * (k - w**2 * kb) * (k - w / k0) * (k - w**2 / kb)
-                    / ((k - w * kb) * (k - w**2 * k0) * (k - 1 / kb) * (k - w**2 / k0)))
+        out *= (k - k0) * _pole_factor_quotient(k0, k)
     return out
+
+
+def _pole_factor_quotient(k0: complex, k):
+    """The factor S or B of the pole k0 in s11_reflectionless, divided by k - k0."""
+    w = sp.OMEGA
+    if k0.imag == 0.0:
+        return (k - w / k0) / ((k - w * k0) * (k - 1 / k0))
+    kb = k0.conjugate()
+    return ((k - w**2 * kb) * (k - w / k0) * (k - w**2 / kb)
+            / ((k - w * kb) * (k - w**2 * k0) * (k - 1 / kb) * (k - w**2 / k0)))
+
+
+def s11_reflectionless_slope(poles, i):
+    """d s11_reflectionless / dk at the pole poles[i], where s11 vanishes:
+    the pole's own factor divided by k - k0 there, times the other factors.
+    For a soliton the first is (k0 - w/k0) / ((k0 - w k0)(k0 - 1/k0))."""
+    poles = [complex(p) for p in poles]
+    k0 = poles[i]
+    return complex(_pole_factor_quotient(k0, k0)
+                   * s11_reflectionless(poles[:i] + poles[i + 1 :], k0))
 
 
 def march_column_stepwise(x, n1, n2, c, ls, col, kind, want_traj, s_rows, growth_ok=False):

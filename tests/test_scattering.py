@@ -347,7 +347,11 @@ _REGULAR_POLE = st.one_of(
 # C = 2.5: over 25 random draws from these ranges the largest
 # max |s11_h - closed form| / h^2 was 1.22 (two breathers near 2.6+0.6i),
 # the smallest 0.004 (a soliton at 1.45), and the error ratio between h and
-# h/2 stayed within 3.99-4.04.  Each case gets its own extent, 16 envelope
+# h/2 stayed within 3.99-4.04.  The slope _s11_derivative takes at each pole
+# converges the same way to the exact slope: C = 0.25, against a largest
+# max error / h^2 of 0.108 over 25 random draws (two breathers near
+# 2.72+0.41i and 2.13+0.51i), a smallest of 0.003 (a soliton at 1.52) and
+# ratios of 3.97-4.04.  Each case gets its own extent, 16 envelope
 # decay lengths (solitons.pole_envelope) past the farthest centre plus 5.
 @settings(max_examples=8, deadline=None)
 @given(st.lists(_REGULAR_POLE, min_size=1, max_size=2))
@@ -364,14 +368,19 @@ def test_s11_of_pure_pole_data_converges_to_its_closed_form(drawn):
     envelopes = map(sol.pole_envelope, sol.wave_poles(pairs))
     lx = max(16.0 / rate + centre + 5.0 for rate, centre in envelopes)
     exact = pi.s11_reflectionless(k0s, _D2_SAMPLES)
-    errors = []
+    slopes = [pi.s11_reflectionless_slope(k0s, i) for i in range(len(k0s))]
+    errors, slope_errors = [], []
     for h in (0.08, 0.04):
         grid = sol.Grid(np.linspace(-lx, lx, sol.point_count(2 * lx, h)), [0.0])
         fld = sol.n_soliton(pairs, grid)
         data = sc.InitialData(grid.x, fld.u[0], fld.v[0])
         errors.append(np.max(np.abs(sc.s11_batch(data, _D2_SAMPLES) - exact)))
         assert errors[-1] <= 2.5 * h**2
+        slope_errors.append(max(abs(sc._s11_derivative(data, k0) - slope)
+                                for k0, slope in zip(k0s, slopes)))
+        assert slope_errors[-1] <= 0.25 * h**2
     assert 3.5 <= errors[0] / errors[1] <= 4.5
+    assert 3.5 <= slope_errors[0] / slope_errors[1] <= 4.5
 
 
 def test_concurrent_reads_of_shared_data(gauss):

@@ -566,21 +566,28 @@ def _traced_peak(pairs, grid):
         tracemalloc.stop()
 
 
-# Bounds: the peaks of the four-call solve, which also held whole-grid
-# complex copies of x and t; this solve peaks at 34.3 MB and 16.3 MB.
+# Bounds: the traced peaks plus 10%. This solve peaks at 17.8, 4.67 and
+# 5.04 MB; its blocks of BLOCK_ENTRIES matrix entries hold at most about
+# 4.7 MB of temporaries. Blocks of 2^18 entries would peak at 28.5 MB,
+# 16.4 MB (breather) and 18.4 MB (soliton), above each bound.
 def test_n_soliton_memory_is_bounded():
     grid = sol.Grid(np.linspace(-30, 30, 2001), np.linspace(0.0, 1.0, 101))
     pole = [(2.0, sol.residue_constant_from_position(2.0, 0.0))]
-    assert _traced_peak(pole, grid) <= 45.2e6
+    assert _traced_peak(pole, grid) <= 19.6e6
 
 
-def test_n_soliton_memory_on_the_roundtrip_breather_grid():
-    k0 = 2.0 * np.exp(1j * np.pi / 12)
-    pairs = [(k0, sol.breather_constant_for_position(k0, 0.0, 0.7))]
+_BREATHER_K0 = 2.0 * np.exp(1j * np.pi / 12)
+
+
+@pytest.mark.parametrize("pairs, nx, bound", [
+    ([(_BREATHER_K0, sol.breather_constant_for_position(_BREATHER_K0, 0.0, 0.7))], 15_425, 5.15e6),
+    ([(2.0, sol.residue_constant_from_position(2.0, -3.0))], 7_001, 5.55e6),
+], ids=["breather", "soliton"])
+def test_n_soliton_memory_on_the_roundtrip_grids(pairs, nx, bound):
     lx = vf._auto_extent(sol.wave_poles(pairs))
     grid = sol.Grid(np.linspace(-lx, lx, sol.point_count(2 * lx, sol.DEFAULT_HX)), [0.0])
-    assert grid.x.size == 15_425
-    assert _traced_peak(pairs, grid) <= 21.98e6
+    assert grid.x.size == nx
+    assert _traced_peak(pairs, grid) <= bound
 
 
 # Tolerances: the centre is recovered to 1e-12 absolute and the rates agree
