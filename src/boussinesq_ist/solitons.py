@@ -98,7 +98,6 @@ class SolutionField:
     t: np.ndarray
     u: np.ndarray
     v: np.ndarray | None = None
-    n31: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -273,9 +272,9 @@ def pole_envelope(p: PoleData):
 
 
 def _tau_field(terms, grid: Grid, what: str) -> SolutionField:
-    """u = 6 (log f)_xx, v = 6 (log f)_xt and n31 = 2i sqrt(3) (log f)_x on
-    the grid for f, the sum of w_i = e^(a_i x + b_i t + c_i) over the terms
-    (a_i, b_i, c_i). f f_xx - f_x^2 and f f_xt - f_x f_t are sums over pairs,
+    """u = 6 (log f)_xx and v = 6 (log f)_xt on the grid for f, the sum of
+    w_i = e^(a_i x + b_i t + c_i) over the terms (a_i, b_i, c_i).
+    f f_xx - f_x^2 and f f_xt - f_x f_t are sums over pairs,
     w_i w_j (a_i - a_j)^2 and w_i w_j (a_i - a_j)(b_i - b_j), so nothing
     cancels; each w_i is divided by its point's largest, so nothing
     overflows. A grid point where f <= 0 is refused by name."""
@@ -289,7 +288,6 @@ def _tau_field(terms, grid: Grid, what: str) -> SolutionField:
         it, ix = np.argwhere(bad)[0]
         raise SingularBreatherError(
             f"det(I - A) <= 0 at (x, t) = ({grid.x[ix]:.6g}, {grid.t[it]:.6g})")
-    n31 = sum(a * wi for (a, _, _), wi in zip(terms, w)) / f * (2j * SQRT3)
     u, v = np.zeros_like(f), np.zeros_like(f)  # 6 (f f_xx - f_x^2), 6 (f f_xt - f_x f_t)
     for i, j in itertools.combinations(range(len(terms)), 2):
         (ai, bi, _), (aj, bj, _) = terms[i], terms[j]
@@ -299,7 +297,7 @@ def _tau_field(terms, grid: Grid, what: str) -> SolutionField:
     del w
     u = _realize(u / f**2, f"{what} u", grid)
     v = _realize(v / f**2, f"{what} v", grid)
-    return SolutionField(grid.x, grid.t, u, v=v, n31=n31)
+    return SolutionField(grid.x, grid.t, u, v=v)
 
 
 def one_soliton(k0: float, c: complex, grid: Grid) -> SolutionField:
@@ -321,9 +319,9 @@ def one_soliton(k0: float, c: complex, grid: Grid) -> SolutionField:
 
 def breather(k0: complex, c: complex, grid: Grid) -> SolutionField:
     """Localized oscillating two-parameter wave from a single complex pole:
-    u = 6 (log f)_xx, v = 6 (log f)_xt and n31 = 2i sqrt(3) (log f)_x with
-    f = det(I - A) = 1 + e^eta + e^conj(eta) + h e^(eta + conj(eta)), real
-    and smooth exactly when f > 0 everywhere, that is when h > 1: for poles
+    u = 6 (log f)_xx and v = 6 (log f)_xt with f = det(I - A) =
+    1 + e^eta + e^conj(eta) + h e^(eta + conj(eta)), real and smooth
+    exactly when f > 0 everywhere, that is when h > 1: for poles
     in the regular subregions. Poles in the singular subregions are refused,
     naming an (x, t) where f crosses zero when the grid holds one."""
     k0 = complex(k0)
@@ -424,18 +422,18 @@ def _solve_with_inverse(m_eq, rhs_eq, srcs, x, t):
 
 
 def _solve_residues(entries, x, t):
-    """n31 and its x- and t-derivatives from the residue vectors.
+    """The x- and t-derivatives of the entry n31 from the residue vectors.
 
     Solves, per broadcast grid point, the coupling system
     R_p = coef_p(x,t) (e_src + sum_q R_q / (p - q)) in blocks of
     BLOCK_ENTRIES // npol**2 points, whose temporaries take about 72 bytes a
-    matrix entry (4.7 MB for a soliton); the (3, grid) output is whole. A
+    matrix entry (4.7 MB for a soliton); the (2, grid) output is whole. A
     block makes one complex exp per distinct (x-rate, t-rate) pair, builds
     m = I - coef S in place and equilibrates its rows, so the guard measures
     pole-collision degeneracy, not exponential scaling, at every point. Two
     LAPACK solves follow: the residues with the inverse the guard reads,
     then both derivatives. Row maxima, the guard's column sums and the col-3
-    sum into n31 keep numpy's reduction order, so no bit depends on blocks.
+    sums keep numpy's reduction order, so no bit depends on blocks.
     """
     npol = len(entries)
     grid = np.broadcast(x, t)
@@ -458,7 +456,7 @@ def _solve_residues(entries, x, t):
                 s[i, j] = 1.0 / (pts[i] - pts[j])
 
     xg, tg = (g.flat for g in np.broadcast_arrays(x, t))  # a block copies only its points
-    out = np.empty((3, grid.size), dtype=complex)
+    out = np.empty((2, grid.size), dtype=complex)
     step = max(1, BLOCK_ENTRIES // (npol * npol))
     for lo in range(0, grid.size, step):
         xb, tb = xg[lo : lo + step], tg[lo : lo + step]
@@ -481,16 +479,16 @@ def _solve_residues(entries, x, t):
         rhs = rates[None, :, :, None] * rho[:, :, None, :]  # (npts, npol, 2, 3): rates times rho
         rhs /= scale[:, :, None, None]
         rho_xt = np.linalg.solve(m, rhs.reshape(npts, npol, 6)).reshape(rhs.shape)
-        # the col-3 rows, summed as np.stack((rho, rho_x, rho_t))[:, :, cols == 3, :]
+        # the col-3 rows, summed as np.stack((rho_x, rho_t))[:, :, cols == 3, :]
         # .sum(axis=(2, 3)) adds them: from +0, each row's three entries left
         # to right, row after row
-        for q, r in enumerate((rho, rho_xt[:, :, 0], rho_xt[:, :, 1])):
+        for q, r in enumerate((rho_xt[:, :, 0], rho_xt[:, :, 1])):
             acc = 0.0
             for j in rows3:
                 acc = acc + (r[:, j, 0] + r[:, j, 1] + r[:, j, 2])
             out[q, lo : lo + npts] = acc
         del m, rho, rhs, rho_xt, r, acc  # not alive next to the next block's arrays
-    return tuple(out.reshape((3,) + grid.shape))  # n31, n31_x, n31_t
+    return tuple(out.reshape((2,) + grid.shape))  # n31_x, n31_t
 
 
 def n_soliton(pairs, grid: Grid) -> SolutionField:
@@ -504,11 +502,11 @@ def n_soliton(pairs, grid: Grid) -> SolutionField:
     entries = _expand_pole_system(wave_poles(pairs))
     if not entries:
         zero = np.zeros((grid.t.size, grid.x.size))
-        return SolutionField(grid.x, grid.t, zero, v=zero.copy(), n31=zero.astype(complex))
+        return SolutionField(grid.x, grid.t, zero, v=zero.copy())
 
     xg = grid.x[None, :]
     tg = grid.t[:, None]
-    n31, n31_x, n31_t = _solve_residues(entries, xg, tg)
+    n31_x, n31_t = _solve_residues(entries, xg, tg)
     u = _realize(-1j * SQRT3 * n31_x, "n_soliton u", grid)
     v = _realize(-1j * SQRT3 * n31_t, "n_soliton v", grid)
-    return SolutionField(grid.x, grid.t, u, v=v, n31=n31)
+    return SolutionField(grid.x, grid.t, u, v=v)

@@ -101,9 +101,9 @@ def march_column(
     s_rows : consecutive connection rows (1..3) to integrate; () for none
 
     The state is held component-major, (3, nk).  Returns a dict with keys
-    ``final`` (nk, 3), optional ``traj`` (nx, nk, 3), and ``s`` and
-    ``s_defined`` (nk, len(s_rows)) when rows are requested.  A column whose
-    dressing grows at any sample is refused with UnboundedExponentialError.
+    ``traj`` (nx, nk, 3) when ``want_traj``, and ``s`` and ``s_defined``
+    (nk, len(s_rows)) when rows are requested.  A column whose dressing
+    grows at any sample is refused with UnboundedExponentialError.
     """
     sign, d, side, transpose = KINDS[kind]
     x = np.asarray(x, dtype=float)
@@ -228,9 +228,7 @@ def march_column(
     if not np.all(np.isfinite(phi)):
         raise UnboundedExponentialError(f"march for column {col} of {kind} overflowed")
 
-    out = {"final": phi.T.copy()}
-    if want_traj:
-        out["traj"] = traj
+    out = {"traj": traj} if want_traj else {}
     if s_rows:
         # an entry is trustworthy when its integrand has visibly converged
         # inside the window (or carries no real exponential growth at all)

@@ -6,11 +6,12 @@ rank-one march, the companion-form Lax pair with its conjugation and its
 compatibility residual by matrix products, whole eigenfunction matrices and the
 sectionally analytic M2, whole connection matrices, the conjugation matrix
 R(k), the compact-support residue shortcut, the closed-form s11 of pure-pole
-data, the march one x step at a time, the arc family of a circle point, the
-arc weight and its log-densities, the pole-removal matrices by their names,
-the breather's 2x2 residue matrix with its determinant and trace formula for
-the fields, the N-pole residue solve with one inverse and three solves per
-block, and the CSV writer that formats one row at a time.
+data with its zeros, the march one x step at a time, the arc family of a
+circle point, the arc weight and its log-densities, the pole-removal
+matrices by their names, the breather's 2x2 residue matrix with its
+determinant and trace formula for the fields, the N-pole residue solve with
+one inverse and three solves per block, and the CSV writer that formats one
+row at a time.
 """
 
 import math
@@ -225,7 +226,8 @@ def s11_reflectionless(poles, k):
     w^2 k0*, w^2/k0* and their poles, which is B.  That s11 is rational of
     the lowest degree is the measured part: rational fits to computed s11
     returned these zeros and poles to 1e-5 and no others (an extra pair of
-    the breather fit cancelled at 0.9967).  Only k0 itself lies in D2.
+    the breather fit cancelled at 0.9967).  Only k0 itself lies in D2
+    (:func:`s11_reflectionless_zeros`).
     """
     k = np.asarray(k, dtype=complex)
     out = np.ones_like(k)
@@ -234,14 +236,27 @@ def s11_reflectionless(poles, k):
     return out
 
 
+def pole_factor_zeros(k0: complex):
+    """The zeros of the factor S or B of the pole k0 in s11_reflectionless,
+    k0 first: k0 and w/k0 for a soliton, k0, w^2 k0*, w/k0 and w^2/k0* for
+    a breather.  The factor's poles are w z* for each zero z."""
+    k0, w = complex(k0), sp.OMEGA
+    if k0.imag == 0.0:
+        return [k0, w / k0]
+    kb = k0.conjugate()
+    return [k0, w**2 * kb, w / k0, w**2 / kb]
+
+
+def s11_reflectionless_zeros(poles):
+    """Every zero of s11_reflectionless, pole by pole, each pole's own first."""
+    return [z for k0 in poles for z in pole_factor_zeros(k0)]
+
+
 def _pole_factor_quotient(k0: complex, k):
     """The factor S or B of the pole k0 in s11_reflectionless, divided by k - k0."""
-    w = sp.OMEGA
-    if k0.imag == 0.0:
-        return (k - w / k0) / ((k - w * k0) * (k - 1 / k0))
-    kb = k0.conjugate()
-    return ((k - w**2 * kb) * (k - w / k0) * (k - w**2 / kb)
-            / ((k - w * kb) * (k - w**2 * k0) * (k - 1 / kb) * (k - w**2 / k0)))
+    zeros = pole_factor_zeros(k0)
+    return (np.prod([k - z for z in zeros[1:]], axis=0)
+            / np.prod([k - sp.OMEGA * np.conj(z) for z in zeros], axis=0))
 
 
 def s11_reflectionless_slope(poles, i):
@@ -356,9 +371,7 @@ def march_column_stepwise(x, n1, n2, c, ls, col, kind, want_traj, s_rows, growth
     if not np.all(np.isfinite(phi[:, stable])):
         raise vt.UnboundedExponentialError(f"march for column {col} of {kind} overflowed")
 
-    out = {"final": phi.T.copy()}
-    if want_traj:
-        out["traj"] = traj
+    out = {"traj": traj} if want_traj else {}
     if s_rows:
         # an entry is trustworthy when its integrand has visibly converged
         # inside the window (or carries no real exponential growth at all)
@@ -470,11 +483,10 @@ def det_i_minus_a(k0, c, x, t):
 
 
 def breather_trace_fields(k0, c, x, t):
-    """(u, v, n31) of the breather by the 2x2 trace formula on a broadcast
-    (x, t) grid, with K = (I - A)^-1, M = diag(mu), L = diag(lam_x) and
-    W = A M + [L, A]: n31 = -2i sqrt(3) tr(K W) and u = -6 (tr(K W K W) +
-    tr(K (W M + [L, W]))), v likewise in t. Complex; the imaginary parts are
-    rounding."""
+    """(u, v) of the breather by the 2x2 trace formula on a broadcast (x, t)
+    grid, with K = (I - A)^-1, M = diag(mu), L = diag(lam_x) and
+    W = A M + [L, A]: u = -6 (tr(K W K W) + tr(K (W M + [L, W]))), v
+    likewise in t. Complex; the imaginary parts are rounding."""
     k0 = complex(k0)
     kb = np.conj(k0)
     (mu1, nu1), (mu2, nu2) = sp.pole_rates(k0), sol._partner_rates(k0)
@@ -500,10 +512,9 @@ def breather_trace_fields(k0, c, x, t):
     def tr(m):
         return np.trace(m, axis1=-2, axis2=-1)
 
-    n31 = -2j * sp.SQRT3 * tr(kw)
     u = -6.0 * (tr(kw @ kw) + tr(kinv @ (w_x + brak(lam_x, w))))
     v = -6.0 * (tr(kinv @ wt @ kw) + tr(kinv @ (w_t + brak(lam_t, w))))
-    return u, v, n31
+    return u, v
 
 
 def _check_condition_by_inverse(m_eq, x, t):
@@ -530,7 +541,7 @@ def solve_residues_four_calls(entries, x, t):
     """:func:`solitons._solve_residues` with four LAPACK calls per block: an
     inverse for the condition guard, then one solve each for the residue
     vectors and their x- and t-derivatives, on complex copies of the whole
-    grid. Returns (n31, n31_x, n31_t)."""
+    grid. Returns (n31_x, n31_t)."""
     npol = len(entries)
     shape = np.broadcast(x, t).shape
     pts = np.array([e.point for e in entries])
@@ -549,7 +560,7 @@ def solve_residues_four_calls(entries, x, t):
 
     xg, tg = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(t, dtype=complex))
     xf, tf = xg.reshape(-1), tg.reshape(-1)
-    out = np.empty((3, xf.size), dtype=complex)
+    out = np.empty((2, xf.size), dtype=complex)
     step = max(1, sol.BLOCK_ENTRIES // (npol * npol))
     for lo in range(0, xf.size, step):
         blk = slice(lo, lo + step)
@@ -572,8 +583,8 @@ def solve_residues_four_calls(entries, x, t):
         rho = np.linalg.solve(m_eq, rhs_eq)
         rho_x = np.linalg.solve(m_eq, (rates_x[None, :, None] * rho) / scale[:, :, None])
         rho_t = np.linalg.solve(m_eq, (rates_t[None, :, None] * rho) / scale[:, :, None])
-        out[:, blk] = np.stack((rho, rho_x, rho_t))[:, :, mask3, :].sum(axis=(2, 3))
-    return tuple(out.reshape((3,) + shape))
+        out[:, blk] = np.stack((rho_x, rho_t))[:, :, mask3, :].sum(axis=(2, 3))
+    return tuple(out.reshape((2,) + shape))
 
 
 def write_csv_rowwise(path, command, params, columns):

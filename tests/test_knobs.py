@@ -36,12 +36,11 @@ KEPT_FIELDS = {
     ("scattering", "ScatteringData", "residues"),
     ("scattering", "ScatteringData", "time"),
     ("solitons", "SolutionField", "v"),
-    ("solitons", "SolutionField", "n31"),
     ("solitons", "SolutionField", "meta"),
 }
 
-#: fields that only the tests read: they check u = -i sqrt(3) d/dx n31
-TEST_READ_FIELDS = {("solitons", "SolutionField", "n31")}
+#: fields that only the tests read, each with the reason it is kept; none today
+TEST_READ_FIELDS = set()
 
 
 def _is_dataclass(node):

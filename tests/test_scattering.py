@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from boussinesq_ist import scattering as sc
@@ -353,8 +353,11 @@ _REGULAR_POLE = st.one_of(
 # 2.72+0.41i and 2.13+0.51i), a smallest of 0.003 (a soliton at 1.52) and
 # ratios of 3.97-4.04.  Each case gets its own extent, 16 envelope
 # decay lengths (solitons.pole_envelope) past the farthest centre plus 5.
+# The example, two solitons and a breather, errs by 0.070 h^2 and its slopes
+# by 0.043 h^2.
 @settings(max_examples=8, deadline=None)
-@given(st.lists(_REGULAR_POLE, min_size=1, max_size=2))
+@given(st.lists(_REGULAR_POLE, min_size=1, max_size=3))
+@example([(2.0, 0.0, -3.0, 0.0), (1.5, 0.0, 3.0, 0.0), (2.0, np.pi / 12, 0.0, 0.7)])
 def test_s11_of_pure_pole_data_converges_to_its_closed_form(drawn):
     pairs = []
     for modulus, angle, x0, phase in drawn:
@@ -364,7 +367,7 @@ def test_s11_of_pure_pole_data_converges_to_its_closed_form(drawn):
         else:
             pairs.append((modulus, sol.residue_constant_from_position(modulus, x0)))
     k0s = [complex(k0) for k0, _ in pairs]
-    assume(len(k0s) == 1 or abs(k0s[0] - k0s[1]) > 0.1)
+    assume(all(abs(a - b) > 0.1 for i, a in enumerate(k0s) for b in k0s[i + 1 :]))
     envelopes = map(sol.pole_envelope, sol.wave_poles(pairs))
     lx = max(16.0 / rate + centre + 5.0 for rate, centre in envelopes)
     exact = pi.s11_reflectionless(k0s, _D2_SAMPLES)
@@ -381,6 +384,43 @@ def test_s11_of_pure_pole_data_converges_to_its_closed_form(drawn):
         assert slope_errors[-1] <= 0.25 * h**2
     assert 3.5 <= errors[0] / errors[1] <= 4.5
     assert 3.5 <= slope_errors[0] / slope_errors[1] <= 4.5
+
+
+_REGULAR_K0 = st.one_of(
+    st.floats(1.2, 5.0),
+    st.floats(-0.85, -0.2),
+    # a regular breather pole: RegR outside the unit disk, or its RegL image inside
+    st.builds(lambda r, angle, inside: np.exp(1j * (np.pi + angle)) / r if inside
+              else r * np.exp(1j * angle),
+              st.floats(1.2, 4.0), st.floats(np.pi / 60, np.pi / 6 - np.pi / 60), st.booleans()),
+)
+#: sample points in every sector, inside and outside the unit circle
+_PLANE_SAMPLES = np.array([r * np.exp(1j * a)
+                           for r in (0.5, 1.4, 2.2, 3.2) for a in (-2.5, -0.4, 0.15, 1.1)])
+
+
+# The reference zero count for the pole search: of the closed form's zeros,
+# exactly the poles lie in D2. The three identities it is derived from hold
+# at every k to 1e-12 relative to the moduli of their products; over 5,000
+# random draws of these poles the largest errors were 8.4e-14, 1.1e-13 and
+# 1.9e-14.
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_REGULAR_K0, min_size=1, max_size=3, unique=True))
+def test_s11_of_pure_pole_data_vanishes_in_d2_only_at_its_poles(poles):
+    poles = [complex(k0) for k0 in poles]
+    zeros = pi.s11_reflectionless_zeros(poles)
+    assert [z for z in zeros if sp.classify(z).sector is sp.Sector.D2] == poles
+    assert len(zeros) == sum(2 if k0.imag == 0.0 else 4 for k0 in poles)
+
+    def s11(k):
+        return pi.s11_reflectionless(poles, k)
+
+    k = _PLANE_SAMPLES
+    f, fw, fw2, fc = s11(k), s11(W * k), s11(W**2 * k), s11(W * np.conj(k))
+    assert np.all(np.abs(s11(W / k) - f) <= 1e-12 * np.maximum(1, np.abs(f)))
+    assert np.all(np.abs(f * fw * fw2 - 1)
+                  <= 1e-12 * np.maximum(1, np.abs(f) * np.abs(fw) * np.abs(fw2)))
+    assert np.all(np.abs(f * np.conj(fc) - 1) <= 1e-12 * np.maximum(1, np.abs(f) * np.abs(fc)))
 
 
 def test_concurrent_reads_of_shared_data(gauss):

@@ -109,17 +109,28 @@ def test_breather_regular_real_and_finite():
     assert fld.u.dtype == np.float64  # imaginary part already checked < 1e-9
 
 
+def _n31_of_tau(pole, grid):
+    """n31 = 2i sqrt(3) (log f)_x = 2i sqrt(3) sum a_i w_i / sum w_i over
+    the pole's tau terms (a_i, b_i, c_i), w_i = e^(a_i x + b_i t + c_i)."""
+    terms = sol._tau_terms(pole)
+    w = [np.exp(a * grid.x[None, :] + b * grid.t[:, None] + c) for a, b, c in terms]
+    return 2j * sp.SQRT3 * sum(a * wi for (a, _, _), wi in zip(terms, w)) / sum(w)
+
+
 def test_breather_derivatives_match_fd():
+    # u = -i sqrt(3) d/dx n31 and v = -i sqrt(3) d/dt n31
     k0 = 2 * np.exp(1j * np.pi / 12)
     c = 0.3 + 0.2j
+    c_sol = sol.residue_constant_from_position(2.0, 0.5)
     hx = 0.005
     ht = 0.002
     grid = sol.Grid(np.arange(-4, 4 + hx / 2, hx), np.array([0.5 - ht, 0.5, 0.5 + ht]))
-    for fld in (sol.breather(k0, c, grid),
-                sol.one_soliton(2.0, sol.residue_constant_from_position(2.0, 0.5), grid)):
-        ux_fd = (-1j * np.sqrt(3)) * (fld.n31[:, 2:] - fld.n31[:, :-2]) / (2 * hx)
+    for (pole, const), synth in (((k0, c), sol.breather), ((2.0, c_sol), sol.one_soliton)):
+        fld = synth(pole, const, grid)
+        n31 = _n31_of_tau(sol.wave_poles([(pole, const)])[0], grid)
+        ux_fd = (-1j * np.sqrt(3)) * (n31[:, 2:] - n31[:, :-2]) / (2 * hx)
         assert np.max(np.abs(ux_fd - fld.u[:, 1:-1])) < 5e-5
-        ut_fd = (-1j * np.sqrt(3)) * (fld.n31[2] - fld.n31[0]) / (2 * ht)
+        ut_fd = (-1j * np.sqrt(3)) * (n31[2] - n31[0]) / (2 * ht)
         assert np.max(np.abs(ut_fd - fld.v[1])) < 5e-4
 
 
@@ -201,11 +212,10 @@ def test_fast_breather_decays_on_default_grid():
     assert np.max(np.abs(fld.u[:, [0, -1]])) < 1e-8
 
 
-# Tolerance: u, v and n31 agree with the 2x2 trace formula to 5e-14 relative
-# to max(1, max |u|). On this grid, over 2,000 random examples and the 48
-# with r, angle and x0 at their bounds and phase 0, pi/2 or pi, the errors
-# stayed below 1.4e-14 (u), 1.8e-14 (v) and 3.9e-15 (n31), with max |u| up
-# to 22.4.
+# Tolerance: u and v agree with the 2x2 trace formula to 5e-14 relative to
+# max(1, max |u|). On this grid, over 2,000 random examples and the 48 with
+# r, angle and x0 at their bounds and phase 0, pi/2 or pi, the errors stayed
+# below 1.4e-14 (u) and 1.8e-14 (v), with max |u| up to 22.4.
 @settings(max_examples=50, deadline=None)
 @given(
     st.floats(1.2, 4.0),
@@ -220,9 +230,9 @@ def test_breather_matches_the_trace_formula(r, angle, inside, x0, phase):
     c = sol.breather_constant_for_position(k0, x0, phase)
     grid = sol.Grid(np.linspace(-12, 12, 241), [0.0, 0.3])
     fld = sol.breather(k0, c, grid)
-    u, v, n31 = pi.breather_trace_fields(k0, c, grid.x[None, :], grid.t[:, None])
+    u, v = pi.breather_trace_fields(k0, c, grid.x[None, :], grid.t[:, None])
     scale = max(1.0, np.max(np.abs(fld.u)))
-    for got, want in ((fld.u, u), (fld.v, v), (fld.n31, n31)):
+    for got, want in ((fld.u, u), (fld.v, v)):
         assert np.max(np.abs(got - want)) < 5e-14 * scale
 
 
@@ -326,16 +336,18 @@ def test_n_soliton_matches_breather():
     fb = sol.breather(k0, c, grid)
     np.testing.assert_allclose(fn.u, fb.u, atol=1e-10)
     np.testing.assert_allclose(fn.v, fb.v, atol=1e-10)
-    np.testing.assert_allclose(fn.n31, fb.n31, atol=1e-10)
 
 
 def test_n_soliton_single_real_pole_matches_six_by_six_display():
-    # the general residue assembly reduces to the explicit 6x6 system
+    # the general residue assembly reduces to the explicit 6x6 system, here
+    # differentiated exactly in x: with M = I - e a0^T, d(M^-1) = M^-1 (e_x
+    # a0^T) M^-1
     k0, x, t = 2.0, 0.7, 0.3
     c = sol.residue_constant_from_position(k0, 1.0)
     e = c * np.exp(-sp.eval_theta(2, 1, x, t, k0))  # the dressed constant E(x, t)
+    e_x = (sp.eval_l(1, k0) - sp.eval_l(2, k0)) * e
     iw = 1.0 / k0
-    a6 = e * np.array(
+    a0 = np.array(
         [
             [0, 0, 0, -k0**-2 / (k0 - iw), W / (k0 - W * k0), 0],
             [0, 0, 0, -k0**-2 / (W * iw - iw), W / (W * iw - W * k0), 0],
@@ -347,11 +359,14 @@ def test_n_soliton_single_real_pole_matches_six_by_six_display():
         dtype=complex,
     )
     proj = np.array([[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]], dtype=complex)
-    b6 = proj @ np.linalg.inv(np.eye(6) - a6.T)
-    n31_display = W**2 * e * np.sum(b6[:, 2]) - W * k0**-2 * e * np.sum(b6[:, 1])
+    m_inv = np.linalg.inv(np.eye(6) - e * a0.T)
+    b6, b6_x = proj @ m_inv, proj @ m_inv @ (e_x * a0.T) @ m_inv
+    # n31 = W^2 e sum(b6[:, 2]) - W k0^-2 e sum(b6[:, 1]), by the product rule
+    n31_x_display = (W**2 * (e_x * np.sum(b6[:, 2]) + e * np.sum(b6_x[:, 2]))
+                     - W * k0**-2 * (e_x * np.sum(b6[:, 1]) + e * np.sum(b6_x[:, 1])))
     entries = sol._expand_pole_system(sol.wave_poles([(k0, c)]))
-    n31, _, _ = sol._solve_residues(entries, np.array([x]), np.array([t]))
-    assert abs(n31_display - n31[0]) < 1e-12
+    n31_x, _ = sol._solve_residues(entries, np.array([x]), np.array([t]))
+    assert abs(n31_x_display - n31_x[0]) < 1e-12
 
 
 def test_n_soliton_two_poles_superpose_ahead_of_the_interaction():
@@ -444,7 +459,7 @@ def test_imaginary_part_refusal_names_its_point(monkeypatch):
     with pytest.raises(ArithmeticError, match=r"n_soliton u has imaginary part .* at \(x, t\) = ") as err:
         sol.n_soliton([(k0, c)], grid)
     entries = sol._expand_pole_system(sol.wave_poles([(k0, c)]))
-    _, n31_x, _ = sol._solve_residues(entries, grid.x[None, :], grid.t[:, None])
+    n31_x, _ = sol._solve_residues(entries, grid.x[None, :], grid.t[:, None])
     it, ix = np.unravel_index(np.argmax(np.abs((-1j * sp.SQRT3 * n31_x).imag)), n31_x.shape)
     assert str(err.value).endswith(f"at (x, t) = ({grid.x[ix]:.6g}, {grid.t[it]:.6g})")
 
@@ -492,12 +507,12 @@ def test_blocked_residue_solve_is_bit_identical(monkeypatch):
     for points in (1, 7, 401):  # down to one-point blocks, and a one-point tail
         monkeypatch.setattr(sol, "BLOCK_ENTRIES", points * npol**2)
         fld = sol.n_soliton(pairs, grid)
-        for a, b in ((fld.u, whole.u), (fld.v, whole.v), (fld.n31, whole.n31)):
+        for a, b in ((fld.u, whole.u), (fld.v, whole.v)):
             assert a.tobytes() == b.tobytes()
 
 
 def _outcome(solve, entries, x, t):
-    """The bytes of (n31, n31_x, n31_t), or the type and message of the refusal."""
+    """The bytes of (n31_x, n31_t), or the type and message of the refusal."""
     try:
         return tuple(a.tobytes() for a in solve(entries, x, t))
     except ArithmeticError as exc:
@@ -557,37 +572,50 @@ def test_residue_solve_refuses_as_four_lapack_calls_do(monkeypatch):
         assert got[0] is sol.NearSingularSystemError
 
 
-def _traced_peak(pairs, grid):
+def _traced_peak(synth, *args):
     tracemalloc.start()
     try:
-        sol.n_soliton(pairs, grid)
+        synth(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-# Bounds: the traced peaks plus 10%. This solve peaks at 17.8, 4.67 and
-# 5.04 MB; its blocks of BLOCK_ENTRIES matrix entries hold at most about
-# 4.7 MB of temporaries. Blocks of 2^18 entries would peak at 28.5 MB,
-# 16.4 MB (breather) and 18.4 MB (soliton), above each bound.
-def test_n_soliton_memory_is_bounded():
-    grid = sol.Grid(np.linspace(-30, 30, 2001), np.linspace(0.0, 1.0, 101))
-    pole = [(2.0, sol.residue_constant_from_position(2.0, 0.0))]
-    assert _traced_peak(pole, grid) <= 19.6e6
-
-
 _BREATHER_K0 = 2.0 * np.exp(1j * np.pi / 12)
+_SOLITON_C = sol.residue_constant_from_position(2.0, 0.0)
+_BREATHER_C = sol.breather_constant_for_position(_BREATHER_K0, 0.0, 0.7)
+_SYNTH_GRID = sol.Grid(np.linspace(-30, 30, 2001), np.linspace(0.0, 1.0, 101))
 
 
+# Bounds: the traced peaks plus 10%. On this grid n_soliton peaks at
+# 14.6 MB, one_soliton at 11.5 MB and breather at 27.8 MB. Each once also
+# returned the complex n31 = 2i sqrt(3) (log f)_x, 3.2 MB here, and then
+# peaked at 17.8, 14.8 and 31.1 MB, above each bound. The residue solve's
+# blocks of BLOCK_ENTRIES matrix entries hold at most about 4.7 MB of
+# temporaries; blocks of 2^18 entries would peak at 25.2 MB.
+def test_n_soliton_memory_is_bounded():
+    assert _traced_peak(sol.n_soliton, [(2.0, _SOLITON_C)], _SYNTH_GRID) <= 16.0e6
+
+
+@pytest.mark.parametrize("synth, k0, c, bound", [
+    (sol.one_soliton, 2.0, _SOLITON_C, 12.7e6),
+    (sol.breather, _BREATHER_K0, _BREATHER_C, 30.6e6),
+], ids=["one_soliton", "breather"])
+def test_tau_synthesis_memory_is_bounded(synth, k0, c, bound):
+    assert _traced_peak(synth, k0, c, _SYNTH_GRID) <= bound
+
+
+# Bounds: the traced peaks, 4.43 MB (breather) and 4.93 MB (soliton), plus
+# 10%. Blocks of 2^18 entries would peak at 16.2 MB and 18.3 MB.
 @pytest.mark.parametrize("pairs, nx, bound", [
-    ([(_BREATHER_K0, sol.breather_constant_for_position(_BREATHER_K0, 0.0, 0.7))], 15_425, 5.15e6),
-    ([(2.0, sol.residue_constant_from_position(2.0, -3.0))], 7_001, 5.55e6),
+    ([(_BREATHER_K0, _BREATHER_C)], 15_425, 4.87e6),
+    ([(2.0, sol.residue_constant_from_position(2.0, -3.0))], 7_001, 5.42e6),
 ], ids=["breather", "soliton"])
 def test_n_soliton_memory_on_the_roundtrip_grids(pairs, nx, bound):
     lx = vf._auto_extent(sol.wave_poles(pairs))
     grid = sol.Grid(np.linspace(-lx, lx, sol.point_count(2 * lx, sol.DEFAULT_HX)), [0.0])
     assert grid.x.size == nx
-    assert _traced_peak(pairs, grid) <= bound
+    assert _traced_peak(sol.n_soliton, pairs, grid) <= bound
 
 
 # Tolerances: the centre is recovered to 1e-12 absolute and the rates agree

@@ -211,10 +211,10 @@ def test_blocked_march_equals_the_stepwise_march_over_many_blocks(kind, block):
 
 
 def _exact_path(ls, col, kind, rows, data):
-    # the samples a march sends down the per-step exp path for these rows
+    # the samples a march sends down the per-step exp path for these rows;
+    # a march that keeps its trajectory integrates over the whole grid
     delta = (ls - ls[:, col - 1 : col])[:, [r - 1 for r in rows]]
-    x = data.x[data.support_slice()]  # the window _march integrates over
-    reach = np.abs(delta.real).max(axis=1) * (np.max(np.abs(x)) + vt.DRESS_BLOCK * data.hx)
+    reach = np.abs(delta.real).max(axis=1) * (np.max(np.abs(data.x)) + vt.DRESS_BLOCK * data.hx)
     return reach >= vt.EXP_CLIP
 
 
@@ -229,19 +229,19 @@ def _exact_path(ls, col, kind, rows, data):
     ids=["X-gamma1", "XA-gamma4", "X-circle", "XA-circle"],
 )
 def test_one_requested_row_matches_the_full_column(soliton_data, kind, ks):
-    # a march that integrates only row r keeps the state bits, and row r's
-    # connection entry moves only where the two marches choose different
-    # samples for the exact per-step dressing
+    # a march that integrates only row r keeps the state bits at every step,
+    # and row r's connection entry moves only where the two marches choose
+    # different samples for the exact per-step dressing
     _, ls, _ = sc._plan(ks)
     for col in (1, 2, 3):
         stable = vt.column_stability(ls, col, kind)
         if not stable.any():
             continue
-        full = sc._march(soliton_data, ks[stable], kind, col, s_rows=(1, 2, 3))
+        full = sc._march(soliton_data, ks[stable], kind, col, want_traj=True, s_rows=(1, 2, 3))
         scale = np.abs(full["s"][:, col - 1])
         for r in (1, 2, 3):
-            one = sc._march(soliton_data, ks[stable], kind, col, s_rows=(r,))
-            assert np.array_equal(one["final"], full["final"])
+            one = sc._march(soliton_data, ks[stable], kind, col, want_traj=True, s_rows=(r,))
+            assert np.array_equal(one["traj"], full["traj"])
             assert one["s"].shape == one["s_defined"].shape == (int(stable.sum()), 1)
             same = ~(_exact_path(ls[stable], col, kind, (1, 2, 3), soliton_data)
                      | _exact_path(ls[stable], col, kind, (r,), soliton_data))
