@@ -26,7 +26,7 @@ try:
 except ImportError:  # numpy < 2
     from numpy.core.multiarray import _set_madvise_hugepage
 
-from boussinesq_ist import fileio, jumps, scattering, solitons, spectral, verify
+from boussinesq_ist import fileio, solitons, spectral
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -66,7 +66,7 @@ def _parse_grid(args) -> solitons.Grid:
         raise ValueError(f"hx must be positive and finite, got {args.hx}")
     x = np.linspace(args.xmin, args.xmax, solitons.point_count(args.xmax - args.xmin, args.hx))
     t = np.array([float(s) for s in args.tvals.split(",")])
-    if not (np.all(np.isfinite(t)) and np.unique(t).size == t.size):
+    if not (np.all(np.isfinite(t)) and np.all(np.diff(np.sort(t)) != 0)):
         raise ValueError(f"tvals must be finite and distinct, got {args.tvals}")
     if args.emit_initial and not np.any(t == 0):
         raise ValueError(f"--emit-initial needs t = 0 among the levels, got {args.tvals}")
@@ -101,6 +101,7 @@ def _write_solution(args, fld, command, params):
 def _write_contours(out_dir, sd, command, params):
     """One <values>.csv per sample set, parametrized by angle on the circle and
     by modulus on a ray."""
+    from boussinesq_ist import scattering
     os.makedirs(out_dir, exist_ok=True)
     for vals, pts in scattering.SAMPLE_SETS:
         fileio.write_contour(os.path.join(out_dir, vals + ".csv"), getattr(sd, pts),
@@ -152,8 +153,9 @@ def _cmd_nsoliton(args) -> int:
     return EXIT_OK
 
 
-def ingest_initial_data(path: str) -> scattering.InitialData:
-    """Read and validate an initial-data CSV (x,u0,v0 or x,u0,u1)."""
+def ingest_initial_data(path: str):
+    """The scattering.InitialData of an initial-data CSV (x,u0,v0 or x,u0,u1)."""
+    from boussinesq_ist import scattering
     x, u0, v0, u1 = fileio.read_initial_csv(path)
     if u1 is not None and v0 is None:
         return scattering.InitialData.from_u1(x, u0, u1)
@@ -161,6 +163,7 @@ def ingest_initial_data(path: str) -> scattering.InitialData:
 
 
 def _cmd_scatter(args) -> int:
+    from boussinesq_ist import scattering
     data = ingest_initial_data(args.data)
     for w in data.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -187,6 +190,7 @@ def _cmd_scatter(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
+    from boussinesq_ist import verify
     if args.lx is not None and args.lx <= 0:
         raise ValueError(f"lx must be positive, got {args.lx}")
     pairs = _parse_poles(args)
@@ -201,6 +205,7 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from boussinesq_ist import verify
     checks = args.checks.split(",")
     unknown = [c for c in checks if c not in _CHECKS]
     if unknown:
@@ -235,6 +240,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_jumps(args) -> int:
+    from boussinesq_ist import jumps
     if args.samples < 1:
         raise ValueError(f"samples must be at least 1, got {args.samples}")
     rng = np.random.default_rng(args.seed)
@@ -294,6 +300,7 @@ def _pair(path, value, what):
 
 
 def _cmd_evolve(args) -> int:
+    from boussinesq_ist import scattering
     src = args.scatter_dir
     samples = {}
     for vals, pts in scattering.SAMPLE_SETS:

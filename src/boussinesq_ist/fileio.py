@@ -172,15 +172,19 @@ def write_field(path: str, fld: SolutionField, command: str, params: dict):
     _write_csv(path, command, params, ["x", "t", "u", "v"][: 2 + len(fields)], blocks())
 
 
+def _levels(a):
+    """np.unique(a) without numpy.ma: each distinct value, ascending, as it first occurs in a."""
+    s = a[np.argsort(a, kind="stable")]
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
+
+
 def read_field(path: str) -> SolutionField:
     rows, cols = _read_csv(path)
     need = {"x", "t", "u"}
     if not need.issubset(cols):
         raise FileFormatError(f"field file must have columns x,t,u[,v], got {cols}")
-    x_all = rows[:, cols.index("x")]
-    t_all = rows[:, cols.index("t")]
-    ts = np.unique(t_all)
-    xs = np.unique(x_all)
+    x_all, t_all = rows[:, cols.index("x")], rows[:, cols.index("t")]
+    ts, xs = _levels(t_all), _levels(x_all)
     nt, nx = ts.size, xs.size
     order = np.lexsort((x_all, t_all))
     if nt * nx != rows.shape[0] or not (
@@ -189,9 +193,7 @@ def read_field(path: str) -> SolutionField:
     ):
         raise FileFormatError("field file is not a full rectangular grid")
     u = rows[order, cols.index("u")].reshape(nt, nx)
-    v = None
-    if "v" in cols:
-        v = rows[order, cols.index("v")].reshape(nt, nx)
+    v = rows[order, cols.index("v")].reshape(nt, nx) if "v" in cols else None
     return SolutionField(xs, ts, u, v=v)
 
 

@@ -3,6 +3,8 @@ import json
 import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -604,6 +606,43 @@ def test_report_keys_are_pinned(tmp_path):
         assert sorted(_key_paths(report)) == sorted(keys.split()), name
 
 
+#: runs one command in a fresh interpreter, then prints its exit code and the
+#: package submodules and numpy.ma among the loaded modules
+_COLD = """
+import sys
+from boussinesq_ist import cli
+rc = cli.main(sys.argv[1:])
+print(rc, *sorted(m for m in sys.modules if m.startswith("boussinesq_ist.") or m == "numpy.ma"))
+"""
+
+
+def _cold(*args):
+    proc = subprocess.run([sys.executable, "-c", _COLD, *map(str, args)],
+                          capture_output=True, text=True, check=True)
+    rc, *modules = proc.stdout.split()
+    return int(rc), set(modules)
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, boussinesq_ist\n"
+         "print(sorted(m for m in sys.modules if m.startswith('boussinesq_ist.')))\n"
+         "print(boussinesq_ist.scattering.__name__)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "[]\nboussinesq_ist.scattering\n"
+    grid = ("--xmin", -16, "--xmax", 16, "--hx", 0.04, "--tvals", "0,0.01,0.02,0.03,0.04")
+    unused = {"boussinesq_ist.scattering", "boussinesq_ist.volterra", "boussinesq_ist.jumps",
+              "boussinesq_ist.verify", "numpy.ma"}
+    rc, modules = _cold("soliton", "--k0", 2, "--emit-initial", *grid, "--out", tmp_path / "s")
+    assert rc == 0 and not modules & unused, modules
+    rc, modules = _cold("nsoliton", "--pole=2,0,2.142857142857143,0.7423074889580913", *grid,
+                        "--out", tmp_path / "n")
+    assert rc == 0 and not modules & unused, modules
+    rc, modules = _cold("verify", "--field", tmp_path / "n" / "solution.csv", "--out", tmp_path / "v")
+    assert rc == 0 and not modules & {"boussinesq_ist.jumps", "numpy.ma"}, modules
+
+
 def test_console_entry_point(tmp_path):
     import subprocess
     import sys
@@ -692,6 +731,20 @@ def test_read_field_rejects_malformed_rows(tmp_path, body):
         warnings.simplefilter("error")
         with pytest.raises(fileio.FileFormatError):
             fileio.read_field(str(path))
+
+
+@pytest.mark.parametrize("first, later", [("0", "-0"), ("-0", "0")])
+def test_read_field_levels_keep_the_sign_of_the_first_zero(tmp_path, first, later):
+    # the axes are what np.unique returns: of the equal values 0 and -0, the
+    # one that comes first in the file
+    path = tmp_path / "zeros.csv"
+    path.write_text(f"x,t,u\n{first},1,1\n1,{first},2\n1,1,3\n{later},{later},4\n")
+    fld = fileio.read_field(str(path))
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert fld.x.tobytes() == np.unique(rows[:, 0]).tobytes()
+    assert fld.t.tobytes() == np.unique(rows[:, 1]).tobytes()
+    assert np.signbit(fld.x[0]) == np.signbit(fld.t[0]) == (first == "-0")
+    assert fld.u.tolist() == [[4, 2], [1, 3]]
 
 
 @pytest.mark.parametrize("flags, msg", [
