@@ -21,10 +21,7 @@ import sys
 
 import numpy as np
 
-try:
-    from numpy._core.multiarray import _set_madvise_hugepage
-except ImportError:  # numpy < 2
-    from numpy.core.multiarray import _set_madvise_hugepage
+from numpy._core.multiarray import _set_madvise_hugepage
 
 from boussinesq_ist import fileio, solitons, spectral
 
@@ -32,8 +29,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_VALIDATION = 3
-
-_CHECKS = ("pde", "system", "mass", "lax")
 
 #: glibc's malloc_trim, which hands freed heap back to the system; a no-op elsewhere
 _LIBC = ctypes.CDLL(None) if os.name == "posix" else None
@@ -109,12 +104,16 @@ def _write_contours(out_dir, sd, command, params):
                              "angle" if pts == "circle" else "modulus")
 
 
+def _residue_constant(args, from_position, *where):
+    """The constant --c-re/--c-im spell out when either is given, else from_position(*where)."""
+    if args.c_re is not None or args.c_im is not None:
+        return complex(args.c_re or 0.0, args.c_im or 0.0)
+    return from_position(*where)
+
+
 def _cmd_soliton(args) -> int:
     grid = _parse_grid(args)
-    if args.c_re is not None or args.c_im is not None:
-        c = complex(args.c_re or 0.0, args.c_im or 0.0)
-    else:
-        c = solitons.residue_constant_from_position(args.k0, args.x0)
+    c = _residue_constant(args, solitons.residue_constant_from_position, args.k0, args.x0)
     fld = solitons.one_soliton(args.k0, c, grid)
     params = _echo(args, ("k0", "x0", "c_re", "c_im", "xmin", "xmax", "hx", "tvals"))
     params["c"] = str(c)
@@ -131,10 +130,7 @@ def _cmd_soliton(args) -> int:
 def _cmd_breather(args) -> int:
     grid = _parse_grid(args)
     k0 = complex(args.k0_re, args.k0_im)
-    if args.c_re is not None or args.c_im is not None:
-        c = complex(args.c_re or 0.0, args.c_im or 0.0)
-    else:
-        c = solitons.breather_constant_for_position(k0, args.x0, args.phase)
+    c = _residue_constant(args, solitons.breather_constant_for_position, k0, args.x0, args.phase)
     fld = solitons.breather(k0, c, grid)
     params = _echo(args, ("k0_re", "k0_im", "x0", "phase", "xmin", "xmax", "hx", "tvals"))
     params["c"] = str(c)
@@ -206,34 +202,24 @@ def _cmd_roundtrip(args) -> int:
 
 def _cmd_verify(args) -> int:
     from boussinesq_ist import verify
-    checks = args.checks.split(",")
-    unknown = [c for c in checks if c not in _CHECKS]
+    # each check's function and the report entries its tolerance applies to
+    checks = {"pde": (verify.pde_residual, ("max_abs_residual",)),
+              "system": (verify.system_residual, ("first_equation", "second_equation")),
+              "mass": (verify.mass_conservation, ("max_deviation",)),
+              "lax": (verify.lax_compatibility, ("max_residual",))}
+    wanted = args.checks.split(",")
+    unknown = [c for c in wanted if c not in checks]
     if unknown:
-        raise ValueError(f"unknown checks {unknown}; choose from {','.join(_CHECKS)}")
+        raise ValueError(f"unknown checks {unknown}; choose from {','.join(checks)}")
     fld = fileio.read_field(args.field)
     report = {"field": os.path.basename(args.field), "checks": {}}
     failed = False
-    if "pde" in checks:
-        rep = verify.pde_residual(fld)
-        ok = rep["max_abs_residual"] < args.tol_pde
-        report["checks"]["pde"] = dict(rep, passed=ok, tol=args.tol_pde)
-        failed |= not ok
-    if "system" in checks:
-        res = verify.system_residual(fld)
-        ok = max(res.values()) < args.tol_system
-        report["checks"]["system"] = dict(res, passed=ok, tol=args.tol_system)
-        failed |= not ok
-    if "mass" in checks:
-        rep = verify.mass_conservation(fld)
-        ok = rep["max_deviation"] < args.tol_mass
-        report["checks"]["mass"] = dict(rep, passed=ok, tol=args.tol_mass)
-        failed |= not ok
-    if "lax" in checks:
-        # the residual does not depend on k (the lam(k) terms cancel), so one k will do
-        res = verify.lax_compatibility(fld, [complex(1.3, 0.4)])
-        ok = res < args.tol_lax
-        report["checks"]["lax"] = {"max_residual": res, "passed": ok, "tol": args.tol_lax}
-        failed |= not ok
+    for name, (check, gated) in checks.items():
+        if name in wanted:
+            rep, tol = check(fld), getattr(args, "tol_" + name)
+            ok = max(rep[key] for key in gated) < tol
+            report["checks"][name] = dict(rep, passed=ok, tol=tol)
+            failed |= not ok
     os.makedirs(args.out, exist_ok=True)
     fileio.write_json(os.path.join(args.out, "verify.json"), report)
     return EXIT_VALIDATION if failed else EXIT_OK

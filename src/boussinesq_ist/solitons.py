@@ -130,12 +130,18 @@ def _realize(arr, what, grid):
 # ----------------------------------------------------------------------------
 
 
-def classify_one_soliton(k0: float, c: complex) -> str:
-    """'zero' | 'regular' | 'singular' for a real pole in (-1,0) u (1,inf):
-    the sign of i(w^2 k0^2 - w) c separates regular from singular."""
+def _real_pole(k0) -> float:
+    """k0 as a float; DomainError unless it lies in (-1, 0) or (1, oo)."""
     k0 = float(k0)
     if not (-1.0 < k0 < 0.0 or k0 > 1.0):
         raise DomainError("real pole must lie in (-1, 0) or (1, oo)")
+    return k0
+
+
+def classify_one_soliton(k0: float, c: complex) -> str:
+    """'zero' | 'regular' | 'singular' for a real pole in (-1,0) u (1,inf):
+    the sign of i(w^2 k0^2 - w) c separates regular from singular."""
+    k0 = _real_pole(k0)
     if c == 0:
         return "zero"
     combo = 1j * (OMEGA**2 * k0**2 - OMEGA) * c
@@ -209,7 +215,7 @@ def soliton_shape_factor(k0: float, c: complex) -> complex:
 
 def residue_constant_from_position(k0: float, x0: float) -> complex:
     """Residue constant whose one-soliton sits at x0 when t = 0."""
-    k0 = float(k0)
+    k0 = _real_pole(k0)
     f2 = np.exp((k0**2 - 1.0) / (2.0 * k0) * x0)
     return complex(f2 * SQRT3 * k0 * (k0**2 - 1.0) / (1j * OMEGA**2 * (k0**2 - OMEGA**2)))
 

@@ -73,13 +73,6 @@ def eval_theta(i: int, j: int, x, t, k):
     return (eval_l(i, k) - eval_l(j, k)) * x + (eval_z(i, k) - eval_z(j, k)) * t
 
 
-def lam(k):
-    """The six-to-one spectral map (k^3 + k^-3)/2."""
-    _check_nonzero(k)
-    k = np.asarray(k, dtype=complex)
-    return (k**3 + k**-3) / 2.0
-
-
 def rtilde(k):
     """Rational symmetry factor linking the two reflection coefficients.
 

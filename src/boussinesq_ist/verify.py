@@ -1,10 +1,12 @@
 """Independent numerical checks.
 
 Finite-difference residuals of the wave equation and its first-order system,
-Lax-pair compatibility, mass conservation, and the synthesize -> scatter ->
-recover round trip. Everything here deliberately avoids the analytic
-machinery used to build the fields: derivatives come from fixed central FD
-stencils (4th order in x, 2nd order in t) with exact rational weights.
+Lax-pair compatibility (the two residual entries that can be nonzero), mass
+conservation, and the synthesize -> scatter -> recover round trip; each field
+check returns the dict ``verify.json`` holds for it. Everything here
+deliberately avoids the analytic machinery used to build the fields:
+derivatives come from fixed central FD stencils (4th order in x, 2nd order in
+t) with exact rational weights.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from boussinesq_ist import scattering as sc
 from boussinesq_ist import solitons as sol
-from boussinesq_ist.spectral import SQRT3, dist_to_qhat, lam
+from boussinesq_ist.spectral import SQRT3
 
 
 # 4th-order-accurate central stencils in x, 2nd-order in t, on the offsets
@@ -110,57 +112,32 @@ def system_residual(fld: sol.SolutionField) -> dict:
 
 
 @np.errstate(all="ignore")  # an overflow is refused by _max_abs, naming its point
-def lax_compatibility(fld: sol.SolutionField, ks) -> float:
-    """Max entrywise residual R = L_t - Z_x + [L, Z] over the grid and k list.
+def lax_compatibility(fld: sol.SolutionField) -> dict:
+    """Max entrywise residual R = L_t - Z_x + [L, Z] over the grid.
 
     Works with the companion-form pair, which is conjugate to the diagonal
-    form by an x,t-independent matrix, so the vanishing is equivalent. L~
-    has 1s at (0, 1) and (1, 2) and the last row (a, b, 0); Z~ has z00,
-    z02 = -i sqrt(3), z10, z11 = z22, z20 and z21. So R02 = R12 = 0 and the
-    other seven entries are written out, one time level at a time. The lam(k)
-    terms cancel, so R is the same at every k up to rounding.
+    form by an x,t-independent matrix, so the vanishing is equivalent.
+    Written out, seven of R's nine entries are zero for every field and
+    lam(k) cancels from the other two, so R does not depend on k:
+    R20 = ((v_xx - u_xt) + i (u_x + 2 u u_x + u_xxx - v_t) / sqrt(3)) / 4 and
+    R21 = (v_x - u_t) / 2, evaluated one time level at a time.
     """
     if fld.v is None:
         raise ValueError("field carries no v samples")
     core = _interior(fld, "lax")
-    ks = np.atleast_1d(ks)
-    if np.any(dist_to_qhat(ks) < 1e-3):
-        raise ValueError("k too close to a sixth root of unity")
     u, v, hx, ht = fld.u, fld.v, fld.hx, fld.ht
-    ux, uxx, uxxx = (deriv(u, "x", m, hx) for m in (1, 2, 3))
+    ux, uxxx = deriv(u, "x", 1, hx), deriv(u, "x", 3, hx)
     vx, vxx = deriv(v, "x", 1, hx), deriv(v, "x", 2, hx)
     ut, uxt, vt = deriv(u, "t", 1, ht), deriv(ux, "t", 1, ht), deriv(v, "t", 1, ht)
-
-    def l_row(la, u, ux, v):  # (a, b), affine in the fields
-        return la / (12j * SQRT3) - ux / 4.0 - 1j * v / (4.0 * SQRT3), -(1.0 + 2.0 * u) / 4.0
-
-    def z_entries(la, u, ux, uxx, v, vx):  # (z00, z10, z11, z20, z21), affine too
-        return (-1j * (1.0 + 2.0 * u) / (2.0 * SQRT3),
-                -la / 12.0 - 1j * ux / (4.0 * SQRT3) - v / 4.0,
-                1j * (1.0 + 2.0 * u) / (4.0 * SQRT3),
-                -1j * uxx / (4.0 * SQRT3) - vx / 4.0,
-                -la / 12.0 + 1j * ux / (4.0 * SQRT3) - v / 4.0)
-
-    z02, xs, worst = -1j * SQRT3, core[1], 0.0
-    for la in lam(ks):
-        # affine entries, so L~_t = L~(f_t) - L~(0) and Z~_x = Z~(f_x) - Z~(0)
-        l0, z0 = l_row(la, 0.0, 0.0, 0.0), z_entries(la, 0.0, 0.0, 0.0, 0.0, 0.0)
-        for n in range(fld.t.size)[core[0]]:
-            f = [g[n, xs] for g in (u, ux, uxx, uxxx, v, vx, vxx)]
-            a, b = l_row(la, f[0], f[1], f[4])
-            a_t, b_t = (e - e0 for e, e0 in zip(l_row(la, ut[n, xs], uxt[n, xs], vt[n, xs]), l0))
-            z00, z10, z11, z20, z21 = z_entries(la, *f[:3], *f[4:6])
-            z00_x, z10_x, z11_x, z20_x, z21_x = (
-                e - e0 for e, e0 in zip(z_entries(la, *f[1:4], *f[5:]), z0))
-            res = np.stack((z10 - z02 * a - z00_x,  # R00
-                            z11 - z00 - z02 * b,  # R01
-                            z20 - z10_x,  # R10
-                            z21 - z10 - z11_x,  # R11
-                            a_t + a * z00 + b * z10 - z11 * a - z20_x,  # R20
-                            b_t - z20 - z21_x,  # R21
-                            a * z02 - z21 - z11_x))  # R22
-            worst = max(worst, _max_abs(res[:, None], fld, "lax residual", (slice(n, n + 1), xs)))
-    return worst
+    xs, worst = core[1], 0.0
+    for n in range(fld.t.size)[core[0]]:
+        un, uxn = u[n, xs], ux[n, xs]
+        r20 = ((vxx[n, xs] - uxt[n, xs])
+               + 1j * (uxn + 2.0 * un * uxn + uxxx[n, xs] - vt[n, xs]) / SQRT3) / 4.0
+        r21 = (vx[n, xs] - ut[n, xs]) / 2.0
+        res = np.stack((r20, r21))[:, None]
+        worst = max(worst, _max_abs(res, fld, "lax residual", (slice(n, n + 1), xs)))
+    return {"max_residual": worst}
 
 
 @np.errstate(all="ignore")  # an overflow is refused below, naming its level

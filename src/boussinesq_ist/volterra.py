@@ -29,10 +29,8 @@ from itertools import repeat
 
 import numpy as np
 
-try:  # np.einsum's kernel without its Python dispatch layers
-    from numpy._core.multiarray import c_einsum as _c_einsum
-except ImportError:  # numpy < 2
-    from numpy.core.multiarray import c_einsum as _c_einsum
+# np.einsum's kernel without its Python dispatch layers
+from numpy._core.multiarray import c_einsum as _c_einsum
 
 STABILITY_TOL = 1e-10
 EXP_CLIP = 600.0

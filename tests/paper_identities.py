@@ -2,16 +2,16 @@
 
 No command-line path needs these. Each one is an independent reference that
 a test compares the package against: the dense Vandermonde basis behind the
-rank-one march, the companion-form Lax pair with its conjugation and its
-compatibility residual by matrix products, whole eigenfunction matrices and the
-sectionally analytic M2, whole connection matrices, the conjugation matrix
-R(k), the compact-support residue shortcut, the closed-form s11 of pure-pole
-data with its zeros, the march one x step at a time, the arc family of a
-circle point, the arc weight and its log-densities, the pole-removal
-matrices by their names, the breather's 2x2 residue matrix with its
-determinant and trace formula for the fields, the N-pole residue solve with
-one inverse and three solves per block, and the CSV writer that formats one
-row at a time.
+rank-one march, the six-to-one spectral map lam(k), the companion-form Lax pair
+with its conjugation and its compatibility residual by matrix products, whole
+eigenfunction matrices and the sectionally analytic M2, whole connection
+matrices, the conjugation matrix R(k), the compact-support residue shortcut,
+the closed-form s11 of pure-pole data with its zeros, the march one x step at a
+time, the arc family of a circle point, the arc weight and its log-densities,
+the pole-removal matrices by their names, the breather's 2x2 residue matrix
+with its determinant and trace formula for the fields, the N-pole residue solve
+with one inverse and three solves per block, and the CSV writer that formats
+one row at a time.
 """
 
 import math
@@ -54,20 +54,27 @@ def vandermonde_inv(k):
     return np.linalg.inv(vandermonde(k))
 
 
+def lam(k):
+    """The six-to-one spectral map (k^3 + k^-3)/2."""
+    sp._check_nonzero(k)
+    k = np.asarray(k, dtype=complex)
+    return (k**3 + k**-3) / 2.0
+
+
 def l_tilde(k, u, ux, uxx, v, vx):
     """Companion-form x-part L~ before conjugation by P(k), of shape
     ``np.broadcast(u, ux, uxx, v, vx).shape + (3, 3)``."""
     lt = np.zeros(np.broadcast(u, ux, uxx, v, vx).shape + (3, 3), dtype=complex)
     lt[..., 0, 1] = 1.0
     lt[..., 1, 2] = 1.0
-    lt[..., 2, 0] = sp.lam(k) / (12j * sp.SQRT3) - ux / 4.0 - 1j * v / (4.0 * sp.SQRT3)
+    lt[..., 2, 0] = lam(k) / (12j * sp.SQRT3) - ux / 4.0 - 1j * v / (4.0 * sp.SQRT3)
     lt[..., 2, 1] = -(1.0 + 2.0 * u) / 4.0
     return lt
 
 
 def z_tilde(k, u, ux, uxx, v, vx):
     """Companion-form t-part Z~ before conjugation by P(k), shaped as L~."""
-    la, s3 = sp.lam(k), sp.SQRT3
+    la, s3 = lam(k), sp.SQRT3
     zt = np.zeros(np.broadcast(u, ux, uxx, v, vx).shape + (3, 3), dtype=complex)
     zt[..., 0, 0] = -1j * (1.0 + 2.0 * u) / (2.0 * s3)
     zt[..., 0, 2] = -1j * s3

@@ -305,6 +305,15 @@ def test_breather_off_grid_singular_pole_is_a_numeric_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["soliton", "roundtrip"])
+@pytest.mark.parametrize("k0", ["0", "-0"])
+def test_a_zero_real_pole_is_refused_like_any_pole_off_its_intervals(tmp_path, capsys, command, k0):
+    out = tmp_path / command
+    assert run(command, "--k0", k0, "--out", out) == 2
+    assert capsys.readouterr().err == "numerical error: real pole must lie in (-1, 0) or (1, oo)\n"
+    assert not out.exists()
+
+
 def test_soliton_and_nsoliton_refuse_a_singular_constant_alike(tmp_path, capsys):
     c = -sol.residue_constant_from_position(2.0, 0.0)
     errs = []

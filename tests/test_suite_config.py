@@ -1,8 +1,11 @@
 """The suite's warning filters, run on a throwaway test module in a subprocess."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,3 +43,11 @@ def test_a_failing_property_does_not_stop_the_session(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "2 failed, 1 passed" in proc.stdout
     assert "FAILED test_module.py::test_deprecated_call - DeprecationWarning" in proc.stdout
+
+
+def test_the_declared_numpy_floor_is_at_least_2_0():
+    # the package calls np.trapezoid and imports from numpy._core, both new in numpy 2.0
+    tomllib = pytest.importorskip("tomllib")
+    deps = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+    (floor,) = [re.fullmatch(r"numpy\s*>=\s*([\d.]+)", d).group(1) for d in deps if d.startswith("numpy")]
+    assert tuple(int(part) for part in floor.split(".")) >= (2, 0)
