@@ -242,7 +242,7 @@ def _cmd_jumps(args) -> int:
             worst_det = max(worst_det, abs(np.linalg.det(v) - 1.0))
             rot = jumps.ROTATION_MAP[seg]
             v2 = jumps.build_v(sd, x, t, spectral.OMEGA * k, rot)
-            cyc = np.max(np.abs(v - jumps.MAT_A @ v2 @ np.linalg.inv(jumps.MAT_A)))
+            cyc = np.max(np.abs(v - jumps.MAT_A @ v2 @ jumps._AI))
             worst_cyc = max(worst_cyc, cyc / max(1.0, float(np.max(np.abs(v)))))
             rows.append((seg, k, v[0, 1]))
     k0 = 2.0

@@ -32,6 +32,10 @@ DEFAULT_LX = 30.0
 DEFAULT_HX = 0.01
 NONREAL_COMBO_TOL = 1e-10
 CONDITION_LIMIT = 1e12
+#: a residue system is held to CONDITION_LIMIT without its inverse when this
+#: many times a bound on its condition number is: the margin covers the
+#: bound's rounding and the computed inverse's, which the exact check reads
+_BOUND_MARGIN = 2.0
 #: matrix entries per block of the residue solve, which bounds its memory
 BLOCK_ENTRIES = 1 << 16
 IM_U_TOL = 1e-9
@@ -232,8 +236,6 @@ def h_indicator(k0: complex) -> float:
     kr, ki = k0.real, k0.imag
     r2 = abs(k0) ** 2
     den = 2.0 * ki * (SQRT3 * kr - ki) * (r2 - 1.0) ** 2
-    if abs(den) < 1e-300:
-        raise DomainError("indicator has poles on |k0| = 1 and the sector boundary")
     return (ki + SQRT3 * kr) ** 2 * (1.0 + r2 + r2**2) / den
 
 
@@ -400,31 +402,60 @@ def _norm1(a):
     return _max_last(functools.reduce(np.add, (a[..., i, :] for i in range(a.shape[-2]))))
 
 
-def _solve_with_inverse(m_eq, rhs_eq, srcs, x, t):
-    """rho with m_eq rho = rhs_eq at each row's source column, solved with
-    the inverse as [rho | inv] = m_eq^-1 [rhs | I]; inv holds every point's
-    1-norm condition number to CONDITION_LIMIT. An exact zero pivot is
-    refused at the point of smallest |det|."""
+def _condition_bound(coef, scale, abs_s, s_inv_cols):
+    """An upper bound on each point's 1-norm condition number
+    ||m_eq||_1 ||m_eq^-1||_1, inf where neither Neumann-series bound
+    ||(I - F)^-1|| <= 1 / (1 - ||F||) applies (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002).
+
+    m_eq = D + N with D = diag(1/scale), N = -diag(coef / scale) S and S's
+    diagonal zero, so ||m_eq||_1 is the largest of 1/scale_j + sum_i
+    |coef_i| |S_ij| / scale_i. (a) With every scale 1, m_eq = I - C, C =
+    diag(coef) S; q = ||C||_1 < 1 gives (1 + q) / (1 - q). (b) ||N^-1||_1 =
+    a, the largest of s_inv_cols_j scale_j / |coef_j| with s_inv_cols the
+    column sums of |S^-1|; a ||D||_1 < 1 gives ||m_eq||_1 a / (1 - a
+    ||D||_1). A NaN anywhere reads inf."""
+    w = np.abs(coef) / scale
+    d = 1.0 / scale
+    colsum = w @ abs_s  # the off-diagonal column sums of |m_eq|
+    norm, d_norm = _max_last(colsum + d), _max_last(d)
+    q = np.where(_max_last(scale) == 1.0, _max_last(colsum), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = _max_last(s_inv_cols / w)
+        ad = a * d_norm
+        bound_a = np.where(q < 1.0, (1.0 + q) / (1.0 - q), np.inf)
+        bound_b = np.where(ad < 1.0, norm * a / (1.0 - ad), np.inf)
+    return np.fmin(bound_a, bound_b)
+
+
+def _solve_guarded(m_eq, rhs_eq, srcs, unproven, x, t):
+    """rho with m_eq rho = rhs_eq at each row's source column, one LAPACK
+    solve against the three residue columns. The points in unproven, whose
+    condition number no bound holds to CONDITION_LIMIT, are inverted and
+    checked exactly; an exact zero pivot is refused at the point of the
+    whole block with the smallest |det|."""
     npts, npol = rhs_eq.shape
-    b = np.zeros((npts, npol * (3 + npol)), dtype=complex)  # each point's [rhs | I], row-major
-    b[:, np.arange(npol) * (3 + npol) + srcs - 1] = rhs_eq
-    b[:, 3 :: 4 + npol] = 1.0  # the diagonal of I
+    b = np.zeros((npts, npol, 3), dtype=complex)
+    b[:, np.arange(npol), srcs - 1] = rhs_eq
     try:
-        sol = np.linalg.solve(m_eq, b.reshape(npts, npol, 3 + npol))
+        rho = np.linalg.solve(m_eq, b)
     except np.linalg.LinAlgError:
         det = np.fmin(np.abs(np.linalg.det(m_eq)), np.inf)  # a NaN |det| reads inf
         i, cond_i = int(np.argmin(det)), np.inf
     else:
+        if not unproven.size:
+            return rho
         del b  # freed before the guard's temporaries are made
-        cond = _norm1(np.abs(m_eq)) * _norm1(np.abs(sol[:, :, 3:]))  # the inverse's columns
-        i = int(np.argmax(cond))  # argmax stops at a NaN, which then fails the check
-        cond_i = cond[i]
+        m_un = m_eq[unproven]
+        cond = _norm1(np.abs(m_un)) * _norm1(np.abs(np.linalg.inv(m_un)))
+        j = int(np.argmax(cond))  # argmax stops at a NaN, which then fails the check
+        i, cond_i = unproven[j], cond[j]
     if not cond_i <= CONDITION_LIMIT:
         raise NearSingularSystemError(
             f"residue system condition number {cond_i:.3e} exceeds {CONDITION_LIMIT:.0e}"
             f" at (x, t) = ({x[i]:.6g}, {t[i]:.6g})"
         )
-    return sol[:, :, :3].copy()  # the inverse is not kept
+    return rho
 
 
 def _solve_residues(entries, x, t):
@@ -437,9 +468,11 @@ def _solve_residues(entries, x, t):
     block makes one complex exp per distinct (x-rate, t-rate) pair, builds
     m = I - coef S in place and equilibrates its rows, so the guard measures
     pole-collision degeneracy, not exponential scaling, at every point. Two
-    LAPACK solves follow: the residues with the inverse the guard reads,
-    then both derivatives. Row maxima, the guard's column sums and the col-3
-    sums keep numpy's reduction order, so no bit depends on blocks.
+    LAPACK solves follow: the residues, then both derivatives. The guard
+    inverts only the points whose condition number _condition_bound, times
+    _BOUND_MARGIN, does not hold to CONDITION_LIMIT. Row maxima, the guard's
+    column sums and the col-3 sums keep numpy's reduction order, so no bit
+    depends on blocks.
     """
     npol = len(entries)
     grid = np.broadcast(x, t)
@@ -460,6 +493,13 @@ def _solve_residues(entries, x, t):
         for j in range(npol):
             if i != j and cols[j] == srcs[i]:
                 s[i, j] = 1.0 / (pts[i] - pts[j])
+    abs_s = np.abs(s)
+    # the column sums of |S^-1| for the guard's bound (b); inf, so that (b)
+    # proves nothing, unless S is far enough from singular that its computed
+    # inverse is accurate to well within _BOUND_MARGIN
+    s_inv_cols = np.full(npol, np.inf)
+    if np.linalg.cond(s, 1) <= 1e8:
+        s_inv_cols = np.abs(np.linalg.inv(s)).sum(axis=0)
 
     xg, tg = (g.flat for g in np.broadcast_arrays(x, t))  # a block copies only its points
     out = np.empty((2, grid.size), dtype=complex)
@@ -480,7 +520,9 @@ def _solve_residues(entries, x, t):
         np.subtract(np.eye(npol), m, out=m)  # m = I - coef S
         scale = np.maximum(_max_last(np.abs(m)), 1.0)
         m /= scale[:, :, None]
-        rho = _solve_with_inverse(m, coef / scale, srcs, xb, tb)  # (npts, npol, 3)
+        bound = _condition_bound(coef, scale, abs_s, s_inv_cols)
+        unproven = np.flatnonzero(~(_BOUND_MARGIN * bound <= CONDITION_LIMIT))
+        rho = _solve_guarded(m, coef / scale, srcs, unproven, xb, tb)  # (npts, npol, 3)
 
         rhs = rates[None, :, :, None] * rho[:, :, None, :]  # (npts, npol, 2, 3): rates times rho
         rhs /= scale[:, :, None, None]

@@ -9,9 +9,9 @@ matrices, the conjugation matrix R(k), the compact-support residue shortcut,
 the closed-form s11 of pure-pole data with its zeros, the march one x step at a
 time, the arc family of a circle point, the arc weight and its log-densities,
 the pole-removal matrices by their names, the breather's 2x2 residue matrix
-with its determinant and trace formula for the fields, the N-pole residue solve
-with one inverse and three solves per block, and the CSV writer that formats
-one row at a time.
+with its determinant and trace formula for the fields, the N-pole residue
+system and its solve with one inverse and three solves per block, and the
+CSV writer that formats one row at a time.
 """
 
 import math
@@ -544,20 +544,19 @@ def _check_condition_by_inverse(m_eq, x, t):
         )
 
 
-def solve_residues_four_calls(entries, x, t):
-    """:func:`solitons._solve_residues` with four LAPACK calls per block: an
-    inverse for the condition guard, then one solve each for the residue
-    vectors and their x- and t-derivatives, on complex copies of the whole
-    grid. Returns (n31_x, n31_t)."""
+def residue_system(entries, x, t):
+    """The residue system of the entries at every point of x and t,
+    broadcast and flattened: (coef, S, scale, m_eq), with the static Cauchy
+    coupling S[p, q] = [col(q) == src(p)] / (p - q), m = I - coef S, scale
+    each row's largest |entry| or 1, and m_eq = m / scale. ArithmeticError
+    when coef overflows."""
     npol = len(entries)
-    shape = np.broadcast(x, t).shape
     pts = np.array([e.point for e in entries])
     cols = np.array([e.col for e in entries])
     srcs = np.array([e.src for e in entries])
     coef0 = np.array([e.coef0 for e in entries])
     rates_x = np.array([e.rate_x for e in entries])
     rates_t = np.array([e.rate_t for e in entries])
-    mask3 = cols == 3
 
     s = np.zeros((npol, npol), dtype=complex)
     for i in range(npol):
@@ -567,23 +566,40 @@ def solve_residues_four_calls(entries, x, t):
 
     xg, tg = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(t, dtype=complex))
     xf, tf = xg.reshape(-1), tg.reshape(-1)
+    expo = rates_x[None] * xf[:, None] + rates_t[None] * tf[:, None]
+    coef = coef0[None] * np.exp(expo)
+    if not np.all(np.isfinite(coef)):
+        raise ArithmeticError("residue coefficients overflow on this grid")
+
+    m = np.broadcast_to(np.eye(npol, dtype=complex), coef.shape[:1] + (npol, npol)).copy()
+    m -= coef[:, :, None] * s[None]
+    scale = np.max(np.abs(m), axis=2)
+    scale = np.where(scale > 1.0, scale, 1.0)
+    return coef, s, scale, m / scale[:, :, None]
+
+
+def solve_residues_four_calls(entries, x, t):
+    """:func:`solitons._solve_residues` with four LAPACK calls per block: an
+    inverse for the condition guard, then one solve each for the residue
+    vectors and their x- and t-derivatives, on complex copies of the whole
+    grid. Returns (n31_x, n31_t)."""
+    npol = len(entries)
+    shape = np.broadcast(x, t).shape
+    cols = np.array([e.col for e in entries])
+    srcs = np.array([e.src for e in entries])
+    rates_x = np.array([e.rate_x for e in entries])
+    rates_t = np.array([e.rate_t for e in entries])
+    mask3 = cols == 3
+
+    xg, tg = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(t, dtype=complex))
+    xf, tf = xg.reshape(-1), tg.reshape(-1)
     out = np.empty((2, xf.size), dtype=complex)
     step = max(1, sol.BLOCK_ENTRIES // (npol * npol))
     for lo in range(0, xf.size, step):
         blk = slice(lo, lo + step)
-        expo = rates_x[None] * xf[blk, None] + rates_t[None] * tf[blk, None]
-        coef = coef0[None] * np.exp(expo)
-        if not np.all(np.isfinite(coef)):
-            raise ArithmeticError("residue coefficients overflow on this grid")
-
-        m = np.broadcast_to(np.eye(npol, dtype=complex), coef.shape[:1] + (npol, npol)).copy()
-        m -= coef[:, :, None] * s[None]
+        coef, _, scale, m_eq = residue_system(entries, xf[blk], tf[blk])
         rhs = np.zeros(coef.shape + (3,), dtype=complex)
         rhs[:, np.arange(npol), srcs - 1] = coef
-
-        scale = np.max(np.abs(m), axis=2)
-        scale = np.where(scale > 1.0, scale, 1.0)
-        m_eq = m / scale[:, :, None]
         rhs_eq = rhs / scale[:, :, None]
         _check_condition_by_inverse(m_eq, xf[blk], tf[blk])
 

@@ -572,6 +572,53 @@ def test_residue_solve_refuses_as_four_lapack_calls_do(monkeypatch):
         assert got[0] is sol.NearSingularSystemError
 
 
+_SINGULAR_2X2 = [sol._PoleEntry(0.5, 1, 2, 1.0, 0.0, 0.0), sol._PoleEntry(-0.5, 2, 1, -1.0, 0.0, 0.0)]
+
+
+def _exact_condition(m_eq):
+    """Each point's ||m_eq||_1 ||m_eq^-1||_1 from np.linalg.inv, inf where
+    m_eq is exactly singular."""
+    cond = np.full(len(m_eq), np.inf)
+    for i, m in enumerate(m_eq):
+        try:
+            cond[i] = np.linalg.norm(m, 1) * np.linalg.norm(np.linalg.inv(m), 1)
+        except np.linalg.LinAlgError:
+            pass
+    return cond
+
+
+def _residue_systems():
+    """The residue entries of regular_pairs(), or the exactly singular 2x2 system."""
+    return st.one_of(regular_pairs().map(lambda p: sol._expand_pole_system(sol.wave_poles(p))),
+                     st.just(_SINGULAR_2X2))
+
+
+# The grids reach x = +-30, where a k0 = 2 soliton's coefficients are e^-22
+# and e^22 times their value at its centre, so their points straddle bound
+# (a), bound (b) and the band between them that neither proves. Where the
+# coefficients are tiny both values read 1 up to rounding: over 3,000 random
+# draws the exact value exceeded the bound by at most 2 ulp, so 8 eps is
+# allowed.
+@settings(max_examples=100, deadline=None)
+@given(_residue_systems(), st.floats(0.5, 30.0), st.integers(2, 60), st.integers(1, 3),
+       st.integers(1, 120))
+def test_condition_bound_holds_the_guard_and_the_guard_refuses_as_the_inverse_does(
+        entries, lx, nx, nt, points):
+    x, t = np.linspace(-lx, lx, nx)[None, :], 0.1 * np.arange(nt)[:, None]
+    coef, s, scale, m_eq = pi.residue_system(entries, x, t)
+    s_inv_cols = np.abs(np.linalg.inv(s)).sum(axis=0)
+    bound = sol._condition_bound(coef, scale, np.abs(s), s_inv_cols)
+    assert np.all(_exact_condition(m_eq) <= bound * (1.0 + 8 * np.finfo(float).eps))
+    npol = len(entries)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sol, "BLOCK_ENTRIES", points * npol**2)
+        for limit in (1.5, 5.0):  # no bound is below 1, so nothing is proven at 1.5
+            mp.setattr(sol, "CONDITION_LIMIT", limit)
+            got = _outcome(sol._solve_residues, entries, x, t)
+            want = _outcome(pi.solve_residues_four_calls, entries, x, t)
+            assert got == want
+
+
 def _traced_peak(synth, *args):
     tracemalloc.start()
     try:

@@ -223,6 +223,23 @@ def test_round_trip_soliton():
     assert rep["reflection_floor"] < 1e-3
 
 
+# Round trips over the paper's parameters: the soliton's position and the
+# breather's phase, each on its automatic extent.
+@settings(max_examples=4, deadline=None)
+@given(st.floats(-4.0, 4.0))
+def test_soliton_round_trip_passes_at_any_position(x0):
+    rep = vf.round_trip([(2.0, sol.residue_constant_from_position(2.0, x0))])
+    assert rep["passed"], rep["details"]
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.floats(0.0, 2 * np.pi, exclude_max=True))
+def test_breather_round_trip_passes_at_any_phase(phase):
+    k0 = 2 * np.exp(1j * np.pi / 12)
+    rep = vf.round_trip([(k0, sol.breather_constant_for_position(k0, 0.0, phase))])
+    assert rep["passed"], rep["details"]
+
+
 @pytest.fixture(scope="module")
 def soliton_round_trip():
     pairs = [(2.0, sol.residue_constant_from_position(2.0, -3.0))]
