@@ -23,7 +23,7 @@ import numpy as np
 
 from numpy._core.multiarray import _set_madvise_hugepage
 
-from boussinesq_ist import fileio, solitons, spectral
+from boussinesq_ist import fileio, solitons
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -229,48 +229,12 @@ def _cmd_jumps(args) -> int:
     from boussinesq_ist import jumps
     if args.samples < 1:
         raise ValueError(f"samples must be at least 1, got {args.samples}")
-    rng = np.random.default_rng(args.seed)
-    sd = jumps.synthetic_scattering_data(seed=args.seed)
-    worst_det = 0.0
-    worst_cyc = 0.0
-    rows = []
-    for seg in range(1, 10):
-        ks = jumps.sample_segment(seg, args.samples, rng)
-        for k in ks:
-            x, t = rng.uniform(-3, 3), rng.uniform(0, 2)
-            v = jumps.build_v(sd, x, t, k, seg)
-            worst_det = max(worst_det, abs(np.linalg.det(v) - 1.0))
-            rot = jumps.ROTATION_MAP[seg]
-            v2 = jumps.build_v(sd, x, t, spectral.OMEGA * k, rot)
-            cyc = np.max(np.abs(v - jumps.MAT_A @ v2 @ jumps._AI))
-            worst_cyc = max(worst_cyc, cyc / max(1.0, float(np.max(np.abs(v)))))
-            rows.append((seg, k, v[0, 1]))
-    k0 = 2.0
-    c0 = solitons.residue_constant_from_position(k0, 0.0)
-    circles = jumps.circle_system([k0], {k0: c0})
-    worst_unip = 0.0
-    for cir in circles:
-        for _ in range(args.samples):
-            k = cir.point(rng.uniform(0, 2 * np.pi))
-            v = jumps.circle_jump(cir, 0.3, 0.2, k)
-            w = v - np.eye(3)
-            worst_unip = max(worst_unip, float(np.max(np.abs(w @ w))))
-    ok = worst_det < 1e-10 and worst_cyc < 1e-10 and worst_unip < 1e-12
+    report, (ks, v01) = jumps.battery(args.seed, args.samples)
     os.makedirs(args.out, exist_ok=True)
-    fileio.write_json(os.path.join(args.out, "jumps.json"), {
-        "max_abs_det_minus_1": worst_det,
-        "max_cyclic_residual": worst_cyc,
-        "max_unipotency_residual": worst_unip,
-        "passed": bool(ok),
-        "seed": args.seed,
-    })
-    fileio.write_contour(
-        os.path.join(args.out, "samples.csv"),
-        np.array([r[1] for r in rows]),
-        np.array([r[2] for r in rows]),
-        "jumps", {"seed": args.seed}, "angle",
-    )
-    return EXIT_OK if ok else EXIT_VALIDATION
+    fileio.write_json(os.path.join(args.out, "jumps.json"), report)
+    fileio.write_contour(os.path.join(args.out, "samples.csv"), ks, v01,
+                         "jumps", {"seed": args.seed}, "angle")
+    return EXIT_OK if report["passed"] else EXIT_VALIDATION
 
 
 def _is_finite_number(value) -> bool:
@@ -304,7 +268,10 @@ def _cmd_evolve(args) -> int:
             raise fileio.FileFormatError(f"{path}: {key} {value!r} is not a list")
     if not _is_finite_number(time):
         raise fileio.FileFormatError(f"{path}: time {time!r} is not a finite number")
-    constants = [cv.get("c") if isinstance(cv, dict) else cv for cv in stored]
+    for cv in stored:
+        if not isinstance(cv, dict):
+            raise fileio.FileFormatError(f'{path}: residue {cv!r} is not an object {{"c": [re, im]}}')
+    constants = [cv.get("c") for cv in stored]
     residues = {_pair(path, kv, "pole"): _pair(path, c, "residue constant")
                 for kv, c in zip(poles, constants)}
     if not len(poles) == len(residues) == len(constants):

@@ -1,10 +1,11 @@
 """Jump matrices on the nine contour pieces and on the pole-removal circles,
-the scalar arc weight f, and a generator of synthetic admissible reflection
-data for the jump-matrix property battery. The synthetic data is exact: r1
-and r2 are formulas in k, evaluated where a jump needs them.
+the scalar arc weight f, a generator of synthetic admissible reflection
+data, and the jump-matrix property battery run on it. The synthetic data is
+exact: r1 and r2 are formulas in k, evaluated where a jump needs them.
 
 The nine pieces live on six rays and three unit-circle arc families; the
-circle jumps remove simple poles and extend to the full circle system by the
+circle jumps remove simple poles, one removal formula per residue group
+(spectral.residue_groups), and extend to the full circle system by the
 rotation and inversion symmetries of the reconstruction problem.
 """
 
@@ -22,11 +23,11 @@ from boussinesq_ist.spectral import (
     DomainError,
     dist_to_gamma,
     eval_theta,
-    on_real_axis,
     on_unit_circle,
-    pole_partner,
+    residue_groups,
     rtilde,
 )
+from boussinesq_ist.solitons import residue_constant_from_position
 
 R2_POLE_GAP = 1e-3
 CIRCLE_EPS_MAX = 0.1
@@ -208,20 +209,16 @@ def build_v(sd, x, t, k, segment: int):
 # ----------------------------------------------------------------------------
 
 
-def _removal(j, k0, c, x, t, k):
-    """Identity plus the (1, j) entry that removes the pole at k0: Q1 for
-    j = 3, and P1 for j = 2 (real poles)."""
+def _removal(group, x, t, k):
+    """Identity plus the (i, j) entry that removes the pole of the residue
+    group (base, C, i, j): -C e^theta_ij(base) (k^2 - w^i) / ((k - base)
+    (base^2 - w^i)), with w^3 read as 1. That is Q1 for a complex pole's
+    group, P1 for a real pole's and Q7 for a complex pole's conjugate group."""
+    base, const, i, j = group
+    w = OMEGA ** (i % 3)
     v = np.eye(3, dtype=complex)
-    cc = c * np.exp(-eval_theta(j, 1, x, t, k0))
-    v[0, j - 1] = -cc / (k - k0) * (k**2 - OMEGA) / (k0**2 - OMEGA)
-    return v
-
-
-def _q7(k0, c, x, t, k):
-    kb = np.conj(k0)
-    v = np.eye(3, dtype=complex)
-    cc = np.conj(c) * np.exp(eval_theta(3, 2, x, t, kb))
-    v[2, 1] = -cc / (k - kb) * (k**2 - 1.0) / (OMEGA**2 * (OMEGA**2 - kb**2))
+    cc = const * np.exp(eval_theta(i, j, x, t, base))
+    v[i - 1, j - 1] = -cc / (k - base) * (k**2 - w) / (base**2 - w)
     return v
 
 
@@ -251,12 +248,9 @@ def circle_system(poles, residues):
     Six circles per real pole and twelve per complex pole; the radius is
     shrunk until all circles are pairwise disjoint and clear of the contour.
     """
-    bases = []  # (pole, circle kind, base point): a complex pole adds its conjugate
-    for k0 in poles:
-        k0 = complex(k0)
-        bases.append((k0, "plain", k0))
-        if not on_real_axis(k0):
-            bases.append((k0, "star", np.conj(k0)))
+    # (pole, circle kind, base point): a complex pole's conjugate group adds a star base
+    bases = [(k0, kind, group[0]) for k0 in map(complex, poles)
+             for kind, group in zip(("plain", "star"), residue_groups(k0, residues[k0]))]
     pts = np.array([p for _, _, b in bases for j in range(3) for p in (OMEGA**j * b, OMEGA**j / b)])
     gaps = [abs(a - b) for a, b in itertools.combinations(pts, 2)]
     epsilon = min(CIRCLE_EPS_MAX, min(gaps + [float(np.min(dist_to_gamma(pts)))]) / 3.0)
@@ -288,21 +282,18 @@ def circle_jump(circle: Circle, x, t, k):
     Base disks carry the explicit removal matrices; every other circle is
     reached through v(k) = A v(w k) A^-1 and v(k) = B v(1/k)^-1 B.
     """
-    k = complex(k)
-    k0, c = circle.k0, circle.c
+    group = residue_groups(circle.k0, circle.c)[circle.kind.endswith("star")]
+    inverted = circle.kind.startswith("inv")
 
-    def eval_at(rot, kind, kk):
+    def eval_at(rot, kk):
         if rot != 0:
             # kk lies on w^rot * (base); w*kk lies on w^(rot+1) * base
-            return _A @ eval_at((rot + 1) % 3, kind, OMEGA * kk) @ _AI
-        if kind == "plain":
-            return _removal(pole_partner(k0), k0, c, x, t, kk)
-        if kind == "star":
-            return _q7(k0, c, x, t, kk)
-        base_kind = {"inv": "plain", "invstar": "star"}[kind]
-        return _B @ np.linalg.inv(eval_at(0, base_kind, 1.0 / kk)) @ _B
+            return _A @ eval_at((rot + 1) % 3, OMEGA * kk) @ _AI
+        if inverted:
+            return _B @ np.linalg.inv(_removal(group, x, t, 1.0 / kk)) @ _B
+        return _removal(group, x, t, kk)
 
-    return eval_at(circle.rot, circle.kind, k)
+    return eval_at(circle.rot, complex(k))
 
 
 # ----------------------------------------------------------------------------
@@ -394,3 +385,35 @@ def synthetic_scattering_data(seed: int) -> ExactReflection:
 
     return ExactReflection(r1_fn, r2_fn)
 
+
+def battery(seed: int, samples: int):
+    """The property battery on synthetic_scattering_data(seed), at samples
+    random points per piece and per removal circle of the k0 = 2 soliton:
+    the worst |det v - 1|, cyclic residual |v(k) - A v(w k) A^-1| / max(1,
+    |v|) and |(v - I)^2| on a circle, passed below 1e-10, 1e-10 and 1e-12.
+    Returns that report and the pieces' sample points with their v[0, 1]."""
+    rng = np.random.default_rng(seed)
+    sd = synthetic_scattering_data(seed=seed)
+    worst_det = worst_cyc = worst_unip = 0.0
+    ks, v01 = [], []
+    for seg in range(1, 10):
+        for k in sample_segment(seg, samples, rng):
+            x, t = rng.uniform(-3, 3), rng.uniform(0, 2)
+            v = build_v(sd, x, t, k, seg)
+            worst_det = max(worst_det, abs(np.linalg.det(v) - 1.0))
+            v2 = build_v(sd, x, t, OMEGA * k, ROTATION_MAP[seg])
+            cyc = np.max(np.abs(v - _A @ v2 @ _AI))
+            worst_cyc = max(worst_cyc, cyc / max(1.0, float(np.max(np.abs(v)))))
+            ks.append(k)
+            v01.append(v[0, 1])
+    for cir in circle_system([2.0], {2.0: residue_constant_from_position(2.0, 0.0)}):
+        for _ in range(samples):
+            w = circle_jump(cir, 0.3, 0.2, cir.point(rng.uniform(0, 2 * np.pi))) - np.eye(3)
+            worst_unip = max(worst_unip, float(np.max(np.abs(w @ w))))
+    return {
+        "max_abs_det_minus_1": worst_det,
+        "max_cyclic_residual": worst_cyc,
+        "max_unipotency_residual": worst_unip,
+        "passed": bool(worst_det < 1e-10 and worst_cyc < 1e-10 and worst_unip < 1e-12),
+        "seed": seed,
+    }, (np.array(ks), np.array(v01))

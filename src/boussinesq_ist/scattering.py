@@ -26,9 +26,9 @@ from boussinesq_ist.spectral import (
     dist_to_gamma,
     dist_to_qhat,
     eval_l_all,
-    eval_z,
     on_real_axis,
     on_unit_circle,
+    phase_rates,
     pole_rates,
     potential_entries,
     potential_factor,
@@ -286,11 +286,6 @@ class ScatteringData:
     @property
     def poles(self) -> tuple:
         return tuple(self.residues)
-
-
-def _theta21_rate(k):
-    """theta_21(0, t, k)/t = (z_2 - z_1)(k)."""
-    return eval_z(2, k) - eval_z(1, k)
 
 
 def _r_values(data: InitialData, kind: str, ks):
@@ -566,7 +561,7 @@ def residue_constant(data: InitialData, k0: complex):
 def evolve_scattering(sd: ScatteringData, t: float) -> ScatteringData:
     """Dress the scattering data with its explicit time evolution.
 
-    r1 samples pick up exp(-theta_21(0,t,k)) and r2 samples exp(+theta_21(0,t,k));
+    r1 samples pick up exp(theta_12(0,t,k)) and r2 samples exp(theta_21(0,t,k));
     the pole set is invariant; residue constants are dressed by their own
     phase rates.
     """
@@ -574,8 +569,8 @@ def evolve_scattering(sd: ScatteringData, t: float) -> ScatteringData:
         raise ValueError("time must be nonnegative")
     new_res = {k0: c * np.exp(pole_rates(k0)[1] * t) for k0, c in sd.residues.items()}
 
-    def dress(vals, ks, sign):
-        rate = _theta21_rate(ks) if sign > 0 else -_theta21_rate(ks)
+    def dress(vals, ks, i, j):
+        rate = phase_rates(i, j, ks)[1]  # theta_ij(0, t, k) / t
         # The time dressing grows like exp(|k|^2 t / 4) toward the inner tip of
         # the ray contour (the instability of the equation); saturating at 700
         # keeps evolved samples ordered and finite instead of inf * 0 = nan.
@@ -588,9 +583,9 @@ def evolve_scattering(sd: ScatteringData, t: float) -> ScatteringData:
         return r
 
     return replace(sd, residues=new_res, time=sd.time + t,
-                   r1_ray=dress(sd.r1_ray, sd.gamma1, -1), r2_ray=dress(sd.r2_ray, sd.gamma4, 1),
-                   r1_circle=dress(sd.r1_circle, sd.circle, -1),
-                   r2_circle=dress(sd.r2_circle, sd.circle, 1))
+                   r1_ray=dress(sd.r1_ray, sd.gamma1, 1, 2), r2_ray=dress(sd.r2_ray, sd.gamma4, 2, 1),
+                   r1_circle=dress(sd.r1_circle, sd.circle, 1, 2),
+                   r2_circle=dress(sd.r2_circle, sd.circle, 2, 1))
 
 
 def estimate_T(sd: ScatteringData, zero_floor: float) -> float:

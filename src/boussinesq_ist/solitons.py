@@ -21,10 +21,10 @@ from boussinesq_ist.spectral import (
     DomainError,
     Subregion,
     classify,
-    eval_l,
-    eval_z,
     on_real_axis,
+    phase_rates,
     pole_rates,
+    residue_groups,
 )
 
 #: default synthesis grid: x in [-DEFAULT_LX, DEFAULT_LX] with step DEFAULT_HX
@@ -188,19 +188,6 @@ def wave_poles(pairs) -> tuple[PoleData, ...]:
     return tuple(p for p, _ in classified if p.c != 0)
 
 
-def derived_conjugate_constant(k0: complex, c: complex) -> complex:
-    """Second residue constant of a complex pole, fixed by conjugation symmetry."""
-    kb = np.conj(k0)
-    return (kb**2 - 1.0) / (OMEGA**2 * (OMEGA**2 - kb**2)) * np.conj(c)
-
-
-def _partner_rates(k0: complex):
-    """(l_3 - l_2, z_3 - z_2) at conj(k0): the x- and t-rates of the residue
-    at the conjugate partner of the complex pole k0."""
-    kb = np.conj(k0)
-    return eval_l(3, kb) - eval_l(2, kb), eval_z(3, kb) - eval_z(2, kb)
-
-
 # ----------------------------------------------------------------------------
 # one pole's tau-function
 # ----------------------------------------------------------------------------
@@ -343,15 +330,11 @@ def breather(k0: complex, c: complex, grid: Grid) -> SolutionField:
 # general N-pole synthesis
 # ----------------------------------------------------------------------------
 
-#: pole images as (rotation power, inverted, col, src): the image of base b
-#: sits at OMEGA**rot times b (1/b when inverted), and its residue multiplier
-#: is OMEGA**rot (times -b**-2 when inverted)
-_C_TABLE = ((0, False, 3, 1), (1, False, 2, 3), (2, False, 1, 2),
-            (0, True, 3, 2), (2, True, 1, 3), (1, True, 2, 1))
-_D_TABLE = ((0, False, 2, 3), (1, False, 1, 2), (2, False, 3, 1),
-            (0, True, 1, 3), (2, True, 2, 1), (1, True, 3, 2))
-_E_TABLE = ((0, False, 2, 1), (1, False, 1, 3), (2, False, 3, 2),
-            (0, True, 1, 2), (2, True, 2, 3), (1, True, 3, 1))
+#: a residue group's six pole images as (rotation power, inverted): the image
+#: of base b sits at OMEGA**rot times b (1/b when inverted), its residue
+#: multiplier is OMEGA**rot (times -b**-2 when inverted), and the group's
+#: columns move with it: B swaps 1 and 2 when inverted, then A lowers each by rot
+_IMAGES = ((0, False), (1, False), (2, False), (0, True), (2, True), (1, True))
 
 
 @dataclass(frozen=True)
@@ -368,13 +351,10 @@ def _expand_pole_system(poles):
     """All simple poles of the reconstruction with their residue couplings."""
     entries = []
     for p in poles:
-        # (base, residue constant, x-rate, t-rate, image table)
-        groups = [(p.k0, p.c, *pole_rates(p.k0), _E_TABLE if p.kind == "soliton" else _C_TABLE)]
-        if p.kind == "breather":
-            groups.append((np.conj(p.k0), derived_conjugate_constant(p.k0, p.c),
-                           *_partner_rates(p.k0), _D_TABLE))
-        for base, const, rate_x, rate_t, table in groups:
-            for rot, inv, col, src in table:
+        for base, const, i, j in residue_groups(p.k0, p.c):
+            rate_x, rate_t = phase_rates(i, j, base)
+            for rot, inv in _IMAGES:
+                col, src = (((2 - n if inv else n - 1) - rot) % 3 + 1 for n in (j, i))
                 pt = OMEGA**rot * (1.0 / base if inv else base)
                 mult = OMEGA**rot * -(base**-2) if inv else OMEGA**rot
                 entries.append(_PoleEntry(complex(pt), col, src, complex(mult * const),

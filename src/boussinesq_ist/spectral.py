@@ -66,11 +66,17 @@ def eval_l_all(k):
     return np.stack([eval_l(j, k) for j in (1, 2, 3)], axis=-1)
 
 
-def eval_theta(i: int, j: int, x, t, k):
-    """Phase difference theta_ij = (l_i - l_j) x + (z_i - z_j) t."""
+def phase_rates(i: int, j: int, k):
+    """(l_i - l_j, z_i - z_j)(k): the x- and t-rates of theta_ij."""
     if i == j:
         raise DomainError("theta_ij requires i != j")
-    return (eval_l(i, k) - eval_l(j, k)) * x + (eval_z(i, k) - eval_z(j, k)) * t
+    return eval_l(i, k) - eval_l(j, k), eval_z(i, k) - eval_z(j, k)
+
+
+def eval_theta(i: int, j: int, x, t, k):
+    """Phase difference theta_ij = (l_i - l_j) x + (z_i - z_j) t."""
+    rate_x, rate_t = phase_rates(i, j, k)
+    return rate_x * x + rate_t * t
 
 
 def rtilde(k):
@@ -105,10 +111,25 @@ def pole_partner(k0) -> int:
 
 
 def pole_rates(k0):
-    """(l_1 - l_j, z_1 - z_j) at the pole k0, with j = pole_partner(k0): the
-    x- and t-rates of its residue's exponential dressing."""
-    j = pole_partner(k0)
-    return eval_l(1, k0) - eval_l(j, k0), eval_z(1, k0) - eval_z(j, k0)
+    """The rates of the pole k0's residue, phase_rates(1, pole_partner(k0), k0)."""
+    return phase_rates(1, pole_partner(k0), k0)
+
+
+def derived_conjugate_constant(k0: complex, c: complex) -> complex:
+    """Second residue constant of a complex pole, fixed by conjugation symmetry."""
+    kb = np.conj(k0)
+    return (kb**2 - 1.0) / (OMEGA**2 * (OMEGA**2 - kb**2)) * np.conj(c)
+
+
+def residue_groups(k0, c):
+    """The residue conditions of the pole k0 with constant c as groups (base,
+    C, i, j): column j's residue at base is C e^theta_ij(base) times column
+    i. A real pole has one, (k0, c, 1, pole_partner(k0)); a complex pole adds
+    (conj(k0), derived_conjugate_constant(k0, c), 3, 2)."""
+    groups = [(k0, c, 1, pole_partner(k0))]
+    if not on_real_axis(k0):
+        groups.append((np.conj(k0), derived_conjugate_constant(k0, c), 3, 2))
+    return groups
 
 
 def on_unit_circle(k):

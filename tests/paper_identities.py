@@ -437,26 +437,33 @@ def nu_functions(sd: jp.ExactReflection, k):
 
 
 def named_circle_jump(name: str, k0, c, x, t, k):
-    """The explicitly displayed pole-removal matrices, by name."""
+    """The explicitly displayed pole-removal matrices, by name: Q1, P1 and
+    Q7 as their formulas, the others from them by the circles' symmetries."""
     w, a, ai, b, inv = sp.OMEGA, jp._A, jp._AI, jp._B, np.linalg.inv
+    kb = np.conj(k0)
+    v = np.eye(3, dtype=complex)
     if name == "Q1":
-        return jp._removal(3, k0, c, x, t, k)
-    if name == "Q7":
-        return jp._q7(k0, c, x, t, k)
+        v[0, 2] = -c * np.exp(-sp.eval_theta(3, 1, x, t, k0)) / (k - k0) * (k**2 - w) / (k0**2 - w)
+        return v
     if name == "P1":
-        return jp._removal(2, k0, c, x, t, k)
+        v[0, 1] = -c * np.exp(-sp.eval_theta(2, 1, x, t, k0)) / (k - k0) * (k**2 - w) / (k0**2 - w)
+        return v
+    if name == "Q7":
+        v[2, 1] = (-np.conj(c) * np.exp(sp.eval_theta(3, 2, x, t, kb)) / (k - kb)
+                   * (k**2 - 1.0) / (w**2 * (w**2 - kb**2)))
+        return v
     if name == "Q2":
-        return ai @ jp._removal(3, k0, c, x, t, w**2 * k) @ a
+        return ai @ named_circle_jump("Q1", k0, c, x, t, w**2 * k) @ a
     if name == "Q5":
-        return b @ ai @ inv(jp._removal(3, k0, c, x, t, 1.0 / (w * k))) @ a @ b
+        return b @ ai @ inv(named_circle_jump("Q1", k0, c, x, t, 1.0 / (w * k))) @ a @ b
     if name == "Q11":
         r = r_matrix(k)
         inner = np.conj(inv(named_circle_jump("Q5", k0, c, x, t, np.conj(k))))
         return r @ inner.T @ inv(r)
     if name == "P5":
-        return b @ ai @ inv(jp._removal(2, k0, c, x, t, 1.0 / (w * k))) @ a @ b
+        return b @ ai @ inv(named_circle_jump("P1", k0, c, x, t, 1.0 / (w * k))) @ a @ b
     if name == "P6":
-        return b @ a @ inv(jp._removal(2, k0, c, x, t, 1.0 / (w**2 * k))) @ ai @ b
+        return b @ a @ inv(named_circle_jump("P1", k0, c, x, t, 1.0 / (w**2 * k))) @ ai @ b
     raise ValueError(f"unknown pole-removal matrix {name}")
 
 
@@ -468,9 +475,9 @@ def breather_a_matrix(k0, c, x, t):
     k0 = complex(k0)
     kb, w = np.conj(k0), sp.OMEGA
     ct = 1j * (k0**2 - 1.0) / (2.0 * sp.SQRT3 * k0**2) * c
-    d = sol.derived_conjugate_constant(k0, c)
+    d = sp.derived_conjugate_constant(k0, c)
     dt = 1j * (kb**2 - w**2) / (2.0 * sp.SQRT3 * kb**2) * w**2 * d
-    (mu1, nu1), (mu2, nu2) = sp.pole_rates(k0), sol._partner_rates(k0)
+    (mu1, nu1), (mu2, nu2) = sp.pole_rates(k0), sp.phase_rates(3, 2, kb)
     a0 = np.array([[1.0 / mu1, 1.0 / (sp.eval_l(1, k0) - sp.eval_l(2, kb))],
                    [1.0 / (sp.eval_l(3, kb) - sp.eval_l(3, k0)), 1.0 / mu2]])
     e1 = ct * np.exp(mu1 * x + nu1 * t)
@@ -496,7 +503,7 @@ def breather_trace_fields(k0, c, x, t):
     likewise in t. Complex; the imaginary parts are rounding."""
     k0 = complex(k0)
     kb = np.conj(k0)
-    (mu1, nu1), (mu2, nu2) = sp.pole_rates(k0), sol._partner_rates(k0)
+    (mu1, nu1), (mu2, nu2) = sp.pole_rates(k0), sp.phase_rates(3, 2, kb)
     mu, nu = np.array([mu1, mu2]), np.array([nu1, nu2])
     lam_x = np.array([sp.eval_l(1, k0), sp.eval_l(3, kb)])
     lam_t = np.array([sp.eval_z(1, k0), sp.eval_z(3, kb)])

@@ -464,6 +464,8 @@ MISSHAPEN_SCATTER_JSON = {
     "infinite time": ('{"time": Infinity}', "time inf is not a finite number"),
     "number for poles": ('{"poles": 5, "residues": []}', "poles 5 is not a list"),
     "number for residues": ('{"poles": [], "residues": 5}', "residues 5 is not a list"),
+    "bare residue pair": ('{"poles": [[2.0, 0.0]], "residues": [[1.0, 0.5]]}',
+                          "residue [1.0, 0.5] is not an object {\"c\": [re, im]}"),
 }
 
 

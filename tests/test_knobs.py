@@ -141,3 +141,31 @@ def test_every_dataclass_field_has_a_reader():
     unread = {f for f in fields if f[2] not in read}
     assert sorted(unread - TEST_READ_FIELDS) == [], "no code in the package reads these fields: delete them"
     assert sorted(TEST_READ_FIELDS - unread) == [], "the package reads these now: drop them from TEST_READ_FIELDS"
+
+
+def _called(node):
+    """The name a call node calls, without its module; None for other nodes."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    return None
+
+
+def test_one_coupling_rule_for_the_pole_residues():
+    # spectral.phase_rates is the one formula for the rates l_i - l_j and
+    # z_i - z_j, and jumps removes every pole with one formula
+    subtracted = set()
+    for path in sorted(Path(boussinesq_ist.__file__).parent.glob("*.py")):
+        if path.stem == "spectral":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                for sub in ast.walk(node):
+                    if (isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Sub)
+                            and _called(sub.left) in ("eval_l", "eval_z")
+                            and _called(sub.left) == _called(sub.right)):
+                        subtracted.add((path.stem, node.name))
+    assert sorted(subtracted) == [], "rate differences outside spectral: call spectral.phase_rates"
+    tree = ast.parse((Path(boussinesq_ist.__file__).parent / "jumps.py").read_text())
+    theta_readers = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                     and any(_called(sub) == "eval_theta" for sub in ast.walk(node))}
+    assert theta_readers == {"build_v", "_removal"}, "one removal formula beside the nine pieces"

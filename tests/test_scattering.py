@@ -598,7 +598,7 @@ def test_chained_evolution_adds_the_times(t1, t2, levels):
     eps = np.finfo(float).eps
     assert chained.time == single.time == t1 + t2
     for vals, pts in sc.SAMPLE_SETS:
-        rate = np.abs(sc._theta21_rate(getattr(sdat, pts)))
+        rate = np.abs(sp.phase_rates(2, 1, getattr(sdat, pts))[1])
         err = np.abs(getattr(chained, vals) - getattr(single, vals))
         assert np.all(err <= 8 * eps * (1 + rate * (t1 + t2)) * np.abs(getattr(single, vals)))
     for k0, c in single.residues.items():

@@ -150,7 +150,7 @@ def test_breather_det_identity_between_gauges():
     k0 = 2 * np.exp(1j * np.pi / 12)
     c = 0.3 + 0.2j
     kb = np.conj(k0)
-    d = sol.derived_conjugate_constant(k0, c)
+    d = sp.derived_conjugate_constant(k0, c)
     ct = 1j * (k0**2 - 1) / (2 * np.sqrt(3) * k0**2) * c
     dt = 1j * (kb**2 - W**2) / (2 * np.sqrt(3) * kb**2) * W**2 * d
     el, ez = sp.eval_l, sp.eval_z

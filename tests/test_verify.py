@@ -214,9 +214,8 @@ def test_mass_flags_nondecaying():
     assert not vf.mass_conservation(fld)["decaying"]
 
 
-def test_round_trip_soliton():
-    c = sol.residue_constant_from_position(2.0, -3.0)
-    rep = vf.round_trip([(2.0, c)])
+def test_round_trip_soliton(soliton_round_trip):
+    _, rep = soliton_round_trip
     assert rep["passed"]
     assert min(rep["pole_errors"].values()) < 1e-3
     assert min(rep["residue_errors"].values()) < 1e-2
