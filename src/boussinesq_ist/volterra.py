@@ -18,7 +18,10 @@ integrand, its trapezoid terms and its maximum, and adds the terms onto the
 running integral as a running sum: one add per step, in step order.  Per step
 it only updates the state, in eight ufunc calls with preallocated outputs
 (the dot product through np.einsum's C kernel), straight into the step's
-trajectory slot when one is kept.  So the bits are a step-by-step march's.
+trajectory slot when one is kept.  A scratch state (no trajectory) applies e_j
+only on row j and the propagator only off it (0 and 1 there); a diagonal entry
+(s11, sA22: rate 0) integrates U phi undressed; the integrand's maximum is
+skipped when no entry can grow.  So the bits are a step-by-step march's.
 Everything is vectorized over a batch of spectral parameters k,
 component-major.
 """
@@ -130,10 +133,10 @@ def march_column(
     ej[j] = 1.0
     rhs, tmp = (np.empty((3, nk), dtype=complex) for _ in range(2))
     dot = np.empty(nk, dtype=complex)
-    # per block: pot[r] is step r's potential row n1 + n2 l, then its U phi
-    pot = np.empty((block, 3, nk), dtype=complex)
+    # pot[1 + r] is block step r's potential row n1 + n2 l, then its U phi; pot[0] the one before
+    pot = np.empty((block + 1, 3, nk), dtype=complex)
     # U v = c (row . v), or row (c . v) transposed: (dot operand, factor, row)
-    steps = [(c, row, row) if transpose else (row, c, row) for row in pot]
+    steps = [(c, row, row) if transpose else (row, c, row) for row in pot[1:]]
     # complex array operands skip numpy's per-call scalar conversion; same bits
     n1, n2 = (np.asarray(n, dtype=complex)[ms, None, None] for n in (n1, n2))
     hh, half = np.array(0.5 * h, dtype=complex), np.array(0.5 * h * sign, dtype=complex)
@@ -144,6 +147,12 @@ def march_column(
         phi[...] = ej
     else:
         phi = ej.copy()
+    # scratch applies ej (0 off row j) on row j, prop (1 on it) off it; a neighbour
+    # joins where numpy copies a lone in-place element or iterates a stride-2 view
+    e_rows = slice(j, j + 1) if nk > 1 else slice(j // 2, j // 2 + 2)
+    p_rows = (slice(1, 3), slice(0, 3), slice(0, 2))[j]
+    prop_p, rhs_p = prop[p_rows], rhs[p_rows]
+    phi_e, rhs_e, ej_e = phi[e_rows], rhs[e_rows], ej[e_rows]
 
     # connection rows: e_j + sign * integral of dressed potential term
     s_dress_sign = -1.0 if kind == "X" else +1.0
@@ -151,15 +160,19 @@ def march_column(
         rs = slice(s_rows[0] - 1, s_rows[-1])
         delta = delta[rs]
         rate = s_dress_sign * delta
+        no_growth = np.abs(rate.real) < STABILITY_TOL
+        grows = not no_growth.all()  # only then is the integrand's maximum read
         reach = np.abs(rate.real).max(axis=0) * (np.max(np.abs(x)) + block * h)
         exact = np.flatnonzero(reach >= EXP_CLIP)
         rate[:, exact] = 0.0  # exact at every step; a zero rate keeps the table finite
         table = np.exp(rate * (np.arange(block)[:, None, None] * dx))  # (block, rows, nk)
-        # f[1 + r] is the integrand of block step r, f[0] that of the step before
-        f = np.empty((block + 1,) + delta.shape, dtype=complex)
+        # f[1 + r] is the integrand of block step r, f[0] that of the step before;
+        # a zero rate (a diagonal entry) dresses by exp(0) = 1: f is U phi, in pot
+        unit = not delta.any()
+        f = pot[:, rs] if unit else np.empty((block + 1,) + delta.shape, dtype=complex)
         # acc[0] is the running integral; acc[1 + r] holds block step r's
         # dressing, then the block's trapezoid terms
-        acc = np.zeros_like(f)
+        acc = np.zeros(f.shape, dtype=complex)
         s_sum = acc[0]
         max_integrand = np.zeros(delta.shape)
         # where per-call costs dominate, a batch with no more entries than a
@@ -172,8 +185,8 @@ def march_column(
     mul, add, sub, einsum = np.multiply, np.add, np.subtract, _c_einsum
     for i0 in range(0, nx, block):  # blocks start at the exact dressing anchors
         nb = min(block, nx - i0)
-        mul(n2[i0 : i0 + nb], ls, pot[:nb])
-        add(n1[i0 : i0 + nb], pot[:nb], pot[:nb])
+        mul(n2[i0 : i0 + nb], ls, pot[1 : nb + 1])
+        add(n1[i0 : i0 + nb], pot[1 : nb + 1], pot[1 : nb + 1])
         lo = i0 == 0  # step 0 is the boundary value ej and opens no interval
         if lo:
             a, b, row = steps[0]
@@ -183,16 +196,22 @@ def march_column(
         outs = slots[i0 + lo : i0 + nb] if want_traj else repeat(phi)
         for (a, b, row), out in zip(steps[lo:nb], outs):
             # rhs = ej + prop * ((phi - ej) + half * mphi), tmp = half * mphi
-            sub(phi, ej, rhs)
-            add(rhs, tmp, rhs)
-            mul(prop, rhs, rhs)
-            add(ej, rhs, rhs)
+            if want_traj:  # phi is the previous slot: it keeps its bits
+                sub(phi, ej, rhs)
+                add(rhs, tmp, rhs)
+                mul(prop, rhs, rhs)
+                add(ej, rhs, rhs)
+            else:  # phi is scratch: the same bits in 7 to 9 row passes, not 12
+                sub(phi_e, ej_e, phi_e)
+                add(phi, tmp, rhs)
+                mul(prop_p, rhs_p, rhs_p)
+                add(ej_e, rhs_e, rhs_e)
             # nilpotency gives U phi_m = U rhs exactly, no recompute needed
             einsum("jk,jk->k", a, rhs, out=dot)
             mul(b, dot, row)
             mul(half, row, tmp)
             phi = add(rhs, tmp, out)
-        if s_rows:
+        if s_rows and not unit:
             nth = i0 // block % per
             if not nth:
                 xa = s_dress_sign * x[ms[i0 : i0 + block * per : block]]
@@ -206,7 +225,8 @@ def march_column(
                 )
             # out of place: numpy multiplies a lone complex element in place
             # without a fused multiply-add, which would change the bits
-            mul(dress, pot[:nb, rs], f[1 : nb + 1])
+            mul(dress, pot[1 : nb + 1, rs], f[1 : nb + 1])
+        if s_rows:
             if not i0:
                 s_edge_first = f[1].copy()
             terms = acc[: nb + 1 - lo]
@@ -220,7 +240,8 @@ def march_column(
             else:
                 for term in terms[1:]:
                     add(s_sum, term, s_sum)
-            np.maximum(max_integrand, np.abs(f[1 : nb + 1]).max(axis=0), out=max_integrand)
+            if grows:
+                np.maximum(max_integrand, np.abs(f[1 : nb + 1]).max(axis=0), out=max_integrand)
             f[0] = f[nb]
 
     if not np.all(np.isfinite(phi)):
@@ -231,7 +252,6 @@ def march_column(
         # an entry is trustworthy when its integrand has visibly converged
         # inside the window (or carries no real exponential growth at all)
         ends = np.maximum(np.abs(f[0]), np.abs(s_edge_first))
-        no_growth = np.abs((s_dress_sign * delta).real) < STABILITY_TOL
         converged = ends <= 1e-8 * (max_integrand + 1e-300)
         out["s"] = (ej[rs] + sign * s_sum).T
         out["s_defined"] = (no_growth | converged).T

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from boussinesq_ist import scattering as sc
@@ -150,42 +150,107 @@ def _spectral_batch(rng, nk):
     )
 
 
+# the large batches of a direct map, without a trajectory: a diagonal entry
+# (dressed by exp(0) = 1), column 2's off-diagonal row 1 (its other rows 1 and
+# 3 would be a stride-2 view, so its step multiplies all three rows), and the
+# circle, where no requested entry can grow
+@example(kind="X", col=1, s_rows=(1,), want_traj=False, data="zero_ends", nk=1536,
+         nx=40, block=16, seed=1, growing=False, circle=False)
+@example(kind="X", col=2, s_rows=(1,), want_traj=False, data="zero_ends", nk=1536,
+         nx=40, block=16, seed=2, growing=False, circle=False)
+@example(kind="XA", col=2, s_rows=(1,), want_traj=False, data="bounded", nk=1536,
+         nx=40, block=16, seed=3, growing=False, circle=True)
 @settings(max_examples=400, deadline=None)
 @given(
     kind=st.sampled_from(sorted(vt.KINDS)),
     col=st.integers(1, 3),
     s_rows=st.sampled_from([(), (1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3)]),
     want_traj=st.booleans(),
-    data=st.sampled_from(["bounded", "overflow", "nan"]),
+    data=st.sampled_from(["bounded", "overflow", "nan", "zero_ends"]),
     nk=st.one_of(st.integers(1, 9), st.sampled_from([50, 193, 256, 1536])),
     nx=st.one_of(st.sampled_from([1, 2, 3, 15, 16, 17, 33]), st.integers(2, 120)),
     block=st.sampled_from([1, 16]),
     seed=st.integers(0, 2**32 - 1),
     growing=st.booleans(),
+    circle=st.booleans(),
 )
 def test_blocked_march_equals_the_stepwise_march(
-    kind, col, s_rows, want_traj, data, nk, nx, block, seed, growing
+    kind, col, s_rows, want_traj, data, nk, nx, block, seed, growing, circle
 ):
     # byte for byte, signed zeros, infinities and NaN included.  Without
     # `growing` the samples whose column grows are redrawn on the unit circle,
     # where every column is bounded: a random batch of 50 or more is refused
-    # before it marches
+    # before it marches.  "zero_ends" data is exactly zero, of either sign,
+    # over some leading and trailing steps, where adding 0 or multiplying by 1
+    # could flip the sign of a zero
     rng = np.random.default_rng(seed)
     x = np.linspace(-1.0, 1.0, nx) * rng.uniform(1, 10)
-    amp = {"bounded": 1.0, "overflow": 1e200, "nan": 1.0}[data]
+    amp = {"bounded": 1.0, "overflow": 1e200, "nan": 1.0, "zero_ends": 1.0}[data]
     n1 = amp * rng.normal() * np.exp(-(x**2))
     n2 = amp * rng.normal() * x * np.exp(-(x**2))
     if data == "nan":
         n1[rng.integers(nx)] = np.nan
+    if data == "zero_ends":
+        lead, trail = rng.integers(0, nx + 1, 2)
+        for n in (n1, n2):
+            n[:lead] = np.copysign(0.0, rng.normal(size=lead))
+            n[nx - trail :] = np.copysign(0.0, rng.normal(size=trail))
     with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
         mp.setattr(vt, "DRESS_BLOCK", block)
-        ks = _spectral_batch(rng, nk)
+        ks = np.exp(1j * rng.uniform(0, 2 * np.pi, nk)) if circle else _spectral_batch(rng, nk)
         if not growing:
             grows = ~vt.column_stability(sp.eval_l_all(ks), col, kind)
             ks[grows] = np.exp(1j * rng.uniform(0, 2 * np.pi, grows.sum()))
         _, ls, c = _setup(ks)
         args = (x, n1, n2, c, ls, col, kind, want_traj, s_rows)
         assert _outcome(vt.march_column, args) == _outcome(pi.march_column_stepwise, args)
+
+
+def _ufunc_calls(nx, want_traj, s_rows):
+    # numpy calls one march makes: multiply, add and subtract (their
+    # accumulate and reduce too) and the einsum kernel, at one circle point
+    calls = [0]
+
+    class Counted:
+        def __init__(self, fn):
+            self.fn = fn
+
+        def __call__(self, *args, **kwargs):
+            calls[0] += 1
+            return self.fn(*args, **kwargs)
+
+        def accumulate(self, *args, **kwargs):
+            calls[0] += 1
+            return self.fn.accumulate(*args, **kwargs)
+
+        def reduce(self, *args, **kwargs):
+            calls[0] += 1
+            return self.fn.reduce(*args, **kwargs)
+
+    x = np.linspace(-4.0, 4.0, nx)
+    n1, n2 = 0.8 * np.exp(-(x**2)), 0.3 * x * np.exp(-(x**2))
+    _, ls, c = _setup([np.exp(0.45j)])
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("multiply", "add", "subtract"):
+            mp.setattr(np, name, Counted(getattr(np, name)))
+        mp.setattr(vt, "_c_einsum", Counted(vt._c_einsum))
+        vt.march_column(x, n1, n2, c, ls, 1, "X", want_traj=want_traj, s_rows=s_rows)
+    return calls[0]
+
+
+@pytest.mark.parametrize("want_traj", [False, True], ids=["scratch", "trajectory"])
+def test_a_small_batch_keeps_its_calls_per_step(want_traj):
+    # at nk = 1 per-call costs are the march's cost.  One more 16-step block
+    # costs 8 calls per step and 2 for its potential rows, whether or not the
+    # trajectory is kept; with the row-1 integral it also costs at most the
+    # block's dressing and integrand products, its trapezoid add and scale
+    # and its accumulate
+    assert vt.DRESS_BLOCK == 16
+    grids = (33, 33 + vt.DRESS_BLOCK)
+    state = [_ufunc_calls(nx, want_traj, ()) for nx in grids]
+    assert state[1] - state[0] == 16 * 8 + 2
+    with_s11 = [_ufunc_calls(nx, want_traj, (1,)) for nx in grids]
+    assert with_s11[1] - with_s11[0] <= 16 * 8 + 2 + 5
 
 
 @pytest.mark.parametrize("block", [3, 16])
