@@ -21,8 +21,6 @@ from boussinesq_ist.solitons import uniform_step
 from boussinesq_ist.spectral import (
     QHAT_EXCLUSION,
     DomainError,
-    Sector,
-    classify,
     dist_to_gamma,
     dist_to_qhat,
     eval_l_all,
@@ -44,6 +42,9 @@ WINDING_TOL = 0.2
 EVOLVE_EXP_CLIP = 700.0
 MAX_POLES = 16
 RAY_DECADES = (-2, 2)  # log10 of the smallest and largest ray modulus
+#: a found zero with |Im z| < SNAP_TOL max(1, |z|) is real: the search puts a
+#: real zero up to ~1e-8 off the axis when another zero is near
+SNAP_TOL = 1e-6
 
 #: rectangles (re_lo, re_hi, im_lo, im_hi) inside the pole sector whose
 #: boundaries keep >= 0.05 distance from the contour and the roots of unity
@@ -425,14 +426,21 @@ def _newton_polish(data, k0):
     )
 
 
-def find_poles(data: InitialData, regions=None):
-    """Zeros of the (1,1) connection entry inside the search rectangles.
+def find_poles(data: InitialData, known=()):
+    """Zeros of the (1,1) connection entry inside DEFAULT_REGIONS and inside a
+    rectangle around each known pole that no region holds in its interior (a
+    winding integral cannot count a zero on its edge).
 
     Winding-number count on the boundary, recursive bisection until single
-    zeros are isolated, then Newton refinement. Real-axis zeros come out with
-    a tiny imaginary part and are snapped to the axis.
+    zeros are isolated, then Newton refinement; zeros within SNAP_TOL of the
+    real axis are snapped to it.
     """
-    regions = DEFAULT_REGIONS if regions is None else regions
+    regions = list(DEFAULT_REGIONS)
+    for k0 in map(complex, known):
+        if not any(a < k0.real < b and c < k0.imag < d for a, b, c, d in regions):
+            rect = _rectangle_around(k0)
+            if rect is not None:
+                regions.append(rect)
     zeros = []
 
     def recurse(rect, depth):
@@ -457,10 +465,10 @@ def find_poles(data: InitialData, regions=None):
             recurse((a, b, m, d), depth + 1)
 
     for rect in regions:
-        recurse(tuple(rect), 0)
+        recurse(rect, 0)
     out = []
     for z in zeros:
-        if on_real_axis(z):
+        if abs(z.imag) < SNAP_TOL * max(1.0, abs(z)):
             z = complex(z.real, 0.0)
         # regions may overlap; keep one copy of each zero
         if all(abs(z - prev) > 1e-6 for prev in out):
@@ -468,27 +476,21 @@ def find_poles(data: InitialData, regions=None):
     return out
 
 
-def search_rectangle_around(k0: complex):
-    """A pole-search rectangle containing k0 that stays inside the pole
-    sector with a 0.05 margin from the contour; None if k0 sits too close to
-    the contour for any such rectangle to exist. The half-widths start at
-    0.35 (real) and 0.25 (imaginary) and shrink by 0.72 per try."""
+def _rectangle_around(k0: complex):
+    """A pole-search rectangle centred on k0 whose boundary keeps 0.051 from
+    the contour and 0.05 from the roots of unity and 0, or None. A point
+    moves both distances by at most its own move, so a half-diagonal within
+    the spare distance keeps both margins, and a rectangle that never meets
+    the contour stays in k0's sector. Half-widths 0.35 (real) and 0.25
+    (imaginary) shrink by 0.72 per try."""
     k0 = complex(k0)
+    spare = min(float(dist_to_gamma(k0)) - 0.051, float(dist_to_qhat(k0)) - 0.05)
     half_re, half_im = 0.35, 0.25
-    for _ in range(24):
-        rect = (k0.real - half_re, k0.real + half_re, k0.imag - half_im, k0.imag + half_im)
-        pts = _rect_boundary(rect, 16)
-        ok = bool(np.all(dist_to_gamma(pts) >= 0.051)) and bool(
-            np.all(dist_to_qhat(pts) >= 0.05)
-        )
-        if ok:
-            ok = all(classify(p).sector is Sector.D2 for p in pts[:: 4])
-        if ok:
-            return rect
+    while half_im >= 2e-3:
+        if np.hypot(half_re, half_im) <= spare:
+            return (k0.real - half_re, k0.real + half_re, k0.imag - half_im, k0.imag + half_im)
         half_re *= 0.72
         half_im *= 0.72
-        if half_re < 2e-3 or half_im < 2e-3:
-            break
     return None
 
 

@@ -20,11 +20,11 @@ from boussinesq_ist.spectral import (
     SQRT3,
     DomainError,
     Subregion,
-    classify,
     on_real_axis,
     phase_rates,
     pole_rates,
     residue_groups,
+    subregion,
 )
 
 #: default synthesis grid: x in [-DEFAULT_LX, DEFAULT_LX] with step DEFAULT_HX
@@ -44,7 +44,7 @@ IM_U_TOL = 1e-9
 def _complex_subregion(k0) -> Subregion:
     """The complex subregion of D2 holding the pole k0; DomainError when it
     lies in none of the four."""
-    sub = classify(k0).subregion
+    sub = subregion(k0)
     if sub not in (Subregion.REG_R, Subregion.REG_L, Subregion.SING_R, Subregion.SING_L):
         raise DomainError(f"pole {k0} lies outside the complex subregions of the pole sector")
     return sub

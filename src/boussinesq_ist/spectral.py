@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,41 +204,26 @@ class Subregion(enum.Enum):
 _OUT_SECTOR = (2, 3, 4, 5, 6, 1)
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    """The classification of a point of the spectral plane."""
-
-    sector: Sector
-    subregion: Subregion
-
-
-def classify(k) -> SpectralPoint:
-    """Assign the sector D1..D6 and, inside D2, the finer subregion.
-
-    Points within ``TOL_CONTOUR`` of the contour (six rays + unit circle) get the
-    on-contour marker and no subregion; boundary rays are owned by no sector.
-    """
+def sector(k) -> Sector:
+    """The sector D1..D6 holding k; points within ``TOL_CONTOUR`` of the
+    contour (six rays + unit circle) get the on-contour marker, so boundary
+    rays are owned by no sector."""
     k = complex(k)
     if k == 0:
         raise DomainError("cannot classify k = 0")
     if dist_to_gamma(k) < TOL_CONTOUR:
-        return SpectralPoint(Sector.ON_CONTOUR, Subregion.NONE)
+        return Sector.ON_CONTOUR
+    m = int(math.floor((math.atan2(k.imag, k.real) + math.pi / 6) / (math.pi / 3))) % 6
+    return Sector(_OUT_SECTOR[m] if abs(k) > 1.0 else _OUT_SECTOR[(m + 3) % 6])
 
-    r = abs(k)
-    phi = math.atan2(k.imag, k.real)
-    m = int(math.floor((phi + math.pi / 6) / (math.pi / 3))) % 6
-    if r > 1.0:
-        sector = Sector(_OUT_SECTOR[m])
-    else:
-        sector = Sector(_OUT_SECTOR[(m + 3) % 6])
 
-    sub = Subregion.NONE
-    if sector is Sector.D2:
-        if on_real_axis(k):
-            sub = Subregion.REAL_RIGHT if k.real > 1.0 else Subregion.REAL_LEFT
-        elif r > 1.0:
-            sub = Subregion.REG_R if k.imag > 0 else Subregion.SING_R
-        else:
-            sub = Subregion.REG_L if k.imag < 0 else Subregion.SING_L
-    return SpectralPoint(sector, sub)
-
+def subregion(k) -> Subregion:
+    """The finer subregion of D2 holding k; NONE outside D2."""
+    k = complex(k)
+    if sector(k) is not Sector.D2:
+        return Subregion.NONE
+    if on_real_axis(k):
+        return Subregion.REAL_RIGHT if k.real > 1.0 else Subregion.REAL_LEFT
+    if abs(k) > 1.0:
+        return Subregion.REG_R if k.imag > 0 else Subregion.SING_R
+    return Subregion.REG_L if k.imag < 0 else Subregion.SING_L

@@ -176,16 +176,7 @@ def round_trip(pairs, lx: float | None = None) -> dict:
     fld = sol.n_soliton(pairs, grid)
     data = sc.InitialData(grid.x, fld.u[0], fld.v[0])
 
-    regions = list(sc.DEFAULT_REGIONS)
-    for p in poles:
-        covered = any(
-            r[0] <= p.k0.real <= r[1] and r[2] <= p.k0.imag <= r[3] for r in regions
-        )
-        if not covered:
-            extra = sc.search_rectangle_around(p.k0)
-            if extra is not None:
-                regions.append(extra)
-    found = sc.find_poles(data, regions=regions)
+    found = sc.find_poles(data, known=[p.k0 for p in poles])
     pole_errors, residue_errors, details = {}, {}, {}
     ok = True
     for p in poles:

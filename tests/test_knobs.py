@@ -25,7 +25,7 @@ KEPT = {
     ("scattering", "circle_samples", "n"),
     ("scattering", "reflection_coefficients", "per_decade"),
     ("scattering", "reflection_coefficients", "circle_n"),
-    ("scattering", "find_poles", "regions"),
+    ("scattering", "find_poles", "known"),
     ("verify", "round_trip", "lx"),
     ("volterra", "_clipped_exp", "limit"),
     ("volterra", "march_column", "want_traj"),

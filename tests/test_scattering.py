@@ -409,7 +409,7 @@ _PLANE_SAMPLES = np.array([r * np.exp(1j * a)
 def test_s11_of_pure_pole_data_vanishes_in_d2_only_at_its_poles(poles):
     poles = [complex(k0) for k0 in poles]
     zeros = pi.s11_reflectionless_zeros(poles)
-    assert [z for z in zeros if sp.classify(z).sector is sp.Sector.D2] == poles
+    assert [z for z in zeros if sp.sector(z) is sp.Sector.D2] == poles
     assert len(zeros) == sum(2 if k0.imag == 0.0 else 4 for k0 in poles)
 
     def s11(k):
@@ -491,7 +491,7 @@ def test_breather_pole_recovery():
     poles = sc.find_poles(data)
     assert len(poles) == 1
     assert abs(poles[0] - k0) < 1e-3
-    assert sp.classify(poles[0]).subregion is sp.Subregion.REG_R
+    assert sp.subregion(poles[0]) is sp.Subregion.REG_R
     chat, resid = sc.residue_constant(data, poles[0])
     assert abs(chat - c) / abs(c) < 1e-2
     # conjugation pairing of the derivatives at a complex zero: the adjugate
@@ -499,6 +499,89 @@ def test_breather_pole_recovery():
     ds11 = sc._s11_derivative(data, poles[0])
     dsa22 = sc._sa22_derivative(data, np.conj(poles[0]))
     assert abs(np.conj(dsa22) - ds11) < 1e-5 * abs(ds11)
+
+
+@pytest.fixture(scope="module")
+def coarse_soliton():
+    """The k0 = 2 soliton at x0 = 0 on [-30, 30] at hx = 0.02; its sampled
+    zero lies within 1e-5 of 2."""
+    c = sol.residue_constant_from_position(2.0, 0.0)
+    grid = sol.Grid(np.linspace(-30, 30, sol.point_count(60.0, 0.02)), [0.0])
+    fld = sol.n_soliton([(2.0, c)], grid)
+    return sc.InitialData(grid.x, fld.u[0], fld.v[0])
+
+
+def _s11_batches(monkeypatch):
+    """The sizes of the s11 batches made from now on."""
+    sizes, s11_batch = [], sc.s11_batch
+
+    def counted(data, ks):
+        sizes.append(len(ks))
+        return s11_batch(data, ks)
+
+    monkeypatch.setattr(sc, "s11_batch", counted)
+    return sizes
+
+
+# an imaginary edge at +-0.62 puts a boundary sample on the axis next to the
+# zero, and nothing is refined; these edges keep the samples off it
+@pytest.mark.parametrize("re_hi, winding", [(2.0005, 1), (1.9995, 0)])
+def test_winding_refines_the_boundary_next_to_a_zero(coarse_soliton, monkeypatch, re_hi, winding):
+    sizes = _s11_batches(monkeypatch)
+    assert sc._winding_and_centroid(coarse_soliton, (1.2, re_hi, -0.61, 0.63))[0] == winding
+    assert sizes == [193] + [1] * 5
+
+
+def test_winding_refuses_a_zero_the_refinement_cannot_resolve(coarse_soliton, monkeypatch):
+    sizes = _s11_batches(monkeypatch)
+    with pytest.raises(sc.WindingError, match="insufficient quadrature"):
+        sc._winding_and_centroid(coarse_soliton, (1.2, 2.00001, -0.61, 0.63))
+    assert sizes == [193] + [1] * 8
+
+
+def test_a_known_pole_on_a_region_edge_gets_its_own_rectangle():
+    # k0 = 4 lies on the edge re = 4.0 of the first default region, whose
+    # winding integral cannot count it
+    c = sol.residue_constant_from_position(4.0, 0.0)
+    grid = sol.Grid(np.linspace(-35, 35, sol.point_count(70.0, 0.02)), [0.0])
+    fld = sol.n_soliton([(4.0, c)], grid)
+    data = sc.InitialData(grid.x, fld.u[0], fld.v[0])
+    assert sc.find_poles(data) == []
+    (z,) = sc.find_poles(data, known=[4.0])
+    assert abs(z - 4.0) < 2e-4 and z.imag == 0.0
+
+
+_POLE_IN_D2 = st.one_of(
+    st.floats(-1.0, 0.0, exclude_min=True, exclude_max=True),
+    st.floats(1.0, 8.0, exclude_min=True),
+    st.builds(lambda r, a: r * np.exp(1j * a),  # RegR
+              st.floats(1.0, 4.0, exclude_min=True), st.floats(0.0, np.pi / 6, exclude_min=True,
+                                                             exclude_max=True)),
+    st.builds(lambda r, a: r * np.exp(-1j * a),  # RegL
+              st.floats(0.05, 1.0, exclude_max=True), st.floats(5 * np.pi / 6, np.pi,
+                                                              exclude_min=True, exclude_max=True)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_POLE_IN_D2)
+@example(-0.95)
+@example(1.05)
+def test_search_rectangle_keeps_its_margins_and_its_sector(k0):
+    k0 = complex(k0)
+    assume(sp.sector(k0) is sp.Sector.D2)
+    rect = sc._rectangle_around(k0)
+    spare = min(sp.dist_to_gamma(k0) - 0.051, sp.dist_to_qhat(k0) - 0.05)
+    if rect is None:
+        # the smallest candidate's half-diagonal is 0.43 * 0.72^14 = 4.4e-3
+        assert spare < 4.5e-3
+        return
+    a, b, c, d = rect
+    assert a < k0.real < b and c < k0.imag < d
+    pts = sc._rect_boundary(rect, 1000)[:-1]
+    assert np.min(sp.dist_to_gamma(pts)) >= 0.051
+    assert np.min(sp.dist_to_qhat(pts)) >= 0.05
+    assert all(sp.sector(p) is sp.Sector.D2 for p in pts)
 
 
 def test_find_poles_respects_pole_budget(soliton_data, monkeypatch):

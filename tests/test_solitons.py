@@ -732,7 +732,7 @@ def _near(edge):
 def test_wave_poles_refuses_exactly_the_singular_subregions(r, angle, phase):
     k0 = r * np.exp(1j * angle)
     assume(not sp.on_real_axis(k0))
-    sub = sp.classify(k0).subregion
+    sub = sp.subregion(k0)
     pair = [(k0, np.exp(1j * phase))]
     if sub not in SINGULAR_SUBREGION:
         with pytest.raises(sp.DomainError):

@@ -209,19 +209,18 @@ def test_potential_is_nilpotent():
 
 
 def test_classification_examples():
-    assert sp.classify(2 * np.exp(1j * np.pi / 12)).subregion is sp.Subregion.REG_R
-    assert sp.classify(2 * np.exp(-1j * np.pi / 12)).subregion is sp.Subregion.SING_R
-    assert sp.classify(2.0).subregion is sp.Subregion.REAL_RIGHT
-    assert sp.classify(-0.5).subregion is sp.Subregion.REAL_LEFT
-    assert sp.classify(0.5 * np.exp(1j * 13 * np.pi / 12)).subregion is sp.Subregion.REG_L
-    assert sp.classify(0.5 * np.exp(1j * 11 * np.pi / 12)).subregion is sp.Subregion.SING_L
+    assert sp.subregion(2 * np.exp(1j * np.pi / 12)) is sp.Subregion.REG_R
+    assert sp.subregion(2 * np.exp(-1j * np.pi / 12)) is sp.Subregion.SING_R
+    assert sp.subregion(2.0) is sp.Subregion.REAL_RIGHT
+    assert sp.subregion(-0.5) is sp.Subregion.REAL_LEFT
+    assert sp.subregion(0.5 * np.exp(1j * 13 * np.pi / 12)) is sp.Subregion.REG_L
+    assert sp.subregion(0.5 * np.exp(1j * 11 * np.pi / 12)) is sp.Subregion.SING_L
 
 
 def test_on_contour_marker():
-    pt = sp.classify(np.exp(1j * 0.4))
-    assert pt.sector is sp.Sector.ON_CONTOUR and pt.subregion is sp.Subregion.NONE
-    pt = sp.classify(2.0 * np.exp(1j * np.pi / 6))
-    assert pt.sector is sp.Sector.ON_CONTOUR
+    k = np.exp(1j * 0.4)
+    assert sp.sector(k) is sp.Sector.ON_CONTOUR and sp.subregion(k) is sp.Subregion.NONE
+    assert sp.sector(2.0 * np.exp(1j * np.pi / 6)) is sp.Sector.ON_CONTOUR
 
 
 def test_sector_rotation_is_cyclic_successor():
@@ -232,21 +231,23 @@ def test_sector_rotation_is_cyclic_successor():
         pts += [1.7 * np.exp(1j * ang), 0.55 * np.exp(1j * ang)]
     for k in pts:
         # rotation by omega takes D_n to D_{n+2 mod 6}, inversion D_n to D_{7-n}
-        s = sp.classify(k).sector
-        assert sp.classify(sp.OMEGA * k).sector is sp.Sector((s.value + 1) % 6 + 1)
-        assert sp.classify(1.0 / k).sector is sp.Sector(7 - s.value)
+        s = sp.sector(k)
+        assert sp.sector(sp.OMEGA * k) is sp.Sector((s.value + 1) % 6 + 1)
+        assert sp.sector(1.0 / k) is sp.Sector(7 - s.value)
 
 
 def test_sector_labels_match_roots():
     # just outside the unit circle, between consecutive roots of unity
-    assert sp.classify(1.1 * np.exp(1j * 0.01)).sector is sp.Sector.D2
-    assert sp.classify(1.1 * np.exp(1j * (np.pi / 3))).sector is sp.Sector.D3
-    assert sp.classify(0.9 * np.exp(1j * np.pi)).sector is sp.Sector.D2
+    assert sp.sector(1.1 * np.exp(1j * 0.01)) is sp.Sector.D2
+    assert sp.sector(1.1 * np.exp(1j * (np.pi / 3))) is sp.Sector.D3
+    assert sp.sector(0.9 * np.exp(1j * np.pi)) is sp.Sector.D2
 
 
 def test_classify_rejects_zero():
     with pytest.raises(sp.DomainError):
-        sp.classify(0.0)
+        sp.sector(0.0)
+    with pytest.raises(sp.DomainError):
+        sp.subregion(0.0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -264,7 +265,7 @@ def test_every_layer_shares_the_real_axis_rule(re, frac):
     except sol.SingularBreatherError:  # a breather pole in a singular subregion
         kind = "breather"
     assert (kind == "soliton") == real
-    real_sub = sp.classify(k).subregion in (sp.Subregion.REAL_RIGHT, sp.Subregion.REAL_LEFT)
+    real_sub = sp.subregion(k) in (sp.Subregion.REAL_RIGHT, sp.Subregion.REAL_LEFT)
     assert real_sub == real
     assert len(jp.circle_system([k], {k: c})) == (6 if real else 12)
     g1, g4, circle = sc.gamma1_samples(2), sc.gamma4_samples(2), sc.circle_samples(6)

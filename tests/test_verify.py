@@ -297,3 +297,14 @@ def test_round_trip_left_breather_uses_adaptive_region():
     rep = vf.round_trip([(k0, c)])
     assert rep["passed"]
     assert min(rep["pole_errors"].values()) < 1e-3
+
+
+def test_two_soliton_round_trip_snaps_its_real_zeros():
+    # the pole search finds two zeros in one region and bisects it; one real
+    # zero comes out about 1e-8 off the axis, and unsnapped it would take the
+    # complex-pole residue fit, which refuses it
+    pairs = [(k0, sol.residue_constant_from_position(k0, x0))
+             for k0, x0 in ((1.6, -5.0), (2.2, 5.0))]
+    rep = vf.round_trip(pairs)
+    assert rep["passed"], rep["details"]
+    assert max(rep["pole_errors"].values()) < 1e-5
